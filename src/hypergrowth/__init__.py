@@ -23,13 +23,12 @@ from .regimes import (
     stagnation_test,
     takeoff_scan,
 )
-from .series import GrowthSeries, ReciprocalSeries, Window, new_series, reciprocal, window
+from .series import GrowthSeries, Window, new_series, reciprocal, window
 from .synthetic import ModelSpec, generate
 
 __all__ = [
     "HypergrowthError",
     "GrowthSeries",
-    "ReciprocalSeries",
     "Window",
     "new_series",
     "reciprocal",

@@ -12,9 +12,11 @@ naming the offending input element; stack traces never reach the user.
 
 from __future__ import annotations
 
+import math
 import pathlib
 
 import click
+import numpy as np
 
 from .errors import (
     DataError,
@@ -49,10 +51,29 @@ EXIT_FIT = 3
 EXIT_WINDOW = 4
 EXIT_INTERNAL = 5
 
+# --years START:STOP:STEP may not take more steps than this.
+MAX_SAMPLE_YEARS = 100_000
+
 
 def _fail(code: int, message: str) -> None:
     click.echo(f"error: {message}", err=True)
     raise SystemExit(code)
+
+
+def _write(path, text: str) -> None:
+    try:
+        pathlib.Path(path).write_text(text, encoding="utf-8")
+    except OSError as exc:
+        _fail(EXIT_PARSE, f"cannot write {path}: {exc.strerror or exc}")
+
+
+def _out_of_range(label: str) -> None:
+    _fail(EXIT_PARSE, f"series {label!r}: values too extreme for float arithmetic")
+
+
+# Float overflow and invalid operations in numpy raise FloatingPointError
+# instead of printing a warning, so extreme input ends in one error line.
+_RAISE_FLOAT_ERRORS = np.errstate(over="raise", divide="raise", invalid="raise")
 
 
 def _parse_window(spec: str, flag: str) -> Window:
@@ -169,12 +190,15 @@ def main() -> None:
               show_default=True, help="Machine report format.")
 @click.option("-o", "--output", default=None,
               help="Write the machine report to this path.")
+@_RAISE_FLOAT_ERRORS
 def analyze(
     input_path, preset, members, long_format, label, window_spec, kappa,
     boundaries, probe_years, takeoff_window, stagnation_window,
     preset_config, fmt, output,
 ) -> None:
     """Fit INPUT_CSV and run diversion, takeoff, stagnation and segment tests."""
+    if not 0.0 < kappa < math.inf:
+        _fail(EXIT_WINDOW, f"--kappa must be a finite number > 0, got {kappa!r}")
     fit_window = _parse_window(window_spec, "--window")
     takeoff_w = _parse_window(takeoff_window, "--takeoff-window")
     stagnation_w = _parse_window(stagnation_window, "--stagnation-window")
@@ -196,16 +220,18 @@ def analyze(
             input_path=str(input_path),
             input_sha256=digest,
         )
+        rendered = report.to_json() if fmt == "json" else report.to_kv()
     except FitError as exc:
         _fail(EXIT_FIT, str(exc))
     except HypergrowthError as exc:
         _fail(EXIT_INTERNAL, str(exc))
+    except (ArithmeticError, ValueError):  # the renderers refuse nan and infinity
+        _out_of_range(series.label)
 
-    click.echo(human_summary(report), nl=False)
-    rendered = report.to_json() if fmt == "json" else report.to_kv()
     if output:
-        pathlib.Path(output).write_text(rendered, encoding="utf-8")
-    else:
+        _write(output, rendered)
+    click.echo(human_summary(report), nl=False)
+    if not output:
         click.echo(rendered, nl=False)
 
 
@@ -219,6 +245,7 @@ def analyze(
 @click.option("--preset-config", default=None)
 @click.option("--out-prefix", default="plot", show_default=True,
               help="Writes <prefix>_gdp.csv and <prefix>_reciprocal.csv.")
+@_RAISE_FLOAT_ERRORS
 def plotdata(
     input_path, preset, members, long_format, label, window_spec,
     preset_config, out_prefix,
@@ -230,19 +257,24 @@ def plotdata(
     )
     try:
         fit = fit_hyperbolic(series, fit_window)
+        tables = (
+            ("gdp", gdp_plot_table(fit, series)),
+            ("reciprocal", reciprocal_plot_table(fit, series)),
+        )
     except FitError as exc:
         _fail(EXIT_FIT, str(exc))
+    except ArithmeticError:
+        _out_of_range(series.label)
+    if not all(math.isfinite(v) for _, table in tables for _, _, v in table):
+        _out_of_range(series.label)
 
-    for suffix, table in (
-        ("gdp", gdp_plot_table(fit, series)),
-        ("reciprocal", reciprocal_plot_table(fit, series)),
-    ):
+    for suffix, table in tables:
         path = pathlib.Path(f"{out_prefix}_{suffix}.csv")
         lines = ["series,year,value"]
         lines += [
             f"{tag},{float(year)!r},{float(value)!r}" for tag, year, value in table
         ]
-        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        _write(path, "\n".join(lines) + "\n")
         click.echo(f"wrote {path}")
 
 
@@ -272,14 +304,15 @@ def simulate(
             start, stop, step = (float(x) for x in years.split(":"))
         except ValueError:
             _fail(EXIT_PARSE, f"--years range must be START:STOP:STEP, got {years!r}")
-        if step <= 0 or stop <= start:
-            _fail(EXIT_PARSE, "--years range needs STOP > START and STEP > 0")
-        sample_years = []
-        t = start
-        while t <= stop + 1e-9:
-            sample_years.append(round(t, 9))
-            t += step
-        sample_years = tuple(sample_years)
+        if not (
+            0.0 < step < math.inf
+            and -math.inf < start < stop
+            and (stop - start) / step < MAX_SAMPLE_YEARS
+        ):
+            _fail(EXIT_PARSE, "--years range needs finite STOP > START, STEP > 0 "
+                  f"and fewer than {MAX_SAMPLE_YEARS} steps")
+        count = int((stop - start + 1e-9) // step) + 1
+        sample_years = tuple(round(start + i * step, 9) for i in range(count))
     else:
         sample_years = _parse_year_list(years, "--years")
 
@@ -294,7 +327,7 @@ def simulate(
             sigma=sigma, seed=seed,
         )
         series = generate(spec)
-    except ModelSpecError as exc:
+    except (ModelSpecError, DataError) as exc:
         _fail(EXIT_PARSE, str(exc))
     except FitError as exc:
         _fail(EXIT_FIT, str(exc))
@@ -305,7 +338,7 @@ def simulate(
     if output == "-":
         click.echo(text, nl=False)
     else:
-        pathlib.Path(output).write_text(text, encoding="utf-8")
+        _write(output, text)
 
 
 if __name__ == "__main__":

@@ -26,6 +26,10 @@ class NonPositiveValueError(DataError):
     pass
 
 
+class NonFiniteValueError(DataError):
+    """A year or value is nan or infinite."""
+
+
 class TooFewPointsError(DataError):
     """A series ended up with fewer than the required number of points."""
 

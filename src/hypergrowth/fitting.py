@@ -24,7 +24,12 @@ from .errors import (
     NonDecreasingLineError,
     YearNotObservedError,
 )
-from .series import GrowthSeries, Window
+from .series import GrowthSeries, Window, points_in
+
+# Exactly collinear input leaves float noise in the residuals. A fit whose
+# rmse is at most this fraction of the RMS of the fitted values is snapped
+# to the genuine perfect fit, so the rmse-0 conventions apply.
+COLLINEAR_RTOL = 1e-13
 
 
 @dataclass(frozen=True)
@@ -33,7 +38,7 @@ class LineFit:
 
     ``rmse`` is the root mean square residual (divided by n, not n - 2);
     standard errors use the usual n - 2 denominator and are None when
-    there are no residual degrees of freedom.
+    there are no residual degrees of freedom; both are 0 for collinear data.
     """
 
     slope: float
@@ -42,7 +47,6 @@ class LineFit:
     r2: float
     se_slope: float | None
     se_intercept: float | None
-    n: int
 
 
 def fit_line(years, values, center: float = 0.0) -> LineFit:
@@ -74,6 +78,9 @@ def fit_line(years, values, center: float = 0.0) -> LineFit:
     resid = y - (alpha + slope * xc)
     ssr = float(np.sum(resid**2))
     sst = float(np.sum((y - ybar) ** 2))
+    # sst/n + ybar^2 is the mean square of y, so no extra pass is needed
+    if ssr <= COLLINEAR_RTOL**2 * (sst + n * ybar * ybar):
+        ssr = 0.0
     rmse = math.sqrt(ssr / n)
     r2 = 1.0 if sst == 0.0 else 1.0 - ssr / sst
 
@@ -94,7 +101,6 @@ def fit_line(years, values, center: float = 0.0) -> LineFit:
         r2=r2,
         se_slope=se_slope,
         se_intercept=se_intercept,
-        n=n,
     )
 
 
@@ -148,11 +154,7 @@ def fit_hyperbolic(s: GrowthSeries, w: Window) -> HyperbolicFit:
     fitted slope is >= 0 (the series is not hyperbolic-growth-like on
     this window).
     """
-    sel = [(y, v) for y, v in s.points if w.contains(y)]
-    if len(sel) < 3:
-        raise FitTooFewPointsError(
-            f"series {s.label!r}: {len(sel)} point(s) in [{w.t0:g}, {w.t1:g}], need 3"
-        )
+    sel = points_in(s, w, need=3, error=FitTooFewPointsError)
     years = [y for y, _ in sel]
     recip = [1.0 / v for _, v in sel]
     line = fit_line(years, recip, center=(w.t0 + w.t1) / 2.0)
@@ -161,15 +163,12 @@ def fit_hyperbolic(s: GrowthSeries, w: Window) -> HyperbolicFit:
             f"series {s.label!r}: reciprocal slope {line.slope:.3e} is not negative "
             f"on [{w.t0:g}, {w.t1:g}]"
         )
-    # exactly collinear input leaves float noise in the residuals; snap it
-    # to the genuine perfect-fit case so the rmse-0 conventions apply
-    rmse = line.rmse if line.rmse > 1e-13 * max(recip) else 0.0
     return HyperbolicFit(
         a=line.intercept,
         k=-line.slope,
         fit_window=w,
         n_points=len(sel),
-        rmse_reciprocal=rmse,
+        rmse_reciprocal=line.rmse,
         r2_reciprocal=line.r2,
         se_a=line.se_intercept,
         se_k=line.se_slope,
@@ -204,15 +203,27 @@ def percent_deviation(f: HyperbolicFit, s: GrowthSeries, t: float) -> float:
     return 100.0 * (observed - model_value(f, t)) / model_value(f, t)
 
 
+def residuals(
+    f: HyperbolicFit, points, zero_rmse_scale: float = 0.0
+) -> list[tuple[float, float, float, float]]:
+    """FitDiagnostics rows at the given (year, value) points.
+
+    The normalized residual divides the raw one by the in-window rmse
+    or, for an exact fit (rmse 0), by ``zero_rmse_scale``; it is 0 when
+    both are 0.
+    """
+    a, k = f.a, f.k
+    scale = f.rmse_reciprocal or zero_rmse_scale
+    rows = []
+    for y, v in points:
+        line = a - k * y
+        if line > 0.0:
+            raw = 1.0 / v - line
+            # relative GDP deviation (v - 1/line) / (1/line) = v*line - 1
+            rows.append((y, raw, raw / scale if scale else 0.0, -raw * v))
+    return rows
+
+
 def goodness(f: HyperbolicFit, s: GrowthSeries) -> FitDiagnostics:
     """Residual diagnostics at every observed year with a positive line."""
-    rows = []
-    for y, v in s.points:
-        line = f.line_value(y)
-        if line <= 0.0:
-            continue
-        raw = 1.0 / v - line
-        normalized = 0.0 if f.rmse_reciprocal == 0.0 else raw / f.rmse_reciprocal
-        model = 1.0 / line
-        rows.append((y, raw, normalized, (v - model) / model))
-    return FitDiagnostics(rows=tuple(rows))
+    return FitDiagnostics(rows=tuple(residuals(f, s.points)))

@@ -50,9 +50,6 @@ class Dataset:
     rows: dict[str, dict[float, float]]
     year_header: tuple[float, ...]
 
-    def labels(self) -> tuple[str, ...]:
-        return tuple(self.rows)
-
 
 @dataclass(frozen=True)
 class RegionPreset:

@@ -28,10 +28,9 @@ from .errors import (
     NoPointsAfterWindowError,
     NoPointsInWindowError,
     SegmentTooSparseError,
-    WindowTooFewPointsError,
 )
-from .fitting import HyperbolicFit, fit_line, singularity
-from .series import GrowthSeries, Window
+from .fitting import HyperbolicFit, fit_line, residuals, singularity
+from .series import GrowthSeries, Window, points_in
 
 DEFAULT_KAPPA = 3.0
 DEFAULT_TAKEOFF_WINDOW = Window(1760.0, 1840.0)
@@ -39,7 +38,8 @@ DEFAULT_STAGNATION_WINDOW = Window(1.0, 1750.0)
 DEFAULT_SEGMENT_BOUNDARIES = (1750.0, 1870.0)
 DEFAULT_SEGMENT_WINDOW = Window(1500.0, 1900.0)
 
-# Fallback exceedance tolerance when the in-window rmse is exactly 0.
+# Residual scale when the in-window rmse is exactly 0: the kappa comparison
+# then degenerates to an absolute tolerance of this much per unit of kappa.
 ABSOLUTE_RESIDUAL_TOLERANCE = 1e-9
 
 Z_CRITICAL = 1.96
@@ -71,7 +71,7 @@ class StagnationVerdict:
     monotone_fraction: float
     rmse_constant_model: float
     rmse_hyperbolic_model: float
-    verdict: str  # "stagnation-consistent" | "hyperbolic-consistent" | "inconclusive"
+    verdict: str  # "stagnation-consistent" | "hyperbolic-consistent"
 
 
 @dataclass(frozen=True)
@@ -89,28 +89,6 @@ class SegmentReport:
     segments: tuple[SegmentSlope, ...]
     z_scores: tuple[tuple[int, int, float], ...]
     verdict: str  # "single-line-consistent" | "segmented"
-
-
-def _normalized_residuals(
-    f: HyperbolicFit, points: list[tuple[float, float]]
-) -> list[tuple[float, float]]:
-    """(year, residual / rmse) at points where the fitted line is positive.
-
-    With a perfect fit (rmse 0) the residuals are scaled so that the
-    kappa comparison degenerates to an absolute tolerance of
-    ABSOLUTE_RESIDUAL_TOLERANCE per unit of kappa.
-    """
-    rows = []
-    for y, v in points:
-        line = f.line_value(y)
-        if line <= 0.0:
-            continue
-        raw = 1.0 / v - line
-        if f.rmse_reciprocal > 0.0:
-            rows.append((y, raw / f.rmse_reciprocal))
-        else:
-            rows.append((y, raw / ABSOLUTE_RESIDUAL_TOLERANCE))
-    return rows
 
 
 def _persistent_onset(flags: list[bool]) -> int | None:
@@ -140,13 +118,13 @@ def detect_diversion(
         raise NoPointsAfterWindowError(
             f"series {s.label!r}: no observed years after {f.fit_window.t1:g}"
         )
-    rows = _normalized_residuals(f, post)
+    rows = residuals(f, post, ABSOLUTE_RESIDUAL_TOLERANCE)
     evaluable_until = rows[-1][0] if rows else f.fit_window.t1
 
     direction = "none"
     onset_year: float | None = None
-    pos = _persistent_onset([rho > kappa for _, rho in rows])
-    neg = _persistent_onset([rho < -kappa for _, rho in rows])
+    pos = _persistent_onset([rho > kappa for _, _, rho, _ in rows])
+    neg = _persistent_onset([rho < -kappa for _, _, rho, _ in rows])
     if pos is not None:
         direction = "slower"
         onset_year = rows[pos][0]
@@ -177,23 +155,23 @@ def takeoff_scan(
     does too. The extreme negative normalized residual is reported
     either way.
     """
-    in_w = [(y, v) for y, v in s.points if w.contains(y)]
+    in_w = points_in(s, w)
     if not in_w:
         raise NoPointsInWindowError(
             f"series {s.label!r}: no observed years in [{w.t0:g}, {w.t1:g}]"
         )
-    rows = _normalized_residuals(f, in_w)
+    rows = residuals(f, in_w, ABSOLUTE_RESIDUAL_TOLERANCE)
     if not rows:
         raise NoPointsInWindowError(
             f"series {s.label!r}: fitted line not positive anywhere in "
             f"[{w.t0:g}, {w.t1:g}]"
         )
-    onset = _persistent_onset([rho < -kappa for _, rho in rows])
+    onset = _persistent_onset([rho < -kappa for _, _, rho, _ in rows])
     return TakeoffReport(
         window=w,
         found=onset is not None,
         onset_year=None if onset is None else rows[onset][0],
-        max_negative_normalized_residual=min(rho for _, rho in rows),
+        max_negative_normalized_residual=min(rho for _, _, rho, _ in rows),
     )
 
 
@@ -235,14 +213,9 @@ def stagnation_test(
     Verdict rule: hyperbolic-consistent needs the decreasing line to
     beat the constant model and a monotone fraction of at least 0.75
     (sparse millennium-scale series may legitimately contain one early
-    decline); stagnation-consistent is the complement; inconclusive is
-    reserved for degenerate comparisons.
+    decline); stagnation-consistent is the complement.
     """
-    sel = [(y, v) for y, v in s.points if w.contains(y)]
-    if len(sel) < 4:
-        raise WindowTooFewPointsError(
-            f"series {s.label!r}: {len(sel)} point(s) in [{w.t0:g}, {w.t1:g}], need 4"
-        )
+    sel = points_in(s, w, need=4)
     years = [y for y, _ in sel]
     recip = [1.0 / v for _, v in sel]
     n = len(recip)
@@ -264,12 +237,10 @@ def stagnation_test(
     increases = sum(1 for a, b in zip(values, values[1:]) if b > a)
     monotone_fraction = increases / (n - 1)
 
-    if rmse_constant <= rmse_hyperbolic or monotone_fraction < MONOTONE_THRESHOLD:
-        verdict = "stagnation-consistent"
-    elif rmse_hyperbolic < rmse_constant and monotone_fraction >= MONOTONE_THRESHOLD:
+    if rmse_hyperbolic < rmse_constant and monotone_fraction >= MONOTONE_THRESHOLD:
         verdict = "hyperbolic-consistent"
     else:
-        verdict = "inconclusive"
+        verdict = "stagnation-consistent"
 
     return StagnationVerdict(
         window=w,
@@ -297,7 +268,7 @@ def segment_consistency(
     """
     cuts = sorted(b for b in boundaries if w.t0 < b < w.t1)
     edges = [w.t0, *cuts, w.t1]
-    in_w = [(y, v) for y, v in s.points if w.contains(y)]
+    in_w = points_in(s, w)
 
     segments: list[SegmentSlope] = []
     for i, (lo, hi) in enumerate(zip(edges, edges[1:])):
@@ -308,15 +279,11 @@ def segment_consistency(
                 f"series {s.label!r}: segment [{lo:g}, {hi:g}"
                 f"{']' if last else ')'} has {len(pts)} point(s), need 2"
             )
-        recip = [1.0 / v for _, v in pts]
-        line = fit_line([y for y, _ in pts], recip, center=(lo + hi) / 2.0)
-        # collinear segments leave float noise in the slope se; snap to the
-        # exact-fit case so the z-score comparison stays meaningful
-        se = line.se_slope
-        if se is not None and line.rmse <= 1e-13 * max(recip):
-            se = 0.0
+        line = fit_line(
+            [y for y, _ in pts], [1.0 / v for _, v in pts], center=(lo + hi) / 2.0
+        )
         segments.append(
-            SegmentSlope(t0=lo, t1=hi, k=-line.slope, se=se, n=len(pts))
+            SegmentSlope(t0=lo, t1=hi, k=-line.slope, se=line.se_slope, n=len(pts))
         )
 
     z_scores: list[tuple[int, int, float]] = []

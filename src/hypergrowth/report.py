@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 from dataclasses import dataclass
 
 from . import __version__
@@ -30,6 +31,8 @@ from .series import GrowthSeries, Window
 DEFAULT_FIT_WINDOW = Window(1500.0, 1900.0)
 DEFAULT_PROBE_YEARS = (1.0, 1000.0)
 
+_STRICT_JSON = json.JSONEncoder(allow_nan=False)
+
 
 @dataclass(frozen=True)
 class AnalysisReport:
@@ -38,10 +41,11 @@ class AnalysisReport:
     data: dict
 
     def to_json(self) -> str:
+        """Indented JSON; raises ValueError for a nan or infinite number."""
         return json.dumps(self.data, indent=2, allow_nan=False) + "\n"
 
     def to_kv(self) -> str:
-        """Flat key=value rendering of the same tree."""
+        """Flat key=value rendering of the same tree; rejects nan like to_json."""
         lines: list[str] = []
 
         def walk(prefix: str, node) -> None:
@@ -52,7 +56,7 @@ class AnalysisReport:
                 for i, value in enumerate(node):
                     walk(f"{prefix}[{i}]", value)
             else:
-                lines.append(f"{prefix}={json.dumps(node)}")
+                lines.append(f"{prefix}={_STRICT_JSON.encode(node)}")
 
         walk("", self.data)
         return "\n".join(lines) + "\n"
@@ -64,15 +68,6 @@ class AnalysisReport:
 
 def file_digest(raw: bytes) -> str:
     return hashlib.sha256(raw).hexdigest()
-
-
-def _finite(x: float | None) -> float | str | None:
-    """JSON-safe number: infinities become strings, None passes through."""
-    if x is None:
-        return None
-    if x != x or x in (float("inf"), float("-inf")):
-        return repr(x)
-    return x
 
 
 def analyze_series(
@@ -191,7 +186,9 @@ def _segment_section(s, boundaries, w) -> dict:
             for seg in rep.segments
         ],
         "z_scores": [
-            {"left": i, "right": j, "z": _finite(z)} for i, j, z in rep.z_scores
+            # an exact break between collinear segments has z = inf
+            {"left": i, "right": j, "z": z if math.isfinite(z) else repr(z)}
+            for i, j, z in rep.z_scores
         ],
         "verdict": rep.verdict,
     }
@@ -263,45 +260,24 @@ def human_summary(report: AnalysisReport) -> str:
             rows.append((label, "n/a"))
         else:
             rows.append((label, f"{entry['percent']:+.1f}%"))
-    div = d["diversion"]
-    if "skipped" in div:
-        rows.append(("diversion", f"skipped ({div['skipped']})"))
-    elif div["direction"] == "none":
-        rows.append(("diversion", "none detected"))
-    else:
-        rows.append(
-            (
-                "diversion",
-                f"{div['direction']} from {div['diversion_year']:g} "
-                f"(bypass {div['bypass_years']:.1f} yr)",
+    for name in ("diversion", "takeoff", "stagnation", "segments"):
+        sec = d[name]
+        if "skipped" in sec:
+            value = f"skipped ({sec['skipped']})"
+        elif name == "diversion":
+            value = "none detected" if sec["direction"] == "none" else (
+                f"{sec['direction']} from {sec['diversion_year']:g} "
+                f"(bypass {sec['bypass_years']:.1f} yr)"
             )
-        )
-    tko = d["takeoff"]
-    if "skipped" in tko:
-        rows.append(("takeoff", f"skipped ({tko['skipped']})"))
-    else:
-        rows.append(
-            (
-                "takeoff",
-                "found" if tko["found"] else
-                f"none in {tko['window'][0]:g}..{tko['window'][1]:g}",
+        elif name == "takeoff":
+            value = "found" if sec["found"] else (
+                f"none in {sec['window'][0]:g}..{sec['window'][1]:g}"
             )
-        )
-    stag = d["stagnation"]
-    if "skipped" in stag:
-        rows.append(("stagnation", f"skipped ({stag['skipped']})"))
-    else:
-        rows.append(
-            (
-                "stagnation",
-                f"{stag['verdict']} (monotone {stag['monotone_fraction']:.2f})",
-            )
-        )
-    seg = d["segments"]
-    if "skipped" in seg:
-        rows.append(("segments", f"skipped ({seg['skipped']})"))
-    else:
-        rows.append(("segments", seg["verdict"]))
+        elif name == "stagnation":
+            value = f"{sec['verdict']} (monotone {sec['monotone_fraction']:.2f})"
+        else:
+            value = sec["verdict"]
+        rows.append((name, value))
 
     width = max(len(name) for name, _ in rows)
     return "\n".join(f"{name:<{width}}  {value}" for name, value in rows) + "\n"

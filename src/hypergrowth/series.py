@@ -1,18 +1,21 @@
 """Time-series core: validated growth series, windows, reciprocal transform.
 
 A GrowthSeries is an immutable, strictly ordered list of (year, value)
-pairs with positive values, so the reciprocal 1/value always exists.
-Years are plain floats: calendar years with AD 1 = 1.0, and fractional
-years are meaningful (blow-up years rarely land on integers).
+pairs with finite years and finite positive values, so the reciprocal
+1/value always exists. Years are plain floats: calendar years with
+AD 1 = 1.0, and fractional years are meaningful (blow-up years rarely
+land on integers).
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 from .errors import (
     DuplicateYearError,
+    NonFiniteValueError,
     NonPositiveValueError,
     TooFewPointsError,
     WindowTooFewPointsError,
@@ -60,61 +63,59 @@ class GrowthSeries:
         return None
 
 
-@dataclass(frozen=True)
-class ReciprocalSeries:
-    """Pointwise 1/value of a GrowthSeries; units 1/billions."""
-
-    points: tuple[tuple[float, float], ...]
-    label: str
-
-    @property
-    def years(self) -> tuple[float, ...]:
-        return tuple(p[0] for p in self.points)
-
-    @property
-    def values(self) -> tuple[float, ...]:
-        return tuple(p[1] for p in self.points)
-
-    def __len__(self) -> int:
-        return len(self.points)
-
-
 def new_series(points: Iterable[Sequence[float]], label: str) -> GrowthSeries:
     """Build a validated GrowthSeries.
 
-    Input pairs are sorted by year. Raises DuplicateYearError,
-    NonPositiveValueError, or TooFewPointsError when the data violate
-    the series invariants.
+    Input pairs are sorted by year. Raises NonFiniteValueError,
+    DuplicateYearError, NonPositiveValueError, or TooFewPointsError when
+    the data violate the series invariants.
     """
     pts = sorted((float(y), float(v)) for y, v in points)
     if len(pts) < 2:
         raise TooFewPointsError(
             f"series {label!r}: need at least 2 points, got {len(pts)}"
         )
-    for (y0, _), (y1, _) in zip(pts, pts[1:]):
-        if y0 == y1:
-            raise DuplicateYearError(f"series {label!r}: duplicate year {y0:g}")
+    prev = None
     for y, v in pts:
+        if not (-math.inf < y < math.inf and v < math.inf):
+            raise NonFiniteValueError(
+                f"series {label!r}: point ({y!r}, {v!r}) is not finite"
+            )
+        if y == prev:
+            raise DuplicateYearError(f"series {label!r}: duplicate year {y:g}")
         if not v > 0:
             raise NonPositiveValueError(
                 f"series {label!r}: value {v!r} at year {y:g} is not positive"
             )
+        prev = y
     return GrowthSeries(points=tuple(pts), label=label)
 
 
-def reciprocal(s: GrowthSeries) -> ReciprocalSeries:
-    """Pointwise reciprocal; years unchanged. Positivity is guaranteed."""
-    return ReciprocalSeries(
+def reciprocal(s: GrowthSeries) -> GrowthSeries:
+    """Pointwise reciprocal (units 1/billions); years unchanged, values positive."""
+    return GrowthSeries(
         points=tuple((y, 1.0 / v) for y, v in s.points),
         label=s.label,
     )
 
 
+def points_in(
+    s: GrowthSeries, w: Window, need: int = 0, error=WindowTooFewPointsError
+) -> list[tuple[float, float]]:
+    """The points of ``s`` whose year lies in the inclusive window ``w``.
+
+    Raises ``error`` when fewer than ``need`` points are in the window.
+    """
+    t0, t1 = w.t0, w.t1
+    pts = [p for p in s.points if t0 <= p[0] <= t1]
+    if len(pts) < need:
+        raise error(
+            f"series {s.label!r}: {len(pts)} point(s) in [{t0:g}, {t1:g}], need {need}"
+        )
+    return pts
+
+
 def window(s: GrowthSeries, w: Window) -> GrowthSeries:
     """Restrict a series to [t0, t1]; at least 2 points must survive."""
-    pts = tuple(p for p in s.points if w.contains(p[0]))
-    if len(pts) < 2:
-        raise WindowTooFewPointsError(
-            f"series {s.label!r}: only {len(pts)} point(s) in [{w.t0:g}, {w.t1:g}]"
-        )
+    pts = tuple(points_in(s, w, need=2))
     return GrowthSeries(points=pts, label=f"{s.label} [{w.t0:g}, {w.t1:g}]")

@@ -88,9 +88,15 @@ def _clean_value(spec: ModelSpec, t: float) -> float:
 
 
 def generate(spec: ModelSpec) -> GrowthSeries:
-    """Evaluate the model at the sample years; deterministic given seed."""
+    """Evaluate the model at the sample years; deterministic given seed.
+
+    Raises ModelSpecError when the model overflows at a sample year.
+    """
     years = sorted(spec.sample_years)
-    values = [_clean_value(spec, t) for t in years]
+    try:
+        values = [_clean_value(spec, t) for t in years]
+    except OverflowError:
+        raise ModelSpecError(f"{spec.kind} model overflows at a sample year") from None
     if spec.sigma > 0.0:
         rng = np.random.default_rng(spec.seed)
         factors = np.exp(rng.normal(0.0, spec.sigma, size=len(values)))

@@ -1,7 +1,10 @@
 import json
+import math
 
 import pytest
 from click.testing import CliRunner
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hypergrowth.cli import main
 
@@ -186,3 +189,120 @@ class TestSimulate:
         result = run(runner, "simulate", "--kind", "hyperbolic",
                      "--a", "1.0", "--k", "0.001", "--years", "0,500,1500")
         assert result.exit_code == 3
+
+
+def assert_one_error_line(result, code):
+    assert result.exit_code == code, result.output
+    lines = [line for line in result.output.splitlines() if line.strip()]
+    assert len(lines) == 1 and lines[0].startswith("error:"), result.output
+    assert "Traceback" not in result.output
+
+
+def write_long(tmp_path, rows):
+    path = tmp_path / "long.csv"
+    path.write_text("year,value\n" + "".join(f"{y},{v}\n" for y, v in rows))
+    return str(path)
+
+
+GOOD_ROWS = [(1, 11.0), (1000, 12.0), (1500, 44.0), (1600, 55.0), (1700, 80.0),
+             (1820, 160.0), (1870, 300.0), (1900, 600.0), (1913, 700.0)]
+
+
+class TestContract:
+    """Inputs and flag values that once crashed or passed silently."""
+
+    @pytest.mark.parametrize("bad", [("1", "inf"), ("nan", "1")])
+    def test_nonfinite_input_is_2(self, runner, tmp_path, bad):
+        path = write_long(tmp_path, [bad] + GOOD_ROWS[1:])
+        assert_one_error_line(run(runner, "analyze", path, "--long"), 2)
+
+    @pytest.mark.parametrize("kappa", ["nan", "inf", "-5", "0"])
+    def test_kappa_must_be_finite_positive(self, runner, europe_csv_path, kappa):
+        result = run(runner, "analyze", str(europe_csv_path), "--kappa", kappa)
+        assert_one_error_line(result, 4)
+
+    def test_value_overflowing_stagnation_is_2(self, runner, tmp_path):
+        path = write_long(tmp_path, [(1, "1e-200")] + GOOD_ROWS[1:])
+        assert_one_error_line(run(runner, "analyze", path, "--long"), 2)
+
+    def test_unwritable_outputs_are_2(self, runner, europe_csv_path, tmp_path):
+        missing = tmp_path / "no" / "such"
+        assert_one_error_line(run(runner, "analyze", str(europe_csv_path),
+                                  "-o", str(missing / "x.json")), 2)
+        assert_one_error_line(run(runner, "plotdata", str(europe_csv_path),
+                                  "--out-prefix", str(missing / "p")), 2)
+        assert_one_error_line(run(runner, "simulate", "--kind", "hyperbolic",
+                                  "--a", "1", "--k", "0.001", "--years", "0,100",
+                                  "-o", str(missing / "s.csv")), 2)
+
+    def test_simulate_duplicate_years_is_2(self, runner):
+        result = run(runner, "simulate", "--kind", "hyperbolic",
+                     "--a", "1", "--k", "0.001", "--years", "1,1,500")
+        assert_one_error_line(result, 2)
+
+    def test_simulate_overflow_is_2(self, runner):
+        result = run(runner, "simulate", "--kind", "exponential",
+                     "--s0", "1", "--r", "1", "--years", "1,1000")
+        assert_one_error_line(result, 2)
+
+    def test_range_years_do_not_accumulate_rounding(self, runner):
+        result = run(runner, "simulate", "--kind", "stagnation", "--mean", "2",
+                     "--amplitude", "0.5", "--period", "100", "--years", "0:2000:0.1")
+        assert result.exit_code == 0, result.output
+        years = [line.split(",")[0] for line in result.output.splitlines()[1:]]
+        assert years == [repr(round(i * 0.1, 9)) for i in range(20001)]
+
+    @pytest.mark.parametrize("spec", ["0:1e12:1", "-1e308:1e308:1", "0:inf:1", "0:1:nan"])
+    def test_range_years_refused_before_building(self, runner, spec):
+        # the first two would take hours to build; the cap answers at once
+        result = run(runner, "simulate", "--kind", "stagnation", "--mean", "2",
+                     "--amplitude", "0.5", "--period", "100", "--years", spec)
+        assert_one_error_line(result, 2)
+
+
+def _reject_constant(token):
+    raise ValueError(f"report holds {token}")
+
+
+TOKENS = ("nan", "inf", "-inf", "1e-200", "1e308", "0", "-1")
+KAPPAS = st.one_of(
+    st.floats(0.5, 6.0),
+    st.sampled_from([0.0, -5.0, math.nan, math.inf, -math.inf]),
+    st.floats(),
+)
+
+
+@st.composite
+def long_rows(draw):
+    """Noisy hyperbola rows (blow-up near 1924) with up to two cells replaced by TOKENS."""
+    year = st.one_of(st.integers(1500, 1920), st.integers(1, 1499))
+    years = draw(st.lists(year, unique=True, max_size=20))
+    rows = [
+        [str(t), repr(draw(st.floats(0.9, 1.1)) / (W12_A - W12_K * t))] for t in years
+    ]
+    for _ in range(draw(st.integers(0, 2)) if rows else 0):
+        row = draw(st.sampled_from(rows))
+        row[draw(st.integers(0, 1))] = draw(st.sampled_from(TOKENS))
+    return rows
+
+
+@settings(max_examples=150, deadline=None)
+@given(rows=long_rows(), kappa=KAPPAS)
+def test_cli_contract_holds_for_any_long_input(tmp_path_factory, rows, kappa):
+    """Exit code in {0,2,3,4,5}; a failure is one error: line; a report is finite."""
+    runner = CliRunner()
+    tmp_path = tmp_path_factory.mktemp("contract")
+    path = write_long(tmp_path, rows)
+    out = tmp_path / "report.json"
+    results = [
+        runner.invoke(main, ["analyze", path, "--long", "--kappa", repr(kappa),
+                             "-o", str(out)]),
+        runner.invoke(main, ["plotdata", path, "--long",
+                             "--out-prefix", str(tmp_path / "plot")]),
+    ]
+    for result in results:
+        assert result.exit_code in {0, 2, 3, 4, 5}, (result.output, result.exception)
+        if result.exit_code:
+            assert_one_error_line(result, result.exit_code)
+    if results[0].exit_code == 0:
+        json.loads(out.read_text(), parse_constant=_reject_constant)

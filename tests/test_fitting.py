@@ -65,6 +65,9 @@ class TestFitHyperbolic:
         assert f.k == pytest.approx(k, rel=1e-10)
         assert f.r2_reciprocal == pytest.approx(1.0, abs=1e-12)
         assert f.n_points == 6
+        # float noise of an exact fit is snapped once, in fit_line
+        assert f.rmse_reciprocal == 0.0
+        assert f.se_a == f.se_k == 0.0
 
     def test_too_few_points(self):
         s = hyperbola_series(0.1, 1e-5, (1500, 1600, 2000, 2100))

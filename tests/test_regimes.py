@@ -161,7 +161,7 @@ class TestStagnationTest:
         s = new_series([(t, hyper(t)) for t in years], "s")
         v = stagnation_test(s, Window(1, 1750))
         assert v.verdict == "hyperbolic-consistent"
-        assert v.rmse_hyperbolic_model == pytest.approx(0.0, abs=1e-12)
+        assert v.rmse_hyperbolic_model == 0.0
         assert v.monotone_fraction == 1.0
 
     def test_alternating_oscillation_is_stagnation_consistent(self):

@@ -110,3 +110,11 @@ class TestJsonSafety:
         # but parse defensively to pin the contract
         parsed = json.loads(w12_report.to_json())
         assert isinstance(parsed, dict)
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+    def test_both_renderers_refuse_nonfinite_numbers(self, bad):
+        report = AnalysisReport(data={"fit": {"a": bad}})
+        with pytest.raises(ValueError):
+            report.to_json()
+        with pytest.raises(ValueError):
+            report.to_kv()

@@ -6,11 +6,12 @@ from hypothesis import strategies as st
 
 from hypergrowth.errors import (
     DuplicateYearError,
+    NonFiniteValueError,
     NonPositiveValueError,
     TooFewPointsError,
     WindowTooFewPointsError,
 )
-from hypergrowth.series import Window, new_series, reciprocal, window
+from hypergrowth.series import GrowthSeries, Window, new_series, reciprocal, window
 
 
 def test_minimal_valid_series():
@@ -37,6 +38,14 @@ def test_nonpositive_value_rejected():
         new_series([(1, 10), (1500, -3.0)], "x")
 
 
+@pytest.mark.parametrize(
+    "bad", [(1, math.inf), (1, math.nan), (math.nan, 1.0), (-math.inf, 1.0)]
+)
+def test_nonfinite_point_rejected(bad):
+    with pytest.raises(NonFiniteValueError):
+        new_series([bad, (1500, 2.0), (1600, 3.0)], "x")
+
+
 def test_single_point_rejected():
     with pytest.raises(TooFewPointsError):
         new_series([(1, 10)], "x")
@@ -50,6 +59,7 @@ def test_window_requires_ordering():
 def test_reciprocal_pointwise():
     s = new_series([(1700, 2.0), (1800, 4.0)], "x")
     r = reciprocal(s)
+    assert isinstance(r, GrowthSeries)
     assert r.points == ((1700.0, 0.5), (1800.0, 0.25))
     assert r.label == "x"
 
