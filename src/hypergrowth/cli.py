@@ -5,9 +5,10 @@ emits a machine report plus a human summary, ``plotdata`` emits two
 plot-ready tables (semilog GDP and reciprocal displays), ``simulate``
 generates synthetic series for round-trip checks.
 
-Exit codes: 0 ok, 2 input parsing, 3 fitting, 4 window/preset
-selection, 5 internal. Every failure prints a one-line diagnostic
-naming the offending input element; stack traces never reach the user.
+Exit codes: 0 ok, 2 input parsing or command-line usage, 3 fitting,
+4 window/preset selection, 5 internal. Every failure prints a one-line
+diagnostic naming the offending input element; stack traces never reach
+the user.
 """
 
 from __future__ import annotations
@@ -16,7 +17,6 @@ import math
 import pathlib
 
 import click
-import numpy as np
 
 from .errors import (
     DataError,
@@ -69,11 +69,6 @@ def _write(path, text: str) -> None:
 
 def _out_of_range(label: str) -> None:
     _fail(EXIT_PARSE, f"series {label!r}: values too extreme for float arithmetic")
-
-
-# Float overflow and invalid operations in numpy raise FloatingPointError
-# instead of printing a warning, so extreme input ends in one error line.
-_RAISE_FLOAT_ERRORS = np.errstate(over="raise", divide="raise", invalid="raise")
 
 
 def _parse_window(spec: str, flag: str) -> Window:
@@ -162,7 +157,43 @@ def _load_series(
     return series, digest
 
 
-@click.group()
+# click >= 8.2 raises this usage error for a bare command; it prints the help
+_HELP_ERRORS = getattr(click.exceptions, "NoArgsIsHelpError", ())
+
+
+def _show_on_one_line(exc: click.UsageError) -> None:
+    """Make ``exc`` print as one ``error:`` line instead of click's usage block.
+
+    Only the display changes: with ``standalone_mode=False`` the caller
+    gets the same exception, with the same type and message.
+    """
+    if isinstance(exc, _HELP_ERRORS):
+        return
+    # some messages list choices on lines of their own
+    message = " ".join(exc.format_message().split())
+    exc.show = lambda file=None: click.echo(f"error: {message}", file=file, err=True)
+
+
+class _Group(click.Group):
+    """Group whose usage errors (a flag value of the wrong type, an unknown
+    option or command, a missing argument) print one ``error:`` line, exit 2."""
+
+    def make_context(self, *args, **kwargs):
+        try:
+            return super().make_context(*args, **kwargs)
+        except click.UsageError as exc:
+            _show_on_one_line(exc)
+            raise
+
+    def invoke(self, ctx):
+        try:
+            return super().invoke(ctx)
+        except click.UsageError as exc:
+            _show_on_one_line(exc)
+            raise
+
+
+@click.group(cls=_Group)
 def main() -> None:
     """Hyperbolic growth analysis of sparse historical GDP series."""
 
@@ -190,7 +221,6 @@ def main() -> None:
               show_default=True, help="Machine report format.")
 @click.option("-o", "--output", default=None,
               help="Write the machine report to this path.")
-@_RAISE_FLOAT_ERRORS
 def analyze(
     input_path, preset, members, long_format, label, window_spec, kappa,
     boundaries, probe_years, takeoff_window, stagnation_window,
@@ -245,7 +275,6 @@ def analyze(
 @click.option("--preset-config", default=None)
 @click.option("--out-prefix", default="plot", show_default=True,
               help="Writes <prefix>_gdp.csv and <prefix>_reciprocal.csv.")
-@_RAISE_FLOAT_ERRORS
 def plotdata(
     input_path, preset, members, long_format, label, window_spec,
     preset_config, out_prefix,

@@ -70,6 +70,10 @@ class WindowError(HypergrowthError):
     """Window or preset selection problems."""
 
 
+class WindowOrderError(WindowError, ValueError):
+    """A window whose start is not before its end."""
+
+
 class WindowTooFewPointsError(WindowError):
     pass
 

@@ -16,8 +16,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
 from .errors import (
     AtSingularityError,
     FitTooFewPointsError,
@@ -30,6 +28,11 @@ from .series import GrowthSeries, Window, points_in
 # rmse is at most this fraction of the RMS of the fitted values is snapped
 # to the genuine perfect fit, so the rmse-0 conventions apply.
 COLLINEAR_RTOL = 1e-13
+
+# Fits of at most this many points sum in pure Python, larger ones in numpy:
+# below it numpy's per-call overhead outweighs the loop, and the small
+# inputs of the CLI never import numpy.
+SMALL_FIT_MAX = 64
 
 
 @dataclass(frozen=True)
@@ -49,8 +52,53 @@ class LineFit:
     se_intercept: float | None
 
 
+def _sums_small(years, values, center):
+    """Centered sums of a small fit: two passes of exactly rounded ``math.fsum``."""
+    n = len(years)
+    fsum = math.fsum
+    xc = [t - center for t in years]
+    xbar = fsum(xc) / n
+    ybar = fsum(values) / n
+    dx = [t - xbar for t in xc]
+    dy = [v - ybar for v in values]
+    sxx = fsum([d * d for d in dx])
+    sst = fsum([e * e for e in dy])
+    # float products overflow to inf silently; once both sums of squares
+    # are finite, no product d * e below can overflow
+    if not math.isfinite(sxx + sst):
+        raise OverflowError("line fit: values too extreme for float arithmetic")
+    sxy = fsum([d * e for d, e in zip(dx, dy)])
+    slope = sxy / sxx if sxx else 0.0
+    ssr = fsum([(e - slope * d) ** 2 for d, e in zip(dx, dy)])
+    return xbar, ybar, sxx, sxy, ssr, sst, fsum(years) / n
+
+
+def _sums_numpy(years, values, center):
+    """Centered sums of a large fit, vectorised; float overflow raises."""
+    import numpy as np
+
+    with np.errstate(over="raise", divide="raise", invalid="raise"):
+        x = np.asarray(years, dtype=float)
+        y = np.asarray(values, dtype=float)
+        xc = x - center
+        xbar = float(xc.mean())
+        ybar = float(y.mean())
+        dx = xc - xbar
+        dy = y - ybar
+        sxx = float(np.sum(dx**2))
+        sst = float(np.sum(dy**2))
+        sxy = float(np.sum(dx * dy))
+        slope = sxy / sxx if sxx else 0.0
+        ssr = float(np.sum((dy - slope * dx) ** 2))
+        return xbar, ybar, sxx, sxy, ssr, sst, float(x.mean())
+
+
 def fit_line(years, values, center: float = 0.0) -> LineFit:
     """OLS line fit with internal centering of the regressor.
+
+    Fits of at most SMALL_FIT_MAX points sum in pure Python; larger ones
+    use numpy, imported on first use. Input too extreme for float
+    arithmetic raises an ArithmeticError either way.
 
     Args:
         years: regressor values (calendar years).
@@ -58,26 +106,17 @@ def fit_line(years, values, center: float = 0.0) -> LineFit:
         center: subtracted from the years before solving the normal
             equations; the returned slope/intercept are de-centered.
     """
-    x = np.asarray(years, dtype=float)
-    y = np.asarray(values, dtype=float)
-    n = x.size
+    n = len(years)
     if n < 2:
         raise FitTooFewPointsError(f"line fit needs at least 2 points, got {n}")
-
-    xc = x - center
-    xbar = float(xc.mean())
-    ybar = float(y.mean())
-    sxx = float(np.sum((xc - xbar) ** 2))
+    sums = _sums_small if n <= SMALL_FIT_MAX else _sums_numpy
+    xbar, ybar, sxx, sxy, ssr, sst, xbar_raw = sums(years, values, center)
     if sxx == 0.0:
         raise FitTooFewPointsError("line fit needs at least 2 distinct years")
-    sxy = float(np.sum((xc - xbar) * (y - ybar)))
     slope = sxy / sxx
     alpha = ybar - slope * xbar          # intercept in centered coordinates
     intercept = alpha - slope * center   # de-centered
 
-    resid = y - (alpha + slope * xc)
-    ssr = float(np.sum(resid**2))
-    sst = float(np.sum((y - ybar) ** 2))
     # sst/n + ybar^2 is the mean square of y, so no extra pass is needed
     if ssr <= COLLINEAR_RTOL**2 * (sst + n * ybar * ybar):
         ssr = 0.0
@@ -88,7 +127,6 @@ def fit_line(years, values, center: float = 0.0) -> LineFit:
         s2 = ssr / (n - 2)
         se_slope = math.sqrt(s2 / sxx)
         # variance of the de-centered intercept at t = 0
-        xbar_raw = float(x.mean())
         se_intercept = math.sqrt(s2 * (1.0 / n + xbar_raw**2 / sxx))
     else:
         se_slope = None

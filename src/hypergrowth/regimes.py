@@ -226,7 +226,12 @@ def stagnation_test(
     line = fit_line(years, recip, center=(w.t0 + w.t1) / 2.0)
     if line.slope < 0.0:
         rmse_hyperbolic = line.rmse
-        residuals = [r - (line.intercept + line.slope * y) for y, r in zip(years, recip)]
+        if line.rmse == 0.0:  # an exact line: what is left is float noise
+            residuals = [0.0] * n
+        else:
+            residuals = [
+                r - (line.intercept + line.slope * y) for y, r in zip(years, recip)
+            ]
     else:
         rmse_hyperbolic = rmse_constant
         residuals = [r - mean for r in recip]

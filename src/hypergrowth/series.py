@@ -18,6 +18,7 @@ from .errors import (
     NonFiniteValueError,
     NonPositiveValueError,
     TooFewPointsError,
+    WindowOrderError,
     WindowTooFewPointsError,
 )
 
@@ -31,7 +32,7 @@ class Window:
 
     def __post_init__(self) -> None:
         if not self.t0 < self.t1:
-            raise ValueError(f"window requires t0 < t1, got [{self.t0}, {self.t1}]")
+            raise WindowOrderError(f"window requires t0 < t1, got [{self.t0}, {self.t1}]")
 
     def contains(self, year: float) -> bool:
         return self.t0 <= year <= self.t1

@@ -12,8 +12,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
-import numpy as np
-
 from .errors import AtSingularityError, ModelSpecError
 from .series import GrowthSeries, new_series
 
@@ -61,8 +59,8 @@ class ModelSpec:
                 raise ModelSpecError(
                     "stagnation model: amplitude must satisfy 0 <= amplitude < mean"
                 )
-        if self.sigma < 0:
-            raise ModelSpecError(f"sigma={self.sigma!r} must be >= 0")
+        if not 0.0 <= self.sigma < math.inf:
+            raise ModelSpecError(f"sigma={self.sigma!r} must be finite and >= 0")
         if len(self.sample_years) < 2:
             raise ModelSpecError("need at least 2 sample years")
 
@@ -98,6 +96,8 @@ def generate(spec: ModelSpec) -> GrowthSeries:
     except OverflowError:
         raise ModelSpecError(f"{spec.kind} model overflows at a sample year") from None
     if spec.sigma > 0.0:
+        import numpy as np
+
         rng = np.random.default_rng(spec.seed)
         factors = np.exp(rng.normal(0.0, spec.sigma, size=len(values)))
         values = [v * f for v, f in zip(values, factors)]

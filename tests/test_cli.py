@@ -1,11 +1,18 @@
 import json
 import math
+import os
+import pathlib
+import subprocess
+import sys
+import warnings
 
+import click
 import pytest
 from click.testing import CliRunner
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import hypergrowth
 from hypergrowth.cli import main
 
 W12_A, W12_K = 1.147e-1, 5.961e-5
@@ -157,6 +164,9 @@ class TestSimulate:
         report = json.loads(out.read_text())
         assert report["fit"]["a"] == pytest.approx(W12_A, rel=1e-10)
         assert report["fit"]["k"] == pytest.approx(W12_K, rel=1e-10)
+        # an exact fit leaves only float noise, which has no signs to test
+        assert report["stagnation"]["runs_test_z"] == 0.0
+        assert report["stagnation"]["n_sign_changes"] == 0
 
     def test_stagnation_round_trip_verdict(self, runner, tmp_path):
         sim = tmp_path / "stag.csv"
@@ -252,12 +262,89 @@ class TestContract:
         years = [line.split(",")[0] for line in result.output.splitlines()[1:]]
         assert years == [repr(round(i * 0.1, 9)) for i in range(20001)]
 
+    @pytest.mark.parametrize("sigma", ["nan", "inf", "-0.1"])
+    def test_simulate_sigma_must_be_finite_nonnegative(self, runner, sigma):
+        result = run(runner, "simulate", "--kind", "hyperbolic", "--a", "1",
+                     "--k", "0.001", "--years", "0,100", "--sigma", sigma)
+        assert_one_error_line(result, 2)
+
+    @pytest.mark.parametrize("args", [
+        ["analyze", "IN", "--kappa", "abc"],
+        ["analyze", "IN", "--format", "xml"],
+        ["analyze", "IN", "--bogus"],
+        ["analyze"],
+        ["simulate", "--kind", "hyperbolic", "--a", "x", "--k", "1", "--years", "0,1"],
+        ["simulate", "--kind", "hyperbolic", "--a", "1", "--k", "1", "--years", "0,1",
+         "--sigma", "abc"],
+        ["simulate", "--kind", "hyperbolic", "--a", "1", "--k", "1", "--years", "0,1",
+         "--seed", "1.5"],
+        ["simulate", "--years", "0,1"],
+        ["nosuchcommand"],
+        ["--bogus"],
+    ])
+    def test_usage_errors_are_one_line(self, runner, europe_csv_path, args):
+        args = [str(europe_csv_path) if a == "IN" else a for a in args]
+        assert_one_error_line(run(runner, *args), 2)
+
+    def test_help_and_library_calls_keep_click_behaviour(self, runner, europe_csv_path):
+        result = run(runner, "analyze", "--help")
+        assert result.exit_code == 0
+        assert result.output.startswith("Usage: main analyze [OPTIONS] INPUT_CSV")
+        assert "--kappa FLOAT" in result.output
+        with pytest.raises(click.BadParameter, match="'abc' is not a valid float"):
+            main(["analyze", str(europe_csv_path), "--kappa", "abc"],
+                 standalone_mode=False)
+
+    def test_large_series_overflowing_the_fit_is_2(self, runner, tmp_path):
+        # more points than SMALL_FIT_MAX, so the fit runs in the numpy kernel
+        rows = [(t, 1.0 / (W12_A - W12_K * t)) for t in range(1500, 1901, 5)]
+        rows[40] = (rows[40][0], "1e-200")
+        path = write_long(tmp_path, rows)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            for args in (["analyze", path, "--long"],
+                         ["plotdata", path, "--long", "--out-prefix", str(tmp_path / "p")]):
+                assert_one_error_line(run(runner, *args), 2)
+        assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+
     @pytest.mark.parametrize("spec", ["0:1e12:1", "-1e308:1e308:1", "0:inf:1", "0:1:nan"])
     def test_range_years_refused_before_building(self, runner, spec):
         # the first two would take hours to build; the cap answers at once
         result = run(runner, "simulate", "--kind", "stagnation", "--mean", "2",
                      "--amplitude", "0.5", "--period", "100", "--years", spec)
         assert_one_error_line(result, 2)
+
+
+NUMPY_PROBE = """
+import contextlib, io, json, sys
+from hypergrowth.cli import main
+loaded = []
+for args in json.loads(sys.argv[1]):
+    with contextlib.redirect_stdout(io.StringIO()):
+        main(args, standalone_mode=False)
+    loaded.append("numpy" in sys.modules)
+print(json.dumps(loaded))
+"""
+
+
+def test_bundled_commands_never_import_numpy(europe_csv_path, tmp_path):
+    """Every fit of the bundled table has few points, so numpy stays unloaded."""
+    csv = str(europe_csv_path)
+    commands = [
+        ["analyze", csv, "--preset", "W12"],
+        ["analyze", csv, "--preset", "W30"],
+        ["analyze", csv, "--preset", "EE", "--kappa", "2.5"],
+        ["plotdata", csv, "--preset", "W30", "--out-prefix", str(tmp_path / "w30")],
+        ["simulate", "--kind", "hyperbolic", "--a", str(W12_A), "--k", str(W12_K),
+         "--years", "1,1000,1500,1600,1700,1820,1870,1900", "--sigma", "0",
+         "-o", str(tmp_path / "sim.csv")],
+    ]
+    src = str(pathlib.Path(hypergrowth.__file__).parents[1])
+    env = {**os.environ,
+           "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.run([sys.executable, "-c", NUMPY_PROBE, json.dumps(commands)],
+                          env=env, capture_output=True, text=True, check=True)
+    assert json.loads(proc.stdout) == [False] * len(commands)
 
 
 def _reject_constant(token):

@@ -10,6 +10,7 @@ from hypergrowth.errors import (
     YearNotObservedError,
 )
 from hypergrowth.fitting import (
+    SMALL_FIT_MAX,
     fit_hyperbolic,
     fit_line,
     goodness,
@@ -29,9 +30,11 @@ W12_LIKE_YEARS = (1500, 1600, 1700, 1820, 1870, 1900)
 
 class TestFitLine:
     def test_matches_polyfit_oracle(self):
+        # sizes straddle the switch from the pure-Python to the numpy kernel
         rng = np.random.default_rng(7)
-        for _ in range(20):
-            x = np.sort(rng.uniform(0, 2000, size=rng.integers(3, 40)))
+        sizes = [3, SMALL_FIT_MAX, SMALL_FIT_MAX + 1, 200, *rng.integers(3, 201, size=20)]
+        for size in sizes:
+            x = np.sort(rng.uniform(0, 2000, size=size))
             y = rng.normal(size=x.size)
             line = fit_line(x, y, center=float(x.mean()))
             slope_ref, intercept_ref = np.polyfit(x, y, 1)

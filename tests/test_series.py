@@ -6,9 +6,12 @@ from hypothesis import strategies as st
 
 from hypergrowth.errors import (
     DuplicateYearError,
+    HypergrowthError,
     NonFiniteValueError,
     NonPositiveValueError,
     TooFewPointsError,
+    WindowError,
+    WindowOrderError,
     WindowTooFewPointsError,
 )
 from hypergrowth.series import GrowthSeries, Window, new_series, reciprocal, window
@@ -52,8 +55,12 @@ def test_single_point_rejected():
 
 
 def test_window_requires_ordering():
-    with pytest.raises(ValueError):
-        Window(1900, 1500)
+    for t0, t1 in [(1900, 1500), (1500, 1500), (math.nan, 1900)]:
+        with pytest.raises(ValueError) as info:
+            Window(t0, t1)
+        assert isinstance(info.value, WindowOrderError)
+        assert isinstance(info.value, WindowError)
+        assert isinstance(info.value, HypergrowthError)
 
 
 def test_reciprocal_pointwise():

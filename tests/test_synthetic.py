@@ -1,3 +1,5 @@
+import math
+
 import pytest
 
 from hypergrowth.errors import AtSingularityError, ModelSpecError
@@ -61,6 +63,11 @@ class TestGenerate:
     def test_invalid_specs_rejected(self, kind, params):
         with pytest.raises(ModelSpecError):
             ModelSpec(kind, params, (0, 100, 200))
+
+    @pytest.mark.parametrize("sigma", [-0.1, math.nan, math.inf])
+    def test_sigma_must_be_finite_and_nonnegative(self, sigma):
+        with pytest.raises(ModelSpecError):
+            ModelSpec("hyperbolic", {"a": 1.0, "k": 0.001}, (0, 100), sigma=sigma)
 
 
 class TestRoundTrip:
