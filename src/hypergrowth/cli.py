@@ -13,10 +13,11 @@ the user.
 
 from __future__ import annotations
 
+import argparse
 import math
 import pathlib
-
-import click
+import re
+import sys
 
 from .errors import (
     DataError,
@@ -56,7 +57,7 @@ MAX_SAMPLE_YEARS = 100_000
 
 
 def _fail(code: int, message: str) -> None:
-    click.echo(f"error: {message}", err=True)
+    print(f"error: {message}", file=sys.stderr)
     raise SystemExit(code)
 
 
@@ -74,18 +75,21 @@ def _out_of_range(label: str) -> None:
 def _parse_window(spec: str, flag: str) -> Window:
     try:
         t0, _, t1 = spec.partition(":")
-        return Window(float(t0), float(t1))
-    except (ValueError, TypeError):
-        _fail(EXIT_WINDOW, f"{flag} must look like T0:T1 with T0 < T1, got {spec!r}")
+        bounds = float(t0), float(t1)
+        if all(map(math.isfinite, bounds)):
+            return Window(*bounds)
+    except ValueError:  # also WindowOrderError, for T0 >= T1
+        pass
+    _fail(EXIT_WINDOW, f"{flag} must look like T0:T1 with finite T0 < T1, got {spec!r}")
 
 
 def _parse_year_list(spec: str, flag: str) -> tuple[float, ...]:
     try:
         years = tuple(float(x) for x in spec.split(",") if x.strip())
     except ValueError:
-        _fail(EXIT_WINDOW, f"{flag} must be a comma-separated year list, got {spec!r}")
-    if not years:
-        _fail(EXIT_WINDOW, f"{flag} must name at least one year")
+        years = ()
+    if not years or not all(map(math.isfinite, years)):
+        _fail(EXIT_WINDOW, f"{flag} must list one or more finite years, got {spec!r}")
     return years
 
 
@@ -157,70 +161,6 @@ def _load_series(
     return series, digest
 
 
-# click >= 8.2 raises this usage error for a bare command; it prints the help
-_HELP_ERRORS = getattr(click.exceptions, "NoArgsIsHelpError", ())
-
-
-def _show_on_one_line(exc: click.UsageError) -> None:
-    """Make ``exc`` print as one ``error:`` line instead of click's usage block.
-
-    Only the display changes: with ``standalone_mode=False`` the caller
-    gets the same exception, with the same type and message.
-    """
-    if isinstance(exc, _HELP_ERRORS):
-        return
-    # some messages list choices on lines of their own
-    message = " ".join(exc.format_message().split())
-    exc.show = lambda file=None: click.echo(f"error: {message}", file=file, err=True)
-
-
-class _Group(click.Group):
-    """Group whose usage errors (a flag value of the wrong type, an unknown
-    option or command, a missing argument) print one ``error:`` line, exit 2."""
-
-    def make_context(self, *args, **kwargs):
-        try:
-            return super().make_context(*args, **kwargs)
-        except click.UsageError as exc:
-            _show_on_one_line(exc)
-            raise
-
-    def invoke(self, ctx):
-        try:
-            return super().invoke(ctx)
-        except click.UsageError as exc:
-            _show_on_one_line(exc)
-            raise
-
-
-@click.group(cls=_Group)
-def main() -> None:
-    """Hyperbolic growth analysis of sparse historical GDP series."""
-
-
-@main.command()
-@click.argument("input_path", metavar="INPUT_CSV")
-@click.option("--preset", default=None, help="Built-in region preset (default W12).")
-@click.option("--members", default=None, help="Comma-separated row labels to sum.")
-@click.option("--long", "long_format", is_flag=True,
-              help="Input is a year,value file with values in billions.")
-@click.option("--label", default=None, help="Series label for --long input.")
-@click.option("--window", "window_spec", default="1500:1900", show_default=True,
-              help="Fit window T0:T1.")
-@click.option("--kappa", type=float, default=3.0, show_default=True,
-              help="Exceedance threshold in rmse units.")
-@click.option("--boundaries", default="1750,1870", show_default=True,
-              help="Segment boundaries, comma-separated years.")
-@click.option("--probe-years", default="1,1000", show_default=True,
-              help="Years at which to report percent deviation.")
-@click.option("--takeoff-window", default="1760:1840", show_default=True)
-@click.option("--stagnation-window", default="1:1750", show_default=True)
-@click.option("--preset-config", default=None,
-              help="key=value file overriding preset row labels.")
-@click.option("--format", "fmt", type=click.Choice(["json", "kv"]), default="json",
-              show_default=True, help="Machine report format.")
-@click.option("-o", "--output", default=None,
-              help="Write the machine report to this path.")
 def analyze(
     input_path, preset, members, long_format, label, window_spec, kappa,
     boundaries, probe_years, takeoff_window, stagnation_window,
@@ -260,21 +200,11 @@ def analyze(
 
     if output:
         _write(output, rendered)
-    click.echo(human_summary(report), nl=False)
+    sys.stdout.write(human_summary(report))
     if not output:
-        click.echo(rendered, nl=False)
+        sys.stdout.write(rendered)
 
 
-@main.command()
-@click.argument("input_path", metavar="INPUT_CSV")
-@click.option("--preset", default=None, help="Built-in region preset (default W12).")
-@click.option("--members", default=None, help="Comma-separated row labels to sum.")
-@click.option("--long", "long_format", is_flag=True)
-@click.option("--label", default=None)
-@click.option("--window", "window_spec", default="1500:1900", show_default=True)
-@click.option("--preset-config", default=None)
-@click.option("--out-prefix", default="plot", show_default=True,
-              help="Writes <prefix>_gdp.csv and <prefix>_reciprocal.csv.")
 def plotdata(
     input_path, preset, members, long_format, label, window_spec,
     preset_config, out_prefix,
@@ -304,25 +234,9 @@ def plotdata(
             f"{tag},{float(year)!r},{float(value)!r}" for tag, year, value in table
         ]
         _write(path, "\n".join(lines) + "\n")
-        click.echo(f"wrote {path}")
+        print(f"wrote {path}")
 
 
-@main.command()
-@click.option("--kind", type=click.Choice(list(KINDS)), required=True)
-@click.option("--a", "a_param", type=float, default=None, help="hyperbolic intercept")
-@click.option("--k", "k_param", type=float, default=None, help="hyperbolic slope")
-@click.option("--s0", type=float, default=None, help="exponential/logistic start value")
-@click.option("--r", "r_param", type=float, default=None, help="growth rate")
-@click.option("--cap", type=float, default=None, help="logistic ceiling")
-@click.option("--mean", type=float, default=None, help="stagnation mean level")
-@click.option("--amplitude", type=float, default=None, help="stagnation oscillation amplitude")
-@click.option("--period", type=float, default=None, help="stagnation oscillation period, years")
-@click.option("--years", required=True,
-              help="Sample years: comma list (1,1000,1500) or range START:STOP:STEP.")
-@click.option("--sigma", type=float, default=0.0, show_default=True,
-              help="Multiplicative lognormal noise scale.")
-@click.option("--seed", type=int, default=0, show_default=True)
-@click.option("-o", "--output", default="-", help="Output CSV path, '-' for stdout.")
 def simulate(
     kind, a_param, k_param, s0, r_param, cap, mean, amplitude, period,
     years, sigma, seed, output,
@@ -365,9 +279,89 @@ def simulate(
     lines += [f"{y!r},{v!r}" for y, v in series.points]
     text = "\n".join(lines) + "\n"
     if output == "-":
-        click.echo(text, nl=False)
+        sys.stdout.write(text)
     else:
         _write(output, text)
+
+
+class _Parser(argparse.ArgumentParser):
+    """Usage errors print one ``error:`` line, exit 2; command parsers share the class."""
+
+    def __init__(self, **kwargs) -> None:
+        super().__init__(allow_abbrev=False, **kwargs)
+        # argparse takes only -1 and -.5 as values, not options; widen that to
+        # --window -500:1900, --kappa -1e-5, --years -1000,0,1000 and -inf
+        self._negative_number_matcher = re.compile(r"^-(\d|\.\d|inf|nan)", re.I)
+
+    def error(self, message: str) -> None:
+        _fail(EXIT_PARSE, " ".join(message.split()))  # an argument may hold a newline
+
+
+def _parser() -> argparse.ArgumentParser:
+    parser = _Parser(prog="hypergrowth",
+                     description="Hyperbolic growth analysis of sparse historical GDP series.")
+    commands = parser.add_subparsers(metavar="COMMAND", required=True)
+
+    def command(run, *parents) -> argparse.ArgumentParser:
+        cmd = commands.add_parser(run.__name__, parents=parents, help=run.__doc__,
+                                  description=run.__doc__)
+        cmd.set_defaults(run=run)
+        return cmd
+
+    source = argparse.ArgumentParser(add_help=False)  # input flags of analyze and plotdata
+    source.add_argument("input_path", metavar="INPUT_CSV")
+    source.add_argument("--preset", help="Built-in region preset (default W12).")
+    source.add_argument("--members", help="Comma-separated row labels to sum.")
+    source.add_argument("--long", dest="long_format", action="store_true",
+                        help="Input is a year,value file with values in billions.")
+    source.add_argument("--label", help="Series label for --long input.")
+    source.add_argument("--window", dest="window_spec", metavar="T0:T1", default="1500:1900",
+                        help="Fit window (default: %(default)s).")
+    source.add_argument("--preset-config", help="key=value file overriding preset row labels.")
+
+    cmd = command(analyze, source)
+    cmd.add_argument("--kappa", type=float, default=3.0,
+                     help="Exceedance threshold in rmse units (default: %(default)s).")
+    cmd.add_argument("--boundaries", default="1750,1870",
+                     help="Segment boundaries, comma-separated years (default: %(default)s).")
+    cmd.add_argument("--probe-years", default="1,1000",
+                     help="Years at which to report percent deviation (default: %(default)s).")
+    cmd.add_argument("--takeoff-window", metavar="T0:T1", default="1760:1840",
+                     help="Takeoff scan window (default: %(default)s).")
+    cmd.add_argument("--stagnation-window", metavar="T0:T1", default="1:1750",
+                     help="Stagnation test window (default: %(default)s).")
+    cmd.add_argument("--format", dest="fmt", choices=("json", "kv"), default="json",
+                     help="Machine report format (default: %(default)s).")
+    cmd.add_argument("-o", "--output", help="Write the machine report to this path.")
+
+    cmd = command(plotdata, source)
+    cmd.add_argument("--out-prefix", default="plot", help="Writes <prefix>_gdp.csv and "
+                     "<prefix>_reciprocal.csv (default: %(default)s).")
+
+    cmd = command(simulate)
+    cmd.add_argument("--kind", choices=KINDS, required=True)
+    for flag, dest, text in (
+        ("--a", "a_param", "hyperbolic intercept"), ("--k", "k_param", "hyperbolic slope"),
+        ("--s0", "s0", "exponential/logistic start value"), ("--r", "r_param", "growth rate"),
+        ("--cap", "cap", "logistic ceiling"), ("--mean", "mean", "stagnation mean level"),
+        ("--amplitude", "amplitude", "stagnation oscillation amplitude"),
+        ("--period", "period", "stagnation oscillation period, years"),
+    ):
+        cmd.add_argument(flag, dest=dest, type=float, metavar="FLOAT", help=text)
+    cmd.add_argument("--years", required=True,
+                     help="Sample years: comma list (1,1000,1500) or range START:STOP:STEP.")
+    cmd.add_argument("--sigma", type=float, default=0.0,
+                     help="Multiplicative lognormal noise scale (default: %(default)s).")
+    cmd.add_argument("--seed", type=int, default=0, help="Noise seed (default: %(default)s).")
+    cmd.add_argument("-o", "--output", default="-", help="Output CSV path, '-' for stdout.")
+    return parser
+
+
+def main(argv: list[str] | None = None, standalone_mode: bool = True) -> None:
+    """Run one command line; a failure prints one ``error:`` line, raises SystemExit."""
+    # standalone_mode is ignored: callers written for the earlier entry point pass it
+    args = vars(_parser().parse_args(argv))
+    args.pop("run")(**args)
 
 
 if __name__ == "__main__":

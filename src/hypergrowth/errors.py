@@ -82,6 +82,10 @@ class UnknownPresetError(WindowError):
     pass
 
 
+class PresetDefinitionError(WindowError, ValueError):
+    """A region preset with an unknown mode or the wrong number of labels."""
+
+
 class UnknownMemberError(WindowError):
     pass
 

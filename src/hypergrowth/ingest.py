@@ -16,6 +16,7 @@ from dataclasses import dataclass
 from .errors import (
     DuplicateLabelError,
     ParseError,
+    PresetDefinitionError,
     TooFewPointsError,
     UnknownMemberError,
 )
@@ -65,11 +66,11 @@ class RegionPreset:
 
     def __post_init__(self) -> None:
         if self.mode not in ("sum-members", "direct-row"):
-            raise ValueError(f"unknown preset mode {self.mode!r}")
+            raise PresetDefinitionError(f"unknown preset mode {self.mode!r}")
         if self.mode == "direct-row" and len(self.member_labels) != 1:
-            raise ValueError("direct-row preset needs exactly one label")
+            raise PresetDefinitionError("direct-row preset needs exactly one label")
         if self.mode == "sum-members" and not self.member_labels:
-            raise ValueError("sum-members preset needs at least one label")
+            raise PresetDefinitionError("sum-members preset needs at least one label")
 
 
 def parse_wide_csv(text: str) -> Dataset:

@@ -9,9 +9,7 @@ import json
 import math
 
 import numpy as np
-from click.testing import CliRunner
 
-from hypergrowth.cli import main
 from hypergrowth.fitting import fit_hyperbolic, percent_deviation, singularity
 from hypergrowth.regimes import (
     detect_diversion,
@@ -235,13 +233,11 @@ def test_c9_property_suite():
     )
 
 
-def test_c10_determinism(europe_csv_path, tmp_path):
-    runner = CliRunner()
+def test_c10_determinism(runner, europe_csv_path, tmp_path):
     outputs = []
     for i in range(2):
         out = tmp_path / f"report{i}.json"
-        result = runner.invoke(
-            main,
+        result = runner(
             ["analyze", str(europe_csv_path), "--preset", "W12", "-o", str(out)],
             catch_exceptions=False,
         )

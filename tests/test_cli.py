@@ -6,9 +6,7 @@ import subprocess
 import sys
 import warnings
 
-import click
 import pytest
-from click.testing import CliRunner
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -18,13 +16,8 @@ from hypergrowth.cli import main
 W12_A, W12_K = 1.147e-1, 5.961e-5
 
 
-@pytest.fixture()
-def runner():
-    return CliRunner()
-
-
 def run(runner, *args):
-    return runner.invoke(main, list(args), catch_exceptions=False)
+    return runner(args, catch_exceptions=False)
 
 
 class TestAnalyze:
@@ -281,19 +274,68 @@ class TestContract:
         ["simulate", "--years", "0,1"],
         ["nosuchcommand"],
         ["--bogus"],
+        [],
+        ["analyze", "IN", "--kap", "2"],
     ])
     def test_usage_errors_are_one_line(self, runner, europe_csv_path, args):
         args = [str(europe_csv_path) if a == "IN" else a for a in args]
         assert_one_error_line(run(runner, *args), 2)
 
-    def test_help_and_library_calls_keep_click_behaviour(self, runner, europe_csv_path):
+    def test_help_lists_options(self, runner, europe_csv_path):
         result = run(runner, "analyze", "--help")
         assert result.exit_code == 0
-        assert result.output.startswith("Usage: main analyze [OPTIONS] INPUT_CSV")
-        assert "--kappa FLOAT" in result.output
-        with pytest.raises(click.BadParameter, match="'abc' is not a valid float"):
+        usage = result.output.split("\n\n")[0]
+        assert usage.startswith("usage: hypergrowth analyze [-h] ")
+        assert "INPUT_CSV" in usage and "[--kappa KAPPA]" in usage
+        result = run(runner, "--help")
+        assert result.exit_code == 0
+        assert "analyze" in result.output and "simulate" in result.output
+        # a library call fails the way the console script does
+        with pytest.raises(SystemExit) as stop:
             main(["analyze", str(europe_csv_path), "--kappa", "abc"],
                  standalone_mode=False)
+        assert stop.value.code == 2
+
+    @pytest.mark.parametrize("args, code", [
+        (["analyze", "IN", "--window", "-500:1900"], 0),
+        (["analyze", "IN", "--kappa", "-1e-5"], 4),
+        (["simulate", "--kind", "stagnation", "--mean", "2", "--amplitude", "0.3",
+          "--period", "600", "--years", "-1000,0,1000"], 0),
+        (["simulate", "--kind", "stagnation", "--mean", "2", "--amplitude", "0.3",
+          "--period", "600", "--years", "-1e308:1e308:1"], 2),
+    ])
+    def test_dash_leading_values_stay_values(self, runner, europe_csv_path, args, code):
+        args = [str(europe_csv_path) if a == "IN" else a for a in args]
+        result = run(runner, *args)
+        if code:
+            # refused by the flag's own check, not as an unknown option
+            assert_one_error_line(result, code)
+            assert args[-2] in result.output and "argument" not in result.output
+        else:
+            assert result.exit_code == 0, result.output
+
+    @pytest.mark.parametrize("command, flag, value", [
+        ("analyze", "--window", "1500:inf"),
+        ("analyze", "--takeoff-window", "-inf:1840"),
+        ("analyze", "--stagnation-window", "1:nan"),
+        ("analyze", "--probe-years", "nan"),
+        ("analyze", "--probe-years", "1,inf"),
+        ("analyze", "--boundaries", "inf"),
+        ("plotdata", "--window", "1500:inf"),
+        ("simulate", "--years", "0,nan,100"),
+    ])
+    def test_nonfinite_window_and_year_flags_are_4(
+        self, runner, europe_csv_path, tmp_path, command, flag, value
+    ):
+        args = {
+            "analyze": ["analyze", str(europe_csv_path)],
+            "plotdata": ["plotdata", str(europe_csv_path),
+                         "--out-prefix", str(tmp_path / "p")],
+            "simulate": ["simulate", "--kind", "hyperbolic", "--a", "1", "--k", "0.001"],
+        }[command]
+        result = run(runner, *args, flag, value)
+        assert_one_error_line(result, 4)
+        assert flag in result.output
 
     def test_large_series_overflowing_the_fit_is_2(self, runner, tmp_path):
         # more points than SMALL_FIT_MAX, so the fit runs in the numpy kernel
@@ -315,20 +357,22 @@ class TestContract:
         assert_one_error_line(result, 2)
 
 
-NUMPY_PROBE = """
+IMPORT_PROBE = """
 import contextlib, io, json, sys
 from hypergrowth.cli import main
-loaded = []
+heavy = {"numpy", "click"}
+loaded = [sorted(heavy & set(sys.modules))]
 for args in json.loads(sys.argv[1]):
     with contextlib.redirect_stdout(io.StringIO()):
         main(args, standalone_mode=False)
-    loaded.append("numpy" in sys.modules)
+    loaded.append(sorted(heavy & set(sys.modules)))
 print(json.dumps(loaded))
 """
 
 
 def test_bundled_commands_never_import_numpy(europe_csv_path, tmp_path):
-    """Every fit of the bundled table has few points, so numpy stays unloaded."""
+    """Every fit of the bundled table has few points, so numpy stays unloaded;
+    the CLI uses argparse, so click is never loaded, not even by the import."""
     csv = str(europe_csv_path)
     commands = [
         ["analyze", csv, "--preset", "W12"],
@@ -342,9 +386,9 @@ def test_bundled_commands_never_import_numpy(europe_csv_path, tmp_path):
     src = str(pathlib.Path(hypergrowth.__file__).parents[1])
     env = {**os.environ,
            "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
-    proc = subprocess.run([sys.executable, "-c", NUMPY_PROBE, json.dumps(commands)],
+    proc = subprocess.run([sys.executable, "-c", IMPORT_PROBE, json.dumps(commands)],
                           env=env, capture_output=True, text=True, check=True)
-    assert json.loads(proc.stdout) == [False] * len(commands)
+    assert json.loads(proc.stdout) == [[]] * (1 + len(commands))
 
 
 def _reject_constant(token):
@@ -375,17 +419,14 @@ def long_rows(draw):
 
 @settings(max_examples=150, deadline=None)
 @given(rows=long_rows(), kappa=KAPPAS)
-def test_cli_contract_holds_for_any_long_input(tmp_path_factory, rows, kappa):
+def test_cli_contract_holds_for_any_long_input(tmp_path_factory, runner, rows, kappa):
     """Exit code in {0,2,3,4,5}; a failure is one error: line; a report is finite."""
-    runner = CliRunner()
     tmp_path = tmp_path_factory.mktemp("contract")
     path = write_long(tmp_path, rows)
     out = tmp_path / "report.json"
     results = [
-        runner.invoke(main, ["analyze", path, "--long", "--kappa", repr(kappa),
-                             "-o", str(out)]),
-        runner.invoke(main, ["plotdata", path, "--long",
-                             "--out-prefix", str(tmp_path / "plot")]),
+        runner(["analyze", path, "--long", "--kappa", repr(kappa), "-o", str(out)]),
+        runner(["plotdata", path, "--long", "--out-prefix", str(tmp_path / "plot")]),
     ]
     for result in results:
         assert result.exit_code in {0, 2, 3, 4, 5}, (result.output, result.exception)

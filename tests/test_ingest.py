@@ -4,9 +4,12 @@ from hypothesis import strategies as st
 
 from hypergrowth.errors import (
     DuplicateLabelError,
+    HypergrowthError,
     ParseError,
+    PresetDefinitionError,
     TooFewPointsError,
     UnknownMemberError,
+    WindowError,
 )
 from hypergrowth.ingest import (
     RegionPreset,
@@ -146,6 +149,19 @@ class TestPresetCatalog:
         assert overrides == {"W30": ("Total Western Europe",), "X2": ("A", "B")}
         with pytest.raises(ParseError):
             parse_preset_overrides("not a mapping\n")
+
+    @pytest.mark.parametrize("labels, mode", [
+        (("X",), "sum-all"),
+        (("X", "Y"), "direct-row"),
+        ((), "sum-members"),
+    ])
+    def test_malformed_preset_is_a_window_error(self, labels, mode):
+        with pytest.raises(PresetDefinitionError) as caught:
+            RegionPreset("R", labels, mode)
+        # library callers catch it either as a package error or as a ValueError
+        assert isinstance(caught.value, WindowError)
+        assert isinstance(caught.value, HypergrowthError)
+        assert isinstance(caught.value, ValueError)
 
 
 class TestBundledDataset:
