@@ -14,6 +14,7 @@ the user.
 from __future__ import annotations
 
 import argparse
+import functools
 import math
 import pathlib
 import re
@@ -297,6 +298,7 @@ class _Parser(argparse.ArgumentParser):
         _fail(EXIT_PARSE, " ".join(message.split()))  # an argument may hold a newline
 
 
+@functools.cache  # parsing leaves the parser unchanged, so one serves every call
 def _parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="hypergrowth",
                      description="Hyperbolic growth analysis of sparse historical GDP series.")

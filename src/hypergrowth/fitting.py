@@ -14,6 +14,7 @@ centered at the window midpoint and de-centered afterwards.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 
 from .errors import (
@@ -22,7 +23,7 @@ from .errors import (
     NonDecreasingLineError,
     YearNotObservedError,
 )
-from .series import GrowthSeries, Window, points_in
+from .series import GrowthSeries, Window, index_range
 
 # Exactly collinear input leaves float noise in the residuals. A fit whose
 # rmse is at most this fraction of the RMS of the fitted values is snapped
@@ -55,20 +56,22 @@ class LineFit:
 def _sums_small(years, values, center):
     """Centered sums of a small fit: two passes of exactly rounded ``math.fsum``."""
     n = len(years)
-    fsum = math.fsum
+    fsum, mul = math.fsum, operator.mul
     xc = [t - center for t in years]
     xbar = fsum(xc) / n
     ybar = fsum(values) / n
     dx = [t - xbar for t in xc]
     dy = [v - ybar for v in values]
-    sxx = fsum([d * d for d in dx])
-    sst = fsum([e * e for e in dy])
+    sxx = fsum(map(mul, dx, dx))
+    sst = fsum(map(mul, dy, dy))
     # float products overflow to inf silently; once both sums of squares
     # are finite, no product d * e below can overflow
     if not math.isfinite(sxx + sst):
         raise OverflowError("line fit: values too extreme for float arithmetic")
-    sxy = fsum([d * e for d, e in zip(dx, dy)])
+    sxy = fsum(map(mul, dx, dy))
     slope = sxy / sxx if sxx else 0.0
+    # libm's pow behind ** 2 and r * r round a few floats differently;
+    # ** 2 keeps the reported digits
     ssr = fsum([(e - slope * d) ** 2 for d, e in zip(dx, dy)])
     return xbar, ybar, sxx, sxy, ssr, sst, fsum(years) / n
 
@@ -192,10 +195,8 @@ def fit_hyperbolic(s: GrowthSeries, w: Window) -> HyperbolicFit:
     fitted slope is >= 0 (the series is not hyperbolic-growth-like on
     this window).
     """
-    sel = points_in(s, w, need=3, error=FitTooFewPointsError)
-    years = [y for y, _ in sel]
-    recip = [1.0 / v for _, v in sel]
-    line = fit_line(years, recip, center=(w.t0 + w.t1) / 2.0)
+    lo, hi = index_range(s, w.t0, w.t1, need=3, error=FitTooFewPointsError)
+    line = fit_line(s.years[lo:hi], s.reciprocals[lo:hi], center=(w.t0 + w.t1) / 2.0)
     if line.slope >= 0.0:
         raise NonDecreasingLineError(
             f"series {s.label!r}: reciprocal slope {line.slope:.3e} is not negative "
@@ -205,7 +206,7 @@ def fit_hyperbolic(s: GrowthSeries, w: Window) -> HyperbolicFit:
         a=line.intercept,
         k=-line.slope,
         fit_window=w,
-        n_points=len(sel),
+        n_points=hi - lo,
         rmse_reciprocal=line.rmse,
         r2_reciprocal=line.r2,
         se_a=line.se_intercept,
@@ -238,7 +239,8 @@ def percent_deviation(f: HyperbolicFit, s: GrowthSeries, t: float) -> float:
     observed = s.value_at(t)
     if observed is None:
         raise YearNotObservedError(f"series {s.label!r}: year {t:g} not observed")
-    return 100.0 * (observed - model_value(f, t)) / model_value(f, t)
+    model = model_value(f, t)
+    return 100.0 * (observed - model) / model
 
 
 def residuals(

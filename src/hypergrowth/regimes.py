@@ -22,6 +22,7 @@ Years past the fitted line's zero crossing are not evaluable.
 from __future__ import annotations
 
 import math
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 
 from .errors import (
@@ -30,7 +31,7 @@ from .errors import (
     SegmentTooSparseError,
 )
 from .fitting import HyperbolicFit, fit_line, residuals, singularity
-from .series import GrowthSeries, Window, points_in
+from .series import GrowthSeries, Window, index_range, points_in
 
 DEFAULT_KAPPA = 3.0
 DEFAULT_TAKEOFF_WINDOW = Window(1760.0, 1840.0)
@@ -113,7 +114,7 @@ def detect_diversion(
     negative rule gives "faster". bypass_years is the gap between the
     fitted blow-up year a/k and the diversion year.
     """
-    post = [(y, v) for y, v in s.points if y > f.fit_window.t1]
+    post = s.points[bisect_right(s.years, f.fit_window.t1):]
     if not post:
         raise NoPointsAfterWindowError(
             f"series {s.label!r}: no observed years after {f.fit_window.t1:g}"
@@ -215,10 +216,10 @@ def stagnation_test(
     (sparse millennium-scale series may legitimately contain one early
     decline); stagnation-consistent is the complement.
     """
-    sel = points_in(s, w, need=4)
-    years = [y for y, _ in sel]
-    recip = [1.0 / v for _, v in sel]
-    n = len(recip)
+    lo, hi = index_range(s, w.t0, w.t1, need=4)
+    years = s.years[lo:hi]
+    recip = s.reciprocals[lo:hi]
+    n = hi - lo
 
     mean = sum(recip) / n
     rmse_constant = math.sqrt(sum((r - mean) ** 2 for r in recip) / n)
@@ -238,7 +239,7 @@ def stagnation_test(
 
     z, n_changes = runs_test_z(residuals)
 
-    values = [v for _, v in sel]
+    values = [v for _, v in s.points[lo:hi]]
     increases = sum(1 for a, b in zip(values, values[1:]) if b > a)
     monotone_fraction = increases / (n - 1)
 
@@ -273,22 +274,22 @@ def segment_consistency(
     """
     cuts = sorted(b for b in boundaries if w.t0 < b < w.t1)
     edges = [w.t0, *cuts, w.t1]
-    in_w = points_in(s, w)
+    years, recip = s.years, s.reciprocals
 
     segments: list[SegmentSlope] = []
-    for i, (lo, hi) in enumerate(zip(edges, edges[1:])):
+    for i, (t0, t1) in enumerate(zip(edges, edges[1:])):
         last = i == len(edges) - 2
-        pts = [(y, v) for y, v in in_w if lo <= y < hi or (last and y == hi)]
-        if len(pts) < 2:
+        lo = bisect_left(years, t0)
+        hi = (bisect_right if last else bisect_left)(years, t1)
+        n = hi - lo
+        if n < 2:
             raise SegmentTooSparseError(
-                f"series {s.label!r}: segment [{lo:g}, {hi:g}"
-                f"{']' if last else ')'} has {len(pts)} point(s), need 2"
+                f"series {s.label!r}: segment [{t0:g}, {t1:g}"
+                f"{']' if last else ')'} has {n} point(s), need 2"
             )
-        line = fit_line(
-            [y for y, _ in pts], [1.0 / v for _, v in pts], center=(lo + hi) / 2.0
-        )
+        line = fit_line(years[lo:hi], recip[lo:hi], center=(t0 + t1) / 2.0)
         segments.append(
-            SegmentSlope(t0=lo, t1=hi, k=-line.slope, se=line.se_slope, n=len(pts))
+            SegmentSlope(t0=t0, t1=t1, k=-line.slope, se=line.se_slope, n=n)
         )
 
     z_scores: list[tuple[int, int, float]] = []

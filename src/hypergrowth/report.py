@@ -227,7 +227,7 @@ def reciprocal_plot_table(
     range, clipped where the line reaches zero.
     """
     rows: list[tuple[str, float, float]] = [
-        ("observed", y, 1.0 / v) for y, v in s.points
+        ("observed", y, r) for y, r in zip(s.years, s.reciprocals)
     ]
     t0 = s.points[0][0]
     t_end = min(s.points[-1][0], singularity(fit))

@@ -10,7 +10,9 @@ land on integers).
 from __future__ import annotations
 
 import math
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable, Sequence
 
 from .errors import (
@@ -40,14 +42,27 @@ class Window:
 
 @dataclass(frozen=True)
 class GrowthSeries:
-    """GDP-like series: values in billions of 1990 Geary-Khamis dollars."""
+    """GDP-like series: values in billions of 1990 Geary-Khamis dollars.
+
+    ``years`` and ``reciprocals`` are computed once per series and kept.
+    Window and year selection bisects ``years``, so it relies on the
+    strictly increasing years that ``new_series`` establishes and that
+    ``window`` and ``reciprocal`` keep; build a series through them.
+    """
 
     points: tuple[tuple[float, float], ...]
     label: str
 
-    @property
+    # cached_property writes the instance __dict__ directly, which a frozen
+    # dataclass allows; eq, hash and repr still see the two fields only
+    @cached_property
     def years(self) -> tuple[float, ...]:
         return tuple(p[0] for p in self.points)
+
+    @cached_property
+    def reciprocals(self) -> tuple[float, ...]:
+        """1/value at each year, in 1/billions."""
+        return tuple(1.0 / p[1] for p in self.points)
 
     @property
     def values(self) -> tuple[float, ...]:
@@ -58,10 +73,8 @@ class GrowthSeries:
 
     def value_at(self, year: float) -> float | None:
         """Value at an observed year, None if the year is not observed."""
-        for y, v in self.points:
-            if y == year:
-                return v
-        return None
+        lo, hi = index_range(self, year, year)
+        return self.points[lo][1] if lo < hi else None
 
 
 def new_series(points: Iterable[Sequence[float]], label: str) -> GrowthSeries:
@@ -94,29 +107,40 @@ def new_series(points: Iterable[Sequence[float]], label: str) -> GrowthSeries:
 
 def reciprocal(s: GrowthSeries) -> GrowthSeries:
     """Pointwise reciprocal (units 1/billions); years unchanged, values positive."""
-    return GrowthSeries(
-        points=tuple((y, 1.0 / v) for y, v in s.points),
-        label=s.label,
-    )
+    return GrowthSeries(points=tuple(zip(s.years, s.reciprocals)), label=s.label)
+
+
+def index_range(
+    s: GrowthSeries, t0: float, t1: float, need: int = 0, error=WindowTooFewPointsError
+) -> tuple[int, int]:
+    """Indices ``lo, hi`` such that ``s.points[lo:hi]`` has the years in [t0, t1].
+
+    Bisects the sorted years; the range is empty unless t0 <= t1, so a
+    nan bound selects nothing. Raises ``error`` when fewer than ``need``
+    points are in the range.
+    """
+    years = s.years
+    lo = bisect_left(years, t0)
+    hi = bisect_right(years, t1, lo) if t0 <= t1 else lo
+    if hi - lo < need:
+        raise error(
+            f"series {s.label!r}: {hi - lo} point(s) in [{t0:g}, {t1:g}], need {need}"
+        )
+    return lo, hi
 
 
 def points_in(
     s: GrowthSeries, w: Window, need: int = 0, error=WindowTooFewPointsError
-) -> list[tuple[float, float]]:
+) -> tuple[tuple[float, float], ...]:
     """The points of ``s`` whose year lies in the inclusive window ``w``.
 
     Raises ``error`` when fewer than ``need`` points are in the window.
     """
-    t0, t1 = w.t0, w.t1
-    pts = [p for p in s.points if t0 <= p[0] <= t1]
-    if len(pts) < need:
-        raise error(
-            f"series {s.label!r}: {len(pts)} point(s) in [{t0:g}, {t1:g}], need {need}"
-        )
-    return pts
+    lo, hi = index_range(s, w.t0, w.t1, need, error)
+    return s.points[lo:hi]
 
 
 def window(s: GrowthSeries, w: Window) -> GrowthSeries:
     """Restrict a series to [t0, t1]; at least 2 points must survive."""
-    pts = tuple(points_in(s, w, need=2))
+    pts = points_in(s, w, need=2)
     return GrowthSeries(points=pts, label=f"{s.label} [{w.t0:g}, {w.t1:g}]")

@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import hypergrowth
-from hypergrowth.cli import main
+from hypergrowth.cli import _parser, main
 
 W12_A, W12_K = 1.147e-1, 5.961e-5
 
@@ -72,6 +72,48 @@ class TestAnalyze:
                          "-o", str(out))
             assert result.exit_code == 0
         assert out1.read_bytes() == out2.read_bytes()
+
+
+REPO_ROOT = pathlib.Path(__file__).parents[1]
+GOLDEN_DIR = REPO_ROOT / "tests" / "data" / "golden"
+
+
+def assert_matches_golden(got, want, where="report"):
+    """Same tree, key order and types; floats to a relative 1e-12, the rest exactly.
+
+    The tolerance absorbs last-digit libm differences across platforms.
+    """
+    assert type(got) is type(want), where
+    if isinstance(want, dict):
+        assert list(got) == list(want), where
+        for key in want:
+            assert_matches_golden(got[key], want[key], f"{where}.{key}")
+    elif isinstance(want, list):
+        assert len(got) == len(want), where
+        for i, (g, w) in enumerate(zip(got, want)):
+            assert_matches_golden(g, w, f"{where}[{i}]")
+    elif isinstance(want, float):
+        assert math.isclose(got, want, rel_tol=1e-12, abs_tol=0.0), (where, got, want)
+    else:
+        assert got == want, where
+
+
+class TestGolden:
+    @pytest.mark.parametrize("golden, flags", [
+        ("analyze_W12.json", ["--preset", "W12"]),
+        ("analyze_W30.json", ["--preset", "W30"]),
+        ("analyze_EE.json", ["--preset", "EE"]),
+        ("analyze_EE_kappa2.5.json", ["--preset", "EE", "--kappa", "2.5"]),
+    ])
+    def test_analyze_matches_golden(self, runner, monkeypatch, tmp_path, golden, flags):
+        # the report records the input path as given, so run from the repository root
+        monkeypatch.chdir(REPO_ROOT)
+        out = tmp_path / "report.json"
+        result = run(runner, "analyze", "tests/data/europe_gdp_wide.csv", *flags,
+                     "-o", str(out))
+        assert result.exit_code == 0, result.output
+        want = json.loads((GOLDEN_DIR / golden).read_text(encoding="utf-8"))
+        assert_matches_golden(json.loads(out.read_text(encoding="utf-8")), want)
 
 
 class TestExitCodes:
@@ -357,6 +399,47 @@ class TestContract:
         assert_one_error_line(result, 2)
 
 
+def run_probe(script, payload):
+    """Run ``script`` in a fresh interpreter with the package importable; parse its JSON."""
+    src = str(pathlib.Path(hypergrowth.__file__).parents[1])
+    env = {**os.environ, "COLUMNS": "100",
+           "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.run([sys.executable, "-c", script, json.dumps(payload)],
+                          env=env, capture_output=True, text=True, check=True)
+    return json.loads(proc.stdout)
+
+
+SEQUENCE_PROBE = """
+import contextlib, io, json, sys
+from hypergrowth.cli import main
+results = []
+for args in json.loads(sys.argv[1]):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            main(args)
+            code = 0
+        except SystemExit as exc:
+            code = exc.code or 0
+    results.append([code, out.getvalue(), err.getvalue()])
+print(json.dumps(results))
+"""
+
+
+def test_repeated_main_calls_match_fresh_processes(europe_csv_path):
+    """main builds its parser once per process; reusing it changes no call's result."""
+    commands = [
+        ["analyze", str(europe_csv_path), "--kappa", "abc"],
+        ["analyze", str(europe_csv_path), "--preset", "W30"],
+        ["analyze", "--help"],
+    ]
+    together = run_probe(SEQUENCE_PROBE, commands)
+    alone = [run_probe(SEQUENCE_PROBE, [args])[0] for args in commands]
+    assert together == alone
+    assert [code for code, _, _ in together] == [2, 0, 0]
+    assert _parser() is _parser()
+
+
 IMPORT_PROBE = """
 import contextlib, io, json, sys
 from hypergrowth.cli import main
@@ -383,12 +466,7 @@ def test_bundled_commands_never_import_numpy(europe_csv_path, tmp_path):
          "--years", "1,1000,1500,1600,1700,1820,1870,1900", "--sigma", "0",
          "-o", str(tmp_path / "sim.csv")],
     ]
-    src = str(pathlib.Path(hypergrowth.__file__).parents[1])
-    env = {**os.environ,
-           "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
-    proc = subprocess.run([sys.executable, "-c", IMPORT_PROBE, json.dumps(commands)],
-                          env=env, capture_output=True, text=True, check=True)
-    assert json.loads(proc.stdout) == [[]] * (1 + len(commands))
+    assert run_probe(IMPORT_PROBE, commands) == [[]] * (1 + len(commands))
 
 
 def _reject_constant(token):
