@@ -2,6 +2,9 @@
 
 __version__ = "0.1.0"
 
+# synthetic's model kinds, kept here so the CLI lists them without loading synthetic
+KINDS = ("hyperbolic", "exponential", "logistic", "stagnation")
+
 from .errors import HypergrowthError
 from .fitting import (
     FitDiagnostics,
@@ -24,7 +27,6 @@ from .regimes import (
     takeoff_scan,
 )
 from .series import GrowthSeries, Window, new_series, reciprocal, window
-from .synthetic import ModelSpec, generate
 
 __all__ = [
     "HypergrowthError",
@@ -57,3 +59,12 @@ __all__ = [
     "generate",
     "__version__",
 ]
+
+
+def __getattr__(name: str):
+    """Serve the synthetic generators, importing them on first use."""
+    if name in ("ModelSpec", "generate"):
+        from . import synthetic
+
+        return getattr(synthetic, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -20,6 +20,7 @@ import pathlib
 import re
 import sys
 
+from . import KINDS
 from .errors import (
     DataError,
     FitError,
@@ -46,7 +47,6 @@ from .report import (
     reciprocal_plot_table,
 )
 from .series import GrowthSeries, Window
-from .synthetic import KINDS, ModelSpec, generate
 
 EXIT_PARSE = 2
 EXIT_FIT = 3
@@ -101,14 +101,13 @@ def _load_series(
     long_format: bool,
     label: str | None,
     preset_config: str | None,
-) -> tuple[GrowthSeries, str]:
-    """Read the input file and build the selected series. Returns (series, sha256)."""
+) -> tuple[GrowthSeries, bytes]:
+    """Read the input file and build the selected series. Returns (series, raw bytes)."""
     path = pathlib.Path(input_path)
     try:
         raw = path.read_bytes()
     except OSError as exc:
         _fail(EXIT_PARSE, f"cannot read {input_path}: {exc.strerror or exc}")
-    digest = file_digest(raw)
     try:
         text = raw.decode("utf-8-sig")
     except UnicodeDecodeError:
@@ -119,7 +118,7 @@ def _load_series(
             series = parse_long_csv(text, label=label or path.stem)
         except DataError as exc:
             _fail(EXIT_PARSE, str(exc))
-        return series, digest
+        return series, raw
 
     try:
         dataset = parse_wide_csv(text)
@@ -159,7 +158,7 @@ def _load_series(
         series = aggregate(dataset, chosen)
     except (WindowError, TooFewPointsError) as exc:
         _fail(EXIT_WINDOW, str(exc))
-    return series, digest
+    return series, raw
 
 
 def analyze(
@@ -176,7 +175,7 @@ def analyze(
     boundary_years = _parse_year_list(boundaries, "--boundaries")
     probes = _parse_year_list(probe_years, "--probe-years")
 
-    series, digest = _load_series(
+    series, raw = _load_series(
         input_path, preset, members, long_format, label, preset_config
     )
     try:
@@ -189,7 +188,7 @@ def analyze(
             takeoff_window=takeoff_w,
             stagnation_window=stagnation_w,
             input_path=str(input_path),
-            input_sha256=digest,
+            input_sha256=file_digest(raw),
         )
         rendered = report.to_json() if fmt == "json" else report.to_kv()
     except FitError as exc:
@@ -243,6 +242,8 @@ def simulate(
     years, sigma, seed, output,
 ) -> None:
     """Generate a synthetic year,value series (values in billions)."""
+    from .synthetic import ModelSpec, generate  # only this command needs the generators
+
     if ":" in years:
         try:
             start, stop, step = (float(x) for x in years.split(":"))

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import math
 import operator
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .errors import (
     AtSingularityError,
@@ -36,8 +36,7 @@ COLLINEAR_RTOL = 1e-13
 SMALL_FIT_MAX = 64
 
 
-@dataclass(frozen=True)
-class LineFit:
+class LineFit(NamedTuple):
     """Unconstrained least-squares line y = intercept + slope * t.
 
     ``rmse`` is the root mean square residual (divided by n, not n - 2);
@@ -145,8 +144,7 @@ def fit_line(years, values, center: float = 0.0) -> LineFit:
     )
 
 
-@dataclass(frozen=True)
-class HyperbolicFit:
+class HyperbolicFit(NamedTuple):
     """Accepted hyperbolic fit: a, k > 0, reciprocal line a - k*t.
 
     a is in 1/billions, k in 1/billions per year. rmse_reciprocal and
@@ -168,8 +166,7 @@ class HyperbolicFit:
         return self.a - self.k * t
 
 
-@dataclass(frozen=True)
-class FitDiagnostics:
+class FitDiagnostics(NamedTuple):
     """Per-year residual table for an accepted fit.
 
     Each row is (year, raw reciprocal residual, normalized residual,

@@ -4,14 +4,15 @@ Input is a UTF-8 CSV exported from the Maddison historical-statistics
 spreadsheet: first column holds row labels (countries or aggregate
 rows), the header row holds integer years, and cells are GDP in
 millions of 1990 Geary-Khamis dollars. Blank cells and values <= 0 are
-missing data and are never stored.
+missing data and are never stored; nan and infinite cells are errors.
 """
 
 from __future__ import annotations
 
 import csv
 import io
-from dataclasses import dataclass
+import math
+from typing import NamedTuple
 
 from .errors import (
     DuplicateLabelError,
@@ -20,7 +21,7 @@ from .errors import (
     TooFewPointsError,
     UnknownMemberError,
 )
-from .series import GrowthSeries, new_series
+from .series import Frozen, GrowthSeries, new_series
 
 MILLIONS_PER_BILLION = 1000.0
 
@@ -44,27 +45,24 @@ W30_TOTAL_ROW = "Total 30 Western Europe"
 EE_TOTAL_ROW = "Total Eastern Europe"
 
 
-@dataclass(frozen=True)
-class Dataset:
+class Dataset(NamedTuple):
     """Parsed wide table: label -> {year: value in millions}."""
 
     rows: dict[str, dict[float, float]]
     year_header: tuple[float, ...]
 
 
-@dataclass(frozen=True)
-class RegionPreset:
+class RegionPreset(Frozen):
     """Named recipe for building one regional series.
 
     mode "sum-members" sums the listed rows over years where every
     member has a value; "direct-row" takes a single row as-is.
     """
 
-    name: str
-    member_labels: tuple[str, ...]
-    mode: str  # "sum-members" | "direct-row"
+    __slots__ = _fields = ("name", "member_labels", "mode")
 
-    def __post_init__(self) -> None:
+    def __init__(self, name: str, member_labels: tuple[str, ...], mode: str) -> None:
+        self._assign(name, member_labels, mode)
         if self.mode not in ("sum-members", "direct-row"):
             raise PresetDefinitionError(f"unknown preset mode {self.mode!r}")
         if self.mode == "direct-row" and len(self.member_labels) != 1:
@@ -77,10 +75,10 @@ def parse_wide_csv(text: str) -> Dataset:
     """Parse a wide CSV into a Dataset.
 
     The first header cell names the label column; the remaining header
-    cells must parse as strictly increasing years. Blank cells and
-    cells <= 0 are dropped. Raises ParseError for malformed headers or
-    non-numeric cells (named with row label and year), and
-    DuplicateLabelError for repeated row labels.
+    cells must parse as strictly increasing finite years. Blank cells
+    and cells <= 0 are dropped. Raises ParseError for malformed headers
+    or non-numeric or non-finite cells (named with row label and year),
+    and DuplicateLabelError for repeated row labels.
     """
     reader = csv.reader(io.StringIO(text))
     try:
@@ -93,9 +91,12 @@ def parse_wide_csv(text: str) -> Dataset:
     years: list[float] = []
     for cell in header[1:]:
         try:
-            years.append(float(cell.strip()))
+            year = float(cell.strip())
         except ValueError:
-            raise ParseError(f"header cell {cell!r} is not a year") from None
+            year = math.nan
+        if not math.isfinite(year):
+            raise ParseError(f"header cell {cell!r} is not a year")
+        years.append(year)
     for y0, y1 in zip(years, years[1:]):
         if not y0 < y1:
             raise ParseError(f"header years not strictly increasing at {y1:g}")
@@ -120,8 +121,12 @@ def parse_wide_csv(text: str) -> Dataset:
                 raise ParseError(
                     f"row {label!r}, year {year:g}: cell {raw!r} is not numeric"
                 ) from None
-            if value > 0.0:
+            if 0.0 < value < math.inf:
                 cells[year] = value
+            elif not -math.inf < value <= 0.0:  # nan, inf or -inf
+                raise ParseError(
+                    f"row {label!r}, year {year:g}: cell {raw!r} is not finite"
+                )
         rows[label] = cells
 
     return Dataset(rows=rows, year_header=tuple(years))

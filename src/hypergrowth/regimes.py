@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_left, bisect_right
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .errors import (
     NoPointsAfterWindowError,
@@ -47,8 +47,7 @@ Z_CRITICAL = 1.96
 MONOTONE_THRESHOLD = 0.75
 
 
-@dataclass(frozen=True)
-class DiversionReport:
+class DiversionReport(NamedTuple):
     diversion_year: float | None
     direction: str  # "slower" | "faster" | "none"
     bypass_years: float | None
@@ -56,16 +55,14 @@ class DiversionReport:
     evaluable_until: float
 
 
-@dataclass(frozen=True)
-class TakeoffReport:
+class TakeoffReport(NamedTuple):
     window: Window
     found: bool
     onset_year: float | None
     max_negative_normalized_residual: float
 
 
-@dataclass(frozen=True)
-class StagnationVerdict:
+class StagnationVerdict(NamedTuple):
     window: Window
     runs_test_z: float
     n_sign_changes: int
@@ -75,8 +72,7 @@ class StagnationVerdict:
     verdict: str  # "stagnation-consistent" | "hyperbolic-consistent"
 
 
-@dataclass(frozen=True)
-class SegmentSlope:
+class SegmentSlope(NamedTuple):
     t0: float
     t1: float
     k: float
@@ -84,8 +80,7 @@ class SegmentSlope:
     n: int
 
 
-@dataclass(frozen=True)
-class SegmentReport:
+class SegmentReport(NamedTuple):
     boundaries: tuple[float, ...]
     segments: tuple[SegmentSlope, ...]
     z_scores: tuple[tuple[int, int, float], ...]

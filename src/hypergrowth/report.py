@@ -8,10 +8,9 @@ table for standard output.
 
 from __future__ import annotations
 
-import hashlib
 import json
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from . import __version__
 from .errors import HypergrowthError
@@ -34,8 +33,7 @@ DEFAULT_PROBE_YEARS = (1.0, 1000.0)
 _STRICT_JSON = json.JSONEncoder(allow_nan=False)
 
 
-@dataclass(frozen=True)
-class AnalysisReport:
+class AnalysisReport(NamedTuple):
     """All analysis results for one series, as a plain nested dict."""
 
     data: dict
@@ -67,6 +65,9 @@ class AnalysisReport:
 
 
 def file_digest(raw: bytes) -> str:
+    """SHA-256 hex digest; hashlib loads on first use, so callers without a digest skip it."""
+    import hashlib
+
     return hashlib.sha256(raw).hexdigest()
 
 

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_left, bisect_right
-from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Sequence
 
@@ -25,14 +24,50 @@ from .errors import (
 )
 
 
-@dataclass(frozen=True)
-class Window:
+class Frozen:
+    """Immutable value: eq (same class only), hash, repr and pickling over ``_fields``.
+
+    ``__init__`` sets the fields once through ``_assign``; later assignment raises.
+    """
+
+    __slots__ = ()
+    _fields: tuple[str, ...] = ()
+
+    def _assign(self, *values) -> None:
+        for name, value in zip(self._fields, values):
+            object.__setattr__(self, name, value)
+
+    def _values(self) -> tuple:
+        return tuple(getattr(self, name) for name in self._fields)
+
+    def __setattr__(self, name: str, value=None) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    __delattr__ = __setattr__
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._values() == other._values()
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._values())
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        return f"{type(self).__name__}({fields})"
+
+    def __reduce__(self):
+        return type(self), self._values()
+
+
+class Window(Frozen):
     """Inclusive year range [t0, t1]."""
 
-    t0: float
-    t1: float
+    __slots__ = _fields = ("t0", "t1")
 
-    def __post_init__(self) -> None:
+    def __init__(self, t0: float, t1: float) -> None:
+        self._assign(t0, t1)
         if not self.t0 < self.t1:
             raise WindowOrderError(f"window requires t0 < t1, got [{self.t0}, {self.t1}]")
 
@@ -40,8 +75,7 @@ class Window:
         return self.t0 <= year <= self.t1
 
 
-@dataclass(frozen=True)
-class GrowthSeries:
+class GrowthSeries(Frozen):
     """GDP-like series: values in billions of 1990 Geary-Khamis dollars.
 
     ``years`` and ``reciprocals`` are computed once per series and kept.
@@ -50,11 +84,12 @@ class GrowthSeries:
     ``window`` and ``reciprocal`` keep; build a series through them.
     """
 
-    points: tuple[tuple[float, float], ...]
-    label: str
+    _fields = ("points", "label")
+    __slots__ = (*_fields, "__dict__")  # cached_property values; eq, hash, repr skip them
 
-    # cached_property writes the instance __dict__ directly, which a frozen
-    # dataclass allows; eq, hash and repr still see the two fields only
+    def __init__(self, points: tuple[tuple[float, float], ...], label: str) -> None:
+        self._assign(points, label)
+
     @cached_property
     def years(self) -> tuple[float, ...]:
         return tuple(p[0] for p in self.points)

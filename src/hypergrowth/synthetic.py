@@ -10,12 +10,10 @@ draw comes from an explicit seeded generator stored in the ModelSpec.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 
+from . import KINDS
 from .errors import AtSingularityError, ModelSpecError
-from .series import GrowthSeries, new_series
-
-KINDS = ("hyperbolic", "exponential", "logistic", "stagnation")
+from .series import Frozen, GrowthSeries, new_series
 
 _REQUIRED_PARAMS = {
     "hyperbolic": ("a", "k"),
@@ -25,8 +23,7 @@ _REQUIRED_PARAMS = {
 }
 
 
-@dataclass(frozen=True)
-class ModelSpec:
+class ModelSpec(Frozen):
     """Recipe for one synthetic GrowthSeries.
 
     params holds the model constants for the chosen kind:
@@ -35,14 +32,11 @@ class ModelSpec:
     scale (0 for noiseless), and seed fixes the random stream.
     """
 
-    kind: str
-    params: dict[str, float]
-    sample_years: tuple[float, ...]
-    sigma: float = 0.0
-    seed: int = 0
-    label: str = field(default="")
+    __slots__ = _fields = ("kind", "params", "sample_years", "sigma", "seed", "label")
 
-    def __post_init__(self) -> None:
+    def __init__(self, kind: str, params: dict[str, float], sample_years: tuple[float, ...],
+                 sigma: float = 0.0, seed: int = 0, label: str = "") -> None:
+        self._assign(kind, params, sample_years, sigma, seed, label)
         if self.kind not in KINDS:
             raise ModelSpecError(f"unknown model kind {self.kind!r}")
         for name in _REQUIRED_PARAMS[self.kind]:

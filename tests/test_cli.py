@@ -443,30 +443,45 @@ def test_repeated_main_calls_match_fresh_processes(europe_csv_path):
 IMPORT_PROBE = """
 import contextlib, io, json, sys
 from hypergrowth.cli import main
-heavy = {"numpy", "click"}
-loaded = [sorted(heavy & set(sys.modules))]
+watched = {"numpy", "click", "dataclasses", "inspect", "hashlib", "hypergrowth.synthetic"}
+loaded = [sorted(watched & set(sys.modules))]
 for args in json.loads(sys.argv[1]):
     with contextlib.redirect_stdout(io.StringIO()):
         main(args, standalone_mode=False)
-    loaded.append(sorted(heavy & set(sys.modules)))
+    loaded.append(sorted(watched & set(sys.modules)))
 print(json.dumps(loaded))
 """
 
 
-def test_bundled_commands_never_import_numpy(europe_csv_path, tmp_path):
-    """Every fit of the bundled table has few points, so numpy stays unloaded;
-    the CLI uses argparse, so click is never loaded, not even by the import."""
+def test_commands_load_only_what_they_use(europe_csv_path, tmp_path):
+    """Every fit of the bundled table has few points, so numpy stays unloaded; the
+    CLI uses argparse and no dataclasses; hashlib loads for analyze's input digest
+    and the synthetic generators for simulate, each on first use."""
     csv = str(europe_csv_path)
     commands = [
+        ["plotdata", csv, "--preset", "W30", "--out-prefix", str(tmp_path / "w30")],
         ["analyze", csv, "--preset", "W12"],
         ["analyze", csv, "--preset", "W30"],
         ["analyze", csv, "--preset", "EE", "--kappa", "2.5"],
-        ["plotdata", csv, "--preset", "W30", "--out-prefix", str(tmp_path / "w30")],
         ["simulate", "--kind", "hyperbolic", "--a", str(W12_A), "--k", str(W12_K),
          "--years", "1,1000,1500,1600,1700,1820,1870,1900", "--sigma", "0",
          "-o", str(tmp_path / "sim.csv")],
     ]
-    assert run_probe(IMPORT_PROBE, commands) == [[]] * (1 + len(commands))
+    digest, synthetic = ["hashlib"], ["hashlib", "hypergrowth.synthetic"]
+    assert run_probe(IMPORT_PROBE, commands) == [[], [], digest, digest, digest, synthetic]
+
+
+def test_public_names_resolve():
+    """ModelSpec and generate are served from hypergrowth on first use."""
+    from hypergrowth import synthetic
+
+    assert hypergrowth.ModelSpec is synthetic.ModelSpec
+    assert hypergrowth.generate is synthetic.generate
+    names = {}
+    exec("from hypergrowth import *", names)
+    assert set(hypergrowth.__all__) <= set(names)
+    with pytest.raises(AttributeError, match="no attribute 'nosuch'"):
+        hypergrowth.nosuch
 
 
 def _reject_constant(token):
@@ -495,16 +510,12 @@ def long_rows(draw):
     return rows
 
 
-@settings(max_examples=150, deadline=None)
-@given(rows=long_rows(), kappa=KAPPAS)
-def test_cli_contract_holds_for_any_long_input(tmp_path_factory, runner, rows, kappa):
+def assert_contract_holds(runner, tmp_path, source, kappa):
     """Exit code in {0,2,3,4,5}; a failure is one error: line; a report is finite."""
-    tmp_path = tmp_path_factory.mktemp("contract")
-    path = write_long(tmp_path, rows)
     out = tmp_path / "report.json"
     results = [
-        runner(["analyze", path, "--long", "--kappa", repr(kappa), "-o", str(out)]),
-        runner(["plotdata", path, "--long", "--out-prefix", str(tmp_path / "plot")]),
+        runner(["analyze", *source, "--kappa", repr(kappa), "-o", str(out)]),
+        runner(["plotdata", *source, "--out-prefix", str(tmp_path / "plot")]),
     ]
     for result in results:
         assert result.exit_code in {0, 2, 3, 4, 5}, (result.output, result.exception)
@@ -512,3 +523,40 @@ def test_cli_contract_holds_for_any_long_input(tmp_path_factory, runner, rows, k
             assert_one_error_line(result, result.exit_code)
     if results[0].exit_code == 0:
         json.loads(out.read_text(), parse_constant=_reject_constant)
+
+
+@settings(max_examples=150, deadline=None)
+@given(rows=long_rows(), kappa=KAPPAS)
+def test_cli_contract_holds_for_any_long_input(tmp_path_factory, runner, rows, kappa):
+    tmp_path = tmp_path_factory.mktemp("contract")
+    assert_contract_holds(runner, tmp_path, [write_long(tmp_path, rows), "--long"], kappa)
+
+
+@st.composite
+def wide_tables(draw):
+    """Two rows of noisy hyperbola halves, in millions, with up to three cells and
+    perhaps one header year replaced by TOKENS."""
+    year = st.one_of(st.integers(1500, 1920), st.integers(1, 1499))
+    years = sorted(draw(st.lists(year, unique=True, min_size=1, max_size=16)))
+    header = ["Region", *map(str, years)]
+    rows = [
+        [label, *(repr(500.0 * draw(st.floats(0.9, 1.1)) / (W12_A - W12_K * t))
+                  for t in years)]
+        for label in ("A", "B")
+    ]
+    for _ in range(draw(st.integers(0, 3))):
+        draw(st.sampled_from(rows))[draw(st.integers(1, len(years)))] = draw(
+            st.sampled_from(TOKENS))
+    if draw(st.booleans()):
+        header[draw(st.integers(1, len(years)))] = draw(st.sampled_from(TOKENS))
+    return "".join(",".join(row) + "\n" for row in [header, *rows])
+
+
+@settings(max_examples=150, deadline=None)
+@given(table=wide_tables(), members=st.sampled_from(["A,B", "B"]), kappa=KAPPAS)
+def test_cli_contract_holds_for_any_wide_input(tmp_path_factory, runner, table, members,
+                                               kappa):
+    tmp_path = tmp_path_factory.mktemp("contract")
+    path = tmp_path / "wide.csv"
+    path.write_text(table)
+    assert_contract_holds(runner, tmp_path, [str(path), "--members", members], kappa)

@@ -41,6 +41,12 @@ class TestParseWideCsv:
         assert "X" in str(err.value)
         assert "1000" in str(err.value)
 
+    @pytest.mark.parametrize("cell", ["nan", "inf", "-inf", "-Infinity"])
+    def test_nonfinite_cell_names_row_and_year(self, cell):
+        # nan and -inf are not > 0, and were once dropped like blank cells
+        with pytest.raises(ParseError, match=f"row 'X', year 1000: cell '{cell}' is not finite"):
+            parse_wide_csv(f"Region,1,1000\nX,10,{cell}\n")
+
     def test_malformed_header(self):
         with pytest.raises(ParseError):
             parse_wide_csv("Region,1,abc\nX,1,2\n")
@@ -48,6 +54,9 @@ class TestParseWideCsv:
             parse_wide_csv("Region,1000,1\nX,1,2\n")
         with pytest.raises(ParseError):
             parse_wide_csv("")
+        for header in ("Region,1,inf", "Region,nan", "Region,-inf,1"):
+            with pytest.raises(ParseError, match="header cell"):
+                parse_wide_csv(header + "\nX,1,2\n")
 
     def test_quoted_label_with_comma(self):
         d = parse_wide_csv('Region,1,1000\n"Bosnia, Herzegovina",5,6\n')
