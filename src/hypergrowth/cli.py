@@ -16,6 +16,7 @@ from __future__ import annotations
 import argparse
 import functools
 import math
+import os
 import pathlib
 import re
 import sys
@@ -39,7 +40,15 @@ from .ingest import (
     parse_wide_csv,
     preset_catalog,
 )
+from .regimes import (
+    DEFAULT_KAPPA,
+    DEFAULT_SEGMENT_BOUNDARIES,
+    DEFAULT_STAGNATION_WINDOW,
+    DEFAULT_TAKEOFF_WINDOW,
+)
 from .report import (
+    DEFAULT_FIT_WINDOW,
+    DEFAULT_PROBE_YEARS,
     analyze_series,
     file_digest,
     gdp_plot_table,
@@ -82,6 +91,14 @@ def _parse_window(spec: str, flag: str) -> Window:
     except ValueError:  # also WindowOrderError, for T0 >= T1
         pass
     _fail(EXIT_WINDOW, f"{flag} must look like T0:T1 with finite T0 < T1, got {spec!r}")
+
+
+def _spell_window(w: Window) -> str:
+    return f"{w.t0:g}:{w.t1:g}"
+
+
+def _spell_years(years: tuple[float, ...]) -> str:
+    return ",".join(f"{t:g}" for t in years)
 
 
 def _parse_year_list(spec: str, flag: str) -> tuple[float, ...]:
@@ -158,6 +175,8 @@ def _load_series(
         series = aggregate(dataset, chosen)
     except (WindowError, TooFewPointsError) as exc:
         _fail(EXIT_WINDOW, str(exc))
+    except DataError as exc:  # a member sum beyond float range
+        _fail(EXIT_PARSE, str(exc))
     return series, raw
 
 
@@ -318,20 +337,23 @@ def _parser() -> argparse.ArgumentParser:
     source.add_argument("--long", dest="long_format", action="store_true",
                         help="Input is a year,value file with values in billions.")
     source.add_argument("--label", help="Series label for --long input.")
-    source.add_argument("--window", dest="window_spec", metavar="T0:T1", default="1500:1900",
+    source.add_argument("--window", dest="window_spec", metavar="T0:T1",
+                        default=_spell_window(DEFAULT_FIT_WINDOW),
                         help="Fit window (default: %(default)s).")
     source.add_argument("--preset-config", help="key=value file overriding preset row labels.")
 
     cmd = command(analyze, source)
-    cmd.add_argument("--kappa", type=float, default=3.0,
+    cmd.add_argument("--kappa", type=float, default=DEFAULT_KAPPA,
                      help="Exceedance threshold in rmse units (default: %(default)s).")
-    cmd.add_argument("--boundaries", default="1750,1870",
+    cmd.add_argument("--boundaries", default=_spell_years(DEFAULT_SEGMENT_BOUNDARIES),
                      help="Segment boundaries, comma-separated years (default: %(default)s).")
-    cmd.add_argument("--probe-years", default="1,1000",
+    cmd.add_argument("--probe-years", default=_spell_years(DEFAULT_PROBE_YEARS),
                      help="Years at which to report percent deviation (default: %(default)s).")
-    cmd.add_argument("--takeoff-window", metavar="T0:T1", default="1760:1840",
+    cmd.add_argument("--takeoff-window", metavar="T0:T1",
+                     default=_spell_window(DEFAULT_TAKEOFF_WINDOW),
                      help="Takeoff scan window (default: %(default)s).")
-    cmd.add_argument("--stagnation-window", metavar="T0:T1", default="1:1750",
+    cmd.add_argument("--stagnation-window", metavar="T0:T1",
+                     default=_spell_window(DEFAULT_STAGNATION_WINDOW),
                      help="Stagnation test window (default: %(default)s).")
     cmd.add_argument("--format", dest="fmt", choices=("json", "kv"), default="json",
                      help="Machine report format (default: %(default)s).")
@@ -364,7 +386,13 @@ def main(argv: list[str] | None = None, standalone_mode: bool = True) -> None:
     """Run one command line; a failure prints one ``error:`` line, raises SystemExit."""
     # standalone_mode is ignored: callers written for the earlier entry point pass it
     args = vars(_parser().parse_args(argv))
-    args.pop("run")(**args)
+    try:
+        args.pop("run")(**args)
+        sys.stdout.flush()  # buffered output meets a closed pipe here, not at exit
+    except BrokenPipeError:
+        # the reader has gone: point stdout at devnull, so the flush at exit is silent
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        _fail(EXIT_PARSE, "cannot write standard output: broken pipe")
 
 
 if __name__ == "__main__":

@@ -8,7 +8,7 @@ crosses zero.
 
 Years around 1900 combined with slopes around 1e-5 make the raw normal
 equations poorly conditioned, so the regression is computed on years
-centered at the window midpoint and de-centered afterwards.
+centered at their own mean and de-centered afterwards.
 """
 
 from __future__ import annotations
@@ -105,8 +105,8 @@ def fit_line(years, values, center: float = 0.0) -> LineFit:
     Args:
         years: regressor values (calendar years).
         values: response values (reciprocal GDP).
-        center: subtracted from the years before solving the normal
-            equations; the returned slope/intercept are de-centered.
+        center: subtracted from the years first; the sums then centre
+            on the years' mean, so the default 0 suits any years.
     """
     n = len(years)
     if n < 2:
@@ -178,10 +178,6 @@ class FitDiagnostics(NamedTuple):
 
     rows: tuple[tuple[float, float, float, float], ...]
 
-    @property
-    def years(self) -> tuple[float, ...]:
-        return tuple(r[0] for r in self.rows)
-
 
 def fit_hyperbolic(s: GrowthSeries, w: Window) -> HyperbolicFit:
     """Fit the hyperbolic model on the points of ``s`` inside ``w``.
@@ -193,7 +189,7 @@ def fit_hyperbolic(s: GrowthSeries, w: Window) -> HyperbolicFit:
     this window).
     """
     lo, hi = index_range(s, w.t0, w.t1, need=3, error=FitTooFewPointsError)
-    line = fit_line(s.years[lo:hi], s.reciprocals[lo:hi], center=(w.t0 + w.t1) / 2.0)
+    line = fit_line(s.years[lo:hi], s.reciprocals[lo:hi])
     if line.slope >= 0.0:
         raise NonDecreasingLineError(
             f"series {s.label!r}: reciprocal slope {line.slope:.3e} is not negative "

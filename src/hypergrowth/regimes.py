@@ -219,7 +219,7 @@ def stagnation_test(
     mean = sum(recip) / n
     rmse_constant = math.sqrt(sum((r - mean) ** 2 for r in recip) / n)
 
-    line = fit_line(years, recip, center=(w.t0 + w.t1) / 2.0)
+    line = fit_line(years, recip)
     if line.slope < 0.0:
         rmse_hyperbolic = line.rmse
         if line.rmse == 0.0:  # an exact line: what is left is float noise
@@ -282,7 +282,7 @@ def segment_consistency(
                 f"series {s.label!r}: segment [{t0:g}, {t1:g}"
                 f"{']' if last else ')'} has {n} point(s), need 2"
             )
-        line = fit_line(years[lo:hi], recip[lo:hi], center=(t0 + t1) / 2.0)
+        line = fit_line(years[lo:hi], recip[lo:hi])
         segments.append(
             SegmentSlope(t0=t0, t1=t1, k=-line.slope, se=line.se_slope, n=n)
         )

@@ -2,8 +2,9 @@
 
 The machine report is a single JSON document with a fixed field order
 and no timestamps, so two runs on the same input are byte-identical and
-reports can be diffed as goldens. The human summary is a fixed-width
-table for standard output.
+reports can be diffed as goldens. The regime sections are the regime
+records, keyed by field name in field order. The human summary is a
+fixed-width table for standard output.
 """
 
 from __future__ import annotations
@@ -59,10 +60,6 @@ class AnalysisReport(NamedTuple):
         walk("", self.data)
         return "\n".join(lines) + "\n"
 
-    @classmethod
-    def from_json(cls, text: str) -> "AnalysisReport":
-        return cls(data=json.loads(text))
-
 
 def file_digest(raw: bytes) -> str:
     """SHA-256 hex digest; hashlib loads on first use, so callers without a digest skip it."""
@@ -111,12 +108,38 @@ def analyze_series(
             "singularity_year": singularity(fit),
         },
         "deviations": _deviation_section(fit, s, probe_years),
-        "diversion": _diversion_section(fit, s, kappa),
-        "takeoff": _takeoff_section(fit, s, takeoff_window, kappa),
-        "stagnation": _stagnation_section(s, stagnation_window),
-        "segments": _segment_section(s, boundaries, fit_window),
+        "diversion": _section(detect_diversion, fit, s, kappa=kappa),
+        "takeoff": _section(takeoff_scan, fit, s, w=takeoff_window, kappa=kappa),
+        "stagnation": _section(stagnation_test, s, w=stagnation_window),
+        "segments": _section(segment_consistency, s, boundaries=boundaries, w=fit_window),
     }
+    segments = report["segments"]
+    if "z_scores" in segments:
+        segments["z_scores"] = [
+            # an exact break between collinear segments has z = inf
+            {"left": i, "right": j, "z": z if math.isfinite(z) else repr(z)}
+            for i, j, z in segments["z_scores"]
+        ]
     return AnalysisReport(data=report)
+
+
+def _section(test, *args, **kwargs) -> dict:
+    """One regime test's record as plain data, or its skip reason when it cannot run."""
+    try:
+        return _plain(test(*args, **kwargs))
+    except HypergrowthError as exc:
+        return {"skipped": str(exc)}
+
+
+def _plain(value):
+    """A record as a dict in field order, a Window as [t0, t1], a tuple as a list."""
+    if isinstance(value, Window):
+        return [value.t0, value.t1]
+    if not isinstance(value, tuple):
+        return value
+    if hasattr(value, "_asdict"):
+        return {key: _plain(item) for key, item in value._asdict().items()}
+    return [_plain(item) for item in value]
 
 
 def _deviation_section(fit: HyperbolicFit, s: GrowthSeries, probe_years) -> list[dict]:
@@ -130,69 +153,6 @@ def _deviation_section(fit: HyperbolicFit, s: GrowthSeries, probe_years) -> list
             entry["skipped"] = str(exc)
         section.append(entry)
     return section
-
-
-def _diversion_section(fit, s, kappa) -> dict:
-    try:
-        rep = detect_diversion(fit, s, kappa=kappa)
-    except HypergrowthError as exc:
-        return {"skipped": str(exc)}
-    return {
-        "diversion_year": rep.diversion_year,
-        "direction": rep.direction,
-        "bypass_years": rep.bypass_years,
-        "threshold_kappa": rep.threshold_kappa,
-        "evaluable_until": rep.evaluable_until,
-    }
-
-
-def _takeoff_section(fit, s, w, kappa) -> dict:
-    try:
-        rep = takeoff_scan(fit, s, w=w, kappa=kappa)
-    except HypergrowthError as exc:
-        return {"skipped": str(exc)}
-    return {
-        "window": [rep.window.t0, rep.window.t1],
-        "found": rep.found,
-        "onset_year": rep.onset_year,
-        "max_negative_normalized_residual": rep.max_negative_normalized_residual,
-    }
-
-
-def _stagnation_section(s, w) -> dict:
-    try:
-        verdict = stagnation_test(s, w=w)
-    except HypergrowthError as exc:
-        return {"skipped": str(exc)}
-    return {
-        "window": [verdict.window.t0, verdict.window.t1],
-        "runs_test_z": verdict.runs_test_z,
-        "n_sign_changes": verdict.n_sign_changes,
-        "monotone_fraction": verdict.monotone_fraction,
-        "rmse_constant_model": verdict.rmse_constant_model,
-        "rmse_hyperbolic_model": verdict.rmse_hyperbolic_model,
-        "verdict": verdict.verdict,
-    }
-
-
-def _segment_section(s, boundaries, w) -> dict:
-    try:
-        rep = segment_consistency(s, boundaries=boundaries, w=w)
-    except HypergrowthError as exc:
-        return {"skipped": str(exc)}
-    return {
-        "boundaries": list(rep.boundaries),
-        "segments": [
-            {"t0": seg.t0, "t1": seg.t1, "k": seg.k, "se": seg.se, "n": seg.n}
-            for seg in rep.segments
-        ],
-        "z_scores": [
-            # an exact break between collinear segments has z = inf
-            {"left": i, "right": j, "z": z if math.isfinite(z) else repr(z)}
-            for i, j, z in rep.z_scores
-        ],
-        "verdict": rep.verdict,
-    }
 
 
 PLOT_SAMPLES = 256

@@ -280,6 +280,14 @@ class TestContract:
                                   "--a", "1", "--k", "0.001", "--years", "0,100",
                                   "-o", str(missing / "s.csv")), 2)
 
+    def test_member_sum_beyond_float_range_is_2(self, runner, tmp_path):
+        path = tmp_path / "wide.csv"
+        path.write_text("Region,1500,1600,1700,1800,1900\n"
+                        "A,1e308,100,200,300,400\nB,1e308,100,200,300,400\n")
+        result = run(runner, "analyze", str(path), "--members", "A,B")
+        assert_one_error_line(result, 2)
+        assert "not finite" in result.output
+
     def test_simulate_duplicate_years_is_2(self, runner):
         result = run(runner, "simulate", "--kind", "hyperbolic",
                      "--a", "1", "--k", "0.001", "--years", "1,1,500")
@@ -407,6 +415,27 @@ def run_probe(script, payload):
     proc = subprocess.run([sys.executable, "-c", script, json.dumps(payload)],
                           env=env, capture_output=True, text=True, check=True)
     return json.loads(proc.stdout)
+
+
+@pytest.mark.parametrize("unbuffered", ["", "1"])
+@pytest.mark.parametrize("args", [
+    ["analyze", "IN"],
+    ["simulate", "--kind", "stagnation", "--mean", "2", "--amplitude", "0.5",
+     "--period", "100", "--years", "0:2000:0.1"],
+])
+def test_closed_stdout_is_2(europe_csv_path, args, unbuffered):
+    """A reader that goes away before any output (``| head``) gets exit 2 and one
+    error: line, whether the write or the flush at exit meets the closed pipe."""
+    args = [str(europe_csv_path) if a == "IN" else a for a in args]
+    src = str(pathlib.Path(hypergrowth.__file__).parents[1])
+    env = {**os.environ, "PYTHONUNBUFFERED": unbuffered,
+           "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.Popen([sys.executable, "-m", "hypergrowth.cli", *args], env=env,
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True)
+    proc.stdout.close()
+    err = proc.stderr.read()
+    assert proc.wait(timeout=60) == 2, err
+    assert err == "error: cannot write standard output: broken pipe\n"
 
 
 SEQUENCE_PROBE = """

@@ -213,7 +213,7 @@ class TestGoodness:
         s = new_series(pts, "x")
         f = fit_hyperbolic(s, Window(1500, 1700))
         diag = goodness(f, s)
-        assert diag.years == (1500.0, 1600.0, 1700.0)
+        assert [r[0] for r in diag.rows] == [1500.0, 1600.0, 1700.0]
 
     def test_w12_residuals_small_in_window_large_after_1900(self, regional_series):
         s = regional_series["W12"]

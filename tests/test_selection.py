@@ -35,22 +35,20 @@ def increasing_series(draw):
     return new_series(zip(years, values), "x")
 
 
-def bounds(s, finite=False):
+def bounds(s):
     """Observed years, midpoints between them, beyond either end, and +-inf."""
     years = s.years
-    choices = [
+    return st.one_of(
         st.sampled_from(years),
         st.sampled_from([(a + b) / 2.0 for a, b in zip(years, years[1:])]),
         st.sampled_from([years[0] - 1.0, years[-1] + 1.0]),
         YEARS,
-    ]
-    if not finite:
-        choices.append(st.sampled_from([-math.inf, math.inf]))
-    return st.one_of(*choices)
+        st.sampled_from([-math.inf, math.inf]),
+    )
 
 
-def draw_window(data, s, finite=False):
-    t0, t1 = sorted(data.draw(st.lists(bounds(s, finite), min_size=2, max_size=2)))
+def draw_window(data, s):
+    t0, t1 = sorted(data.draw(st.lists(bounds(s), min_size=2, max_size=2)))
     assume(t0 < t1)
     return Window(t0, t1)
 
@@ -75,7 +73,7 @@ def test_window_and_year_selection_match_linear_scan(s, data):
     if len(inside) < 3:
         with pytest.raises(FitTooFewPointsError, match=f"{len(inside)} point"):
             fit_hyperbolic(s, w)
-    elif math.isfinite(w.t0 + w.t1):  # the fit centres on the window midpoint
+    else:
         assert fit_hyperbolic(s, w).n_points == len(inside)
 
     # detect_diversion scores the points after the fit window
@@ -97,9 +95,8 @@ def test_window_and_year_selection_match_linear_scan(s, data):
 @settings(max_examples=150, deadline=None)
 @given(s=increasing_series(), data=st.data())
 def test_segment_counts_match_linear_scan(s, data):
-    # finite edges only: each segment's fit centres on its midpoint
-    w = draw_window(data, s, finite=True)
-    cuts = data.draw(st.lists(bounds(s, finite=True), max_size=3))
+    w = draw_window(data, s)
+    cuts = data.draw(st.lists(bounds(s), max_size=3))
     edges = [w.t0, *sorted(b for b in cuts if w.t0 < b < w.t1), w.t1]
     counts = [
         len(linear(s, lambda y: lo <= y < hi or (last and y == hi)))
