@@ -6,9 +6,11 @@ plot-ready tables (semilog GDP and reciprocal displays), ``simulate``
 generates synthetic series for round-trip checks.
 
 Exit codes: 0 ok, 2 input parsing or command-line usage, 3 fitting,
-4 window/preset selection, 5 internal. Every failure prints a one-line
-diagnostic naming the offending input element; stack traces never reach
-the user.
+4 window/preset selection, 5 internal. The commands let library errors
+propagate; ``main`` alone turns one into its ``error:`` line and exits
+with the error family's ``exit_code`` (see ``hypergrowth.errors``). Every
+failure prints a one-line diagnostic naming the offending input element;
+stack traces never reach the user.
 """
 
 from __future__ import annotations
@@ -24,11 +26,8 @@ import sys
 from . import KINDS
 from .errors import (
     DataError,
-    FitError,
     HypergrowthError,
-    ModelSpecError,
-    ParseError,
-    TooFewPointsError,
+    NonFiniteValueError,
     UnknownPresetError,
     WindowError,
 )
@@ -57,17 +56,18 @@ from .report import (
 )
 from .series import GrowthSeries, Window
 
-EXIT_PARSE = 2
-EXIT_FIT = 3
-EXIT_WINDOW = 4
-EXIT_INTERNAL = 5
-
 # --years START:STOP:STEP may not take more steps than this.
 MAX_SAMPLE_YEARS = 100_000
 
 
 def _fail(code: int, message: str) -> None:
-    print(f"error: {message}", file=sys.stderr)
+    try:
+        if sys.stderr is not None:  # None when fd 2 was closed at start-up
+            print(f"error: {message}", file=sys.stderr, flush=True)
+    except OSError:
+        # stderr is closed: keep the exit code, and point it at devnull so the
+        # flush at exit is silent
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stderr.fileno())
     raise SystemExit(code)
 
 
@@ -75,11 +75,11 @@ def _write(path, text: str) -> None:
     try:
         pathlib.Path(path).write_text(text, encoding="utf-8")
     except OSError as exc:
-        _fail(EXIT_PARSE, f"cannot write {path}: {exc.strerror or exc}")
+        _fail(DataError.exit_code, f"cannot write {path}: {exc.strerror or exc}")
 
 
-def _out_of_range(label: str) -> None:
-    _fail(EXIT_PARSE, f"series {label!r}: values too extreme for float arithmetic")
+def _out_of_range(label: str) -> NonFiniteValueError:
+    return NonFiniteValueError(f"series {label!r}: values too extreme for float arithmetic")
 
 
 def _parse_window(spec: str, flag: str) -> Window:
@@ -90,7 +90,8 @@ def _parse_window(spec: str, flag: str) -> Window:
             return Window(*bounds)
     except ValueError:  # also WindowOrderError, for T0 >= T1
         pass
-    _fail(EXIT_WINDOW, f"{flag} must look like T0:T1 with finite T0 < T1, got {spec!r}")
+    _fail(WindowError.exit_code,
+          f"{flag} must look like T0:T1 with finite T0 < T1, got {spec!r}")
 
 
 def _spell_window(w: Window) -> str:
@@ -107,7 +108,8 @@ def _parse_year_list(spec: str, flag: str) -> tuple[float, ...]:
     except ValueError:
         years = ()
     if not years or not all(map(math.isfinite, years)):
-        _fail(EXIT_WINDOW, f"{flag} must list one or more finite years, got {spec!r}")
+        _fail(WindowError.exit_code,
+              f"{flag} must list one or more finite years, got {spec!r}")
     return years
 
 
@@ -124,60 +126,41 @@ def _load_series(
     try:
         raw = path.read_bytes()
     except OSError as exc:
-        _fail(EXIT_PARSE, f"cannot read {input_path}: {exc.strerror or exc}")
+        _fail(DataError.exit_code, f"cannot read {input_path}: {exc.strerror or exc}")
     try:
         text = raw.decode("utf-8-sig")
     except UnicodeDecodeError:
-        _fail(EXIT_PARSE, f"{input_path} is not UTF-8 text")
+        _fail(DataError.exit_code, f"{input_path} is not UTF-8 text")
 
     if long_format:
-        try:
-            series = parse_long_csv(text, label=label or path.stem)
-        except DataError as exc:
-            _fail(EXIT_PARSE, str(exc))
-        return series, raw
+        return parse_long_csv(text, label=label or path.stem), raw
 
-    try:
-        dataset = parse_wide_csv(text)
-    except ParseError as exc:
-        _fail(EXIT_PARSE, str(exc))
-
+    dataset = parse_wide_csv(text)
     overrides = None
     if preset_config:
         try:
-            overrides = parse_preset_overrides(
-                pathlib.Path(preset_config).read_text(encoding="utf-8")
-            )
+            config = pathlib.Path(preset_config).read_text(encoding="utf-8")
         except OSError as exc:
-            _fail(EXIT_PARSE, f"cannot read {preset_config}: {exc.strerror or exc}")
-        except ParseError as exc:
-            _fail(EXIT_PARSE, str(exc))
+            _fail(DataError.exit_code, f"cannot read {preset_config}: {exc.strerror or exc}")
+        overrides = parse_preset_overrides(config)
 
-    try:
-        if members:
-            member_labels = tuple(m.strip() for m in members.split(",") if m.strip())
-            if not member_labels:
-                raise UnknownPresetError("--members lists no usable labels")
-            catalog = preset_catalog(
-                {**(overrides or {}), "custom": member_labels}
-            )
-            chosen = next(p for p in catalog if p.name == "custom")
-        else:
-            name = preset or "W12"
-            catalog = preset_catalog(overrides)
-            try:
-                chosen = next(p for p in catalog if p.name == name)
-            except StopIteration:
-                raise UnknownPresetError(
-                    f"unknown preset {name!r}; available: "
-                    + ", ".join(p.name for p in catalog)
-                ) from None
-        series = aggregate(dataset, chosen)
-    except (WindowError, TooFewPointsError) as exc:
-        _fail(EXIT_WINDOW, str(exc))
-    except DataError as exc:  # a member sum beyond float range
-        _fail(EXIT_PARSE, str(exc))
-    return series, raw
+    if members:
+        member_labels = tuple(m.strip() for m in members.split(",") if m.strip())
+        if not member_labels:
+            raise UnknownPresetError("--members lists no usable labels")
+        catalog = preset_catalog({**(overrides or {}), "custom": member_labels})
+        chosen = next(p for p in catalog if p.name == "custom")
+    else:
+        name = preset or "W12"
+        catalog = preset_catalog(overrides)
+        try:
+            chosen = next(p for p in catalog if p.name == name)
+        except StopIteration:
+            raise UnknownPresetError(
+                f"unknown preset {name!r}; available: "
+                + ", ".join(p.name for p in catalog)
+            ) from None
+    return aggregate(dataset, chosen), raw
 
 
 def analyze(
@@ -187,7 +170,7 @@ def analyze(
 ) -> None:
     """Fit INPUT_CSV and run diversion, takeoff, stagnation and segment tests."""
     if not 0.0 < kappa < math.inf:
-        _fail(EXIT_WINDOW, f"--kappa must be a finite number > 0, got {kappa!r}")
+        _fail(WindowError.exit_code, f"--kappa must be a finite number > 0, got {kappa!r}")
     fit_window = _parse_window(window_spec, "--window")
     takeoff_w = _parse_window(takeoff_window, "--takeoff-window")
     stagnation_w = _parse_window(stagnation_window, "--stagnation-window")
@@ -210,12 +193,10 @@ def analyze(
             input_sha256=file_digest(raw),
         )
         rendered = report.to_json() if fmt == "json" else report.to_kv()
-    except FitError as exc:
-        _fail(EXIT_FIT, str(exc))
-    except HypergrowthError as exc:
-        _fail(EXIT_INTERNAL, str(exc))
-    except (ArithmeticError, ValueError):  # the renderers refuse nan and infinity
-        _out_of_range(series.label)
+    except (ArithmeticError, ValueError) as exc:  # the renderers refuse nan and infinity
+        if isinstance(exc, HypergrowthError):  # WindowOrderError is a ValueError too
+            raise
+        raise _out_of_range(series.label) from None
 
     if output:
         _write(output, rendered)
@@ -239,12 +220,10 @@ def plotdata(
             ("gdp", gdp_plot_table(fit, series)),
             ("reciprocal", reciprocal_plot_table(fit, series)),
         )
-    except FitError as exc:
-        _fail(EXIT_FIT, str(exc))
     except ArithmeticError:
-        _out_of_range(series.label)
+        raise _out_of_range(series.label) from None
     if not all(math.isfinite(v) for _, table in tables for _, _, v in table):
-        _out_of_range(series.label)
+        raise _out_of_range(series.label)
 
     for suffix, table in tables:
         path = pathlib.Path(f"{out_prefix}_{suffix}.csv")
@@ -267,13 +246,13 @@ def simulate(
         try:
             start, stop, step = (float(x) for x in years.split(":"))
         except ValueError:
-            _fail(EXIT_PARSE, f"--years range must be START:STOP:STEP, got {years!r}")
+            _fail(DataError.exit_code, f"--years range must be START:STOP:STEP, got {years!r}")
         if not (
             0.0 < step < math.inf
             and -math.inf < start < stop
             and (stop - start) / step < MAX_SAMPLE_YEARS
         ):
-            _fail(EXIT_PARSE, "--years range needs finite STOP > START, STEP > 0 "
+            _fail(DataError.exit_code, "--years range needs finite STOP > START, STEP > 0 "
                   f"and fewer than {MAX_SAMPLE_YEARS} steps")
         count = int((stop - start + 1e-9) // step) + 1
         sample_years = tuple(round(start + i * step, 9) for i in range(count))
@@ -285,16 +264,10 @@ def simulate(
         "cap": cap, "mean": mean, "amplitude": amplitude, "period": period,
     }
     params = {name: value for name, value in provided.items() if value is not None}
-    try:
-        spec = ModelSpec(
-            kind=kind, params=params, sample_years=sample_years,
-            sigma=sigma, seed=seed,
-        )
-        series = generate(spec)
-    except (ModelSpecError, DataError) as exc:
-        _fail(EXIT_PARSE, str(exc))
-    except FitError as exc:
-        _fail(EXIT_FIT, str(exc))
+    spec = ModelSpec(
+        kind=kind, params=params, sample_years=sample_years, sigma=sigma, seed=seed,
+    )
+    series = generate(spec)
 
     lines = ["year,value"]
     lines += [f"{y!r},{v!r}" for y, v in series.points]
@@ -315,7 +288,7 @@ class _Parser(argparse.ArgumentParser):
         self._negative_number_matcher = re.compile(r"^-(\d|\.\d|inf|nan)", re.I)
 
     def error(self, message: str) -> None:
-        _fail(EXIT_PARSE, " ".join(message.split()))  # an argument may hold a newline
+        _fail(DataError.exit_code, " ".join(message.split()))  # an argument may hold a newline
 
 
 @functools.cache  # parsing leaves the parser unchanged, so one serves every call
@@ -389,10 +362,12 @@ def main(argv: list[str] | None = None, standalone_mode: bool = True) -> None:
     try:
         args.pop("run")(**args)
         sys.stdout.flush()  # buffered output meets a closed pipe here, not at exit
+    except HypergrowthError as exc:
+        _fail(exc.exit_code, str(exc))
     except BrokenPipeError:
         # the reader has gone: point stdout at devnull, so the flush at exit is silent
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
-        _fail(EXIT_PARSE, "cannot write standard output: broken pipe")
+        _fail(DataError.exit_code, "cannot write standard output: broken pipe")
 
 
 if __name__ == "__main__":

@@ -1,8 +1,11 @@
 """Exception hierarchy.
 
-Three broad families mirror the CLI exit codes: data/parse problems,
-fitting problems, and window/preset problems. Everything derives from
-HypergrowthError so callers can catch the whole library in one clause.
+Everything derives from HypergrowthError, so callers can catch the whole
+library in one clause. Each family carries its CLI exit code as the class
+attribute ``exit_code``: data and parse problems and bad model parameters
+2, fitting problems 3, window and preset problems 4, anything else 5. The
+CLI also exits with DataError's code for usage errors and unreadable or
+unwritable files, and with WindowError's for malformed window and year flags.
 """
 
 from __future__ import annotations
@@ -11,11 +14,15 @@ from __future__ import annotations
 class HypergrowthError(Exception):
     """Base class for all errors raised by this package."""
 
+    exit_code = 5
+
 
 # --- data / parsing -------------------------------------------------------
 
 class DataError(HypergrowthError):
     """Invalid series or table content."""
+
+    exit_code = 2
 
 
 class DuplicateYearError(DataError):
@@ -47,6 +54,8 @@ class DuplicateLabelError(ParseError):
 class FitError(HypergrowthError):
     """The requested fit cannot be produced."""
 
+    exit_code = 3
+
 
 class FitTooFewPointsError(FitError):
     pass
@@ -69,6 +78,8 @@ class YearNotObservedError(FitError):
 class WindowError(HypergrowthError):
     """Window or preset selection problems."""
 
+    exit_code = 4
+
 
 class WindowOrderError(WindowError, ValueError):
     """A window whose start is not before its end."""
@@ -90,6 +101,10 @@ class UnknownMemberError(WindowError):
     pass
 
 
+class IncompletePresetError(WindowError, TooFewPointsError):
+    """A preset's members share fewer than two complete years (WindowError first: exit 4)."""
+
+
 class NoPointsAfterWindowError(WindowError):
     pass
 
@@ -104,3 +119,5 @@ class SegmentTooSparseError(WindowError):
 
 class ModelSpecError(HypergrowthError):
     """Invalid synthetic-model parameters."""
+
+    exit_code = 2

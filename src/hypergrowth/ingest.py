@@ -16,9 +16,9 @@ from typing import NamedTuple
 
 from .errors import (
     DuplicateLabelError,
+    IncompletePresetError,
     ParseError,
     PresetDefinitionError,
-    TooFewPointsError,
     UnknownMemberError,
 )
 from .series import Frozen, GrowthSeries, new_series
@@ -137,8 +137,8 @@ def aggregate(d: Dataset, p: RegionPreset) -> GrowthSeries:
 
     For sum-members mode a year is emitted only when every member has a
     value for it (partial sums would understate early sparse years).
-    Raises UnknownMemberError for missing rows and TooFewPointsError
-    when fewer than 2 complete years remain.
+    Raises UnknownMemberError for missing rows and IncompletePresetError
+    (a TooFewPointsError) when fewer than 2 complete years remain.
     """
     for label in p.member_labels:
         if label not in d.rows:
@@ -158,7 +158,7 @@ def aggregate(d: Dataset, p: RegionPreset) -> GrowthSeries:
         ]
 
     if len(points) < 2:
-        raise TooFewPointsError(
+        raise IncompletePresetError(
             f"preset {p.name!r}: only {len(points)} complete year(s) in dataset"
         )
     return new_series(points, label=p.name)

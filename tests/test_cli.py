@@ -11,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import hypergrowth
+from hypergrowth import cli, errors
 from hypergrowth.cli import _parser, main
 
 W12_A, W12_K = 1.147e-1, 5.961e-5
@@ -145,6 +146,13 @@ class TestExitCodes:
         assert result.exit_code == 4
         assert "Atlantis" in result.output
 
+    def test_members_without_two_complete_years_are_4(self, runner, tmp_path):
+        wide = tmp_path / "wide.csv"
+        wide.write_text("Region,1,1000,1500\nA,10,,30\nB,,20,40\n")
+        result = run(runner, "analyze", str(wide), "--members", "A,B")
+        assert_one_error_line(result, 4)
+        assert "only 1 complete year(s)" in result.output
+
     def test_bad_window_flag_is_4(self, runner, europe_csv_path):
         result = run(runner, "analyze", str(europe_csv_path), "--window", "oops")
         assert result.exit_code == 4
@@ -155,6 +163,35 @@ class TestExitCodes:
         result = run(runner, "analyze", str(bad), "--members", "X")
         assert len([l for l in result.output.splitlines() if l]) == 1
         assert "Traceback" not in result.output
+
+    # the documented code of each family; a class under two takes the first listed
+    FAMILY_CODES = [(errors.WindowError, 4), (errors.FitError, 3), (errors.DataError, 2),
+                    (errors.ModelSpecError, 2), (errors.HypergrowthError, 5)]
+
+    @pytest.mark.parametrize("cls", [
+        c for c in vars(errors).values()
+        if isinstance(c, type) and issubclass(c, errors.HypergrowthError)
+    ], ids=lambda c: c.__name__)
+    def test_every_error_carries_its_family_code(self, cls):
+        assert cls.exit_code == next(
+            code for family, code in self.FAMILY_CODES if issubclass(cls, family)
+        )
+
+    @pytest.mark.parametrize("error, code", [
+        (errors.HypergrowthError("unexpected state"), 5),
+        (errors.WindowOrderError("window requires t0 < t1, got [2, 1]"), 4),
+        (errors.FitError("no fit on this window"), 3),
+    ], ids=lambda v: type(v).__name__ if isinstance(v, Exception) else str(v))
+    def test_library_error_from_the_analysis_exits_with_its_code(
+        self, runner, europe_csv_path, monkeypatch, error, code
+    ):
+        def fail(*args, **kwargs):
+            raise error
+
+        monkeypatch.setattr(cli, "analyze_series", fail)
+        result = run(runner, "analyze", str(europe_csv_path))
+        assert_one_error_line(result, code)
+        assert result.output == f"error: {error}\n"
 
 
 class TestPlotdata:
@@ -436,6 +473,37 @@ def test_closed_stdout_is_2(europe_csv_path, args, unbuffered):
     err = proc.stderr.read()
     assert proc.wait(timeout=60) == 2, err
     assert err == "error: cannot write standard output: broken pipe\n"
+
+
+@pytest.mark.parametrize("unbuffered", ["", "1"])
+@pytest.mark.parametrize("closed", ["pipe", "fd", "at-start"])
+@pytest.mark.parametrize("args, code", [
+    (["analyze", "MISSING"], 2),
+    (["analyze", "IN", "--preset", "NOPE"], 4),
+])
+def test_closed_stderr_keeps_the_exit_code(
+    europe_csv_path, tmp_path, closed, args, code, unbuffered
+):
+    """With nowhere to print the error: line, a failure still exits with its code
+    and prints nothing to stdout: whether the reader of stderr has gone, fd 2 is
+    closed while running or before start-up (``2>&-``, which leaves sys.stderr
+    None), and whether the write or the flush at exit meets the closed stream."""
+    args = [{"IN": str(europe_csv_path), "MISSING": str(tmp_path / "nope.csv")}.get(a, a)
+            for a in args]
+    src = str(pathlib.Path(hypergrowth.__file__).parents[1])
+    env = {**os.environ, "PYTHONUNBUFFERED": unbuffered,
+           "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    command = [sys.executable, "-m", "hypergrowth.cli", *args]
+    if closed == "fd":
+        command[1:3] = ["-c", "import os, sys; os.close(2); "
+                              "from hypergrowth.cli import main; main(sys.argv[1:])"]
+    elif closed == "at-start":
+        command = ["sh", "-c", 'exec "$@" 2>&-', "sh", *command]
+    proc = subprocess.Popen(command, env=env, stdout=subprocess.PIPE,
+                            stderr=subprocess.PIPE, text=True)
+    proc.stderr.close()
+    assert proc.stdout.read() == ""
+    assert proc.wait(timeout=60) == code
 
 
 SEQUENCE_PROBE = """
