@@ -113,6 +113,18 @@ def _parse_year_list(spec: str, flag: str) -> tuple[float, ...]:
     return years
 
 
+def _read(path: str) -> tuple[bytes, str]:
+    """Raw bytes and UTF-8 text (a leading BOM dropped) of a user file."""
+    try:
+        raw = pathlib.Path(path).read_bytes()
+    except OSError as exc:
+        _fail(DataError.exit_code, f"cannot read {path}: {exc.strerror or exc}")
+    try:
+        return raw, raw.decode("utf-8-sig")
+    except UnicodeDecodeError:
+        _fail(DataError.exit_code, f"{path} is not UTF-8 text")
+
+
 def _load_series(
     input_path: str,
     preset: str | None,
@@ -122,45 +134,24 @@ def _load_series(
     preset_config: str | None,
 ) -> tuple[GrowthSeries, bytes]:
     """Read the input file and build the selected series. Returns (series, raw bytes)."""
-    path = pathlib.Path(input_path)
-    try:
-        raw = path.read_bytes()
-    except OSError as exc:
-        _fail(DataError.exit_code, f"cannot read {input_path}: {exc.strerror or exc}")
-    try:
-        text = raw.decode("utf-8-sig")
-    except UnicodeDecodeError:
-        _fail(DataError.exit_code, f"{input_path} is not UTF-8 text")
-
+    raw, text = _read(input_path)
     if long_format:
-        return parse_long_csv(text, label=label or path.stem), raw
+        return parse_long_csv(text, label=label or pathlib.Path(input_path).stem), raw
 
     dataset = parse_wide_csv(text)
-    overrides = None
-    if preset_config:
-        try:
-            config = pathlib.Path(preset_config).read_text(encoding="utf-8")
-        except OSError as exc:
-            _fail(DataError.exit_code, f"cannot read {preset_config}: {exc.strerror or exc}")
-        overrides = parse_preset_overrides(config)
-
+    overrides = parse_preset_overrides(_read(preset_config)[1]) if preset_config else {}
+    name = preset or "W12"
     if members:
-        member_labels = tuple(m.strip() for m in members.split(",") if m.strip())
-        if not member_labels:
+        name = "custom"
+        overrides[name] = tuple(m.strip() for m in members.split(",") if m.strip())
+        if not overrides[name]:
             raise UnknownPresetError("--members lists no usable labels")
-        catalog = preset_catalog({**(overrides or {}), "custom": member_labels})
-        chosen = next(p for p in catalog if p.name == "custom")
-    else:
-        name = preset or "W12"
-        catalog = preset_catalog(overrides)
-        try:
-            chosen = next(p for p in catalog if p.name == name)
-        except StopIteration:
-            raise UnknownPresetError(
-                f"unknown preset {name!r}; available: "
-                + ", ".join(p.name for p in catalog)
-            ) from None
-    return aggregate(dataset, chosen), raw
+    catalog = {p.name: p for p in preset_catalog(overrides)}
+    if name not in catalog:
+        raise UnknownPresetError(
+            f"unknown preset {name!r}; available: " + ", ".join(catalog)
+        )
+    return aggregate(dataset, catalog[name]), raw
 
 
 def analyze(

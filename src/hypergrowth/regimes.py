@@ -22,7 +22,6 @@ Years past the fitted line's zero crossing are not evaluable.
 from __future__ import annotations
 
 import math
-from bisect import bisect_left, bisect_right
 from typing import NamedTuple
 
 from .errors import (
@@ -31,7 +30,7 @@ from .errors import (
     SegmentTooSparseError,
 )
 from .fitting import HyperbolicFit, fit_line, residuals, singularity
-from .series import GrowthSeries, Window, index_range, points_in
+from .series import GrowthSeries, Window, index_range
 
 DEFAULT_KAPPA = 3.0
 DEFAULT_TAKEOFF_WINDOW = Window(1760.0, 1840.0)
@@ -109,7 +108,7 @@ def detect_diversion(
     negative rule gives "faster". bypass_years is the gap between the
     fitted blow-up year a/k and the diversion year.
     """
-    post = s.points[bisect_right(s.years, f.fit_window.t1):]
+    post = s.points[index_range(s, f.fit_window.t0, f.fit_window.t1)[1]:]
     if not post:
         raise NoPointsAfterWindowError(
             f"series {s.label!r}: no observed years after {f.fit_window.t1:g}"
@@ -151,12 +150,12 @@ def takeoff_scan(
     does too. The extreme negative normalized residual is reported
     either way.
     """
-    in_w = points_in(s, w)
-    if not in_w:
+    lo, hi = index_range(s, w.t0, w.t1)
+    if lo == hi:
         raise NoPointsInWindowError(
             f"series {s.label!r}: no observed years in [{w.t0:g}, {w.t1:g}]"
         )
-    rows = residuals(f, in_w, ABSOLUTE_RESIDUAL_TOLERANCE)
+    rows = residuals(f, s.points[lo:hi], ABSOLUTE_RESIDUAL_TOLERANCE)
     if not rows:
         raise NoPointsInWindowError(
             f"series {s.label!r}: fitted line not positive anywhere in "
@@ -270,17 +269,18 @@ def segment_consistency(
     cuts = sorted(b for b in boundaries if w.t0 < b < w.t1)
     edges = [w.t0, *cuts, w.t1]
     years, recip = s.years, s.reciprocals
+    # a segment ends where the next one starts, the last one at the window's end
+    ranges = [index_range(s, t0, w.t1) for t0 in edges[:-1]]
+    starts = [lo for lo, _ in ranges] + [ranges[-1][1]]
 
     segments: list[SegmentSlope] = []
     for i, (t0, t1) in enumerate(zip(edges, edges[1:])):
-        last = i == len(edges) - 2
-        lo = bisect_left(years, t0)
-        hi = (bisect_right if last else bisect_left)(years, t1)
+        lo, hi = starts[i], starts[i + 1]
         n = hi - lo
         if n < 2:
             raise SegmentTooSparseError(
                 f"series {s.label!r}: segment [{t0:g}, {t1:g}"
-                f"{']' if last else ')'} has {n} point(s), need 2"
+                f"{']' if i == len(cuts) else ')'} has {n} point(s), need 2"
             )
         line = fit_line(years[lo:hi], recip[lo:hi])
         segments.append(

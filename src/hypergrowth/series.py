@@ -164,18 +164,7 @@ def index_range(
     return lo, hi
 
 
-def points_in(
-    s: GrowthSeries, w: Window, need: int = 0, error=WindowTooFewPointsError
-) -> tuple[tuple[float, float], ...]:
-    """The points of ``s`` whose year lies in the inclusive window ``w``.
-
-    Raises ``error`` when fewer than ``need`` points are in the window.
-    """
-    lo, hi = index_range(s, w.t0, w.t1, need, error)
-    return s.points[lo:hi]
-
-
 def window(s: GrowthSeries, w: Window) -> GrowthSeries:
     """Restrict a series to [t0, t1]; at least 2 points must survive."""
-    pts = points_in(s, w, need=2)
-    return GrowthSeries(points=pts, label=f"{s.label} [{w.t0:g}, {w.t1:g}]")
+    lo, hi = index_range(s, w.t0, w.t1, need=2)
+    return GrowthSeries(points=s.points[lo:hi], label=f"{s.label} [{w.t0:g}, {w.t1:g}]")

@@ -59,6 +59,20 @@ class TestAnalyze:
         # the override points W30 at the Eastern Europe row
         assert 1911 <= report["fit"]["singularity_year"] <= 1919
 
+    def test_preset_config_with_bom_applies_its_override(self, runner, europe_csv_path,
+                                                          tmp_path):
+        reports = []
+        for name, bom in (("plain.cfg", b""), ("bom.cfg", b"\xef\xbb\xbf")):
+            cfg = tmp_path / name
+            cfg.write_bytes(bom + b"W30=Total Eastern Europe\n")
+            out = tmp_path / f"{name}.json"
+            result = run(runner, "analyze", str(europe_csv_path), "--preset", "W30",
+                         "--preset-config", str(cfg), "-o", str(out))
+            assert result.exit_code == 0, result.output
+            reports.append(out.read_bytes())
+        assert reports[1] == reports[0]
+        assert json.loads(reports[1])["series"]["n_points"] == 35  # the default W30 has 37
+
     def test_kv_format(self, runner, europe_csv_path, tmp_path):
         out = tmp_path / "report.kv"
         result = run(runner, "analyze", str(europe_csv_path), "--preset", "W12",
@@ -140,6 +154,26 @@ class TestExitCodes:
         result = run(runner, "analyze", str(europe_csv_path), "--preset", "NOPE")
         assert result.exit_code == 4
         assert "NOPE" in result.output
+
+    def test_unknown_preset_lists_overrides_too(self, runner, europe_csv_path, tmp_path):
+        cfg = tmp_path / "presets.cfg"
+        cfg.write_text("X9=France,Italy\n")
+        result = run(runner, "analyze", str(europe_csv_path), "--preset", "NOPE",
+                     "--preset-config", str(cfg))
+        assert_one_error_line(result, 4)
+        assert result.output.endswith("available: W12, W30, EE, X9\n")
+
+    def test_members_without_labels_are_4(self, runner, europe_csv_path):
+        result = run(runner, "analyze", str(europe_csv_path), "--members", " , ")
+        assert_one_error_line(result, 4)
+        assert "--members lists no usable labels" in result.output
+
+    def test_non_utf8_preset_config_is_2(self, runner, europe_csv_path, tmp_path):
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_bytes(b"W12=\xe9\n")
+        result = run(runner, "analyze", str(europe_csv_path), "--preset-config", str(cfg))
+        assert_one_error_line(result, 2)
+        assert result.output == f"error: {cfg} is not UTF-8 text\n"
 
     def test_unknown_member_is_4(self, runner, europe_csv_path):
         result = run(runner, "analyze", str(europe_csv_path), "--members", "Atlantis")

@@ -127,6 +127,16 @@ class TestTakeoffScan:
         with pytest.raises(NoPointsInWindowError):
             takeoff_scan(f, s, w=Window(1040, 1060))
 
+    def test_requires_line_positive_in_window(self):
+        # the fitted line reaches zero at 1700, before the takeoff window opens
+        k = A / 1700.0
+        s = new_series([(t, hyper(t, k=k)) for t in (1000, 1300, 1500, 1600)]
+                       + [(1780, 1.0), (1820, 2.0)], "early")
+        f = fit_hyperbolic(s, Window(1000, 1600))
+        with pytest.raises(NoPointsInWindowError,
+                           match=r"fitted line not positive anywhere in \[1760, 1840\]"):
+            takeoff_scan(f, s)
+
     def test_sign_convention_matches_diversion(self):
         # persistent negative residual is takeoff/faster, positive is slower
         years = (1500, 1600, 1700, 1750, 1780, 1800, 1820, 1840)
@@ -149,6 +159,9 @@ class TestRunsTest:
         z, changes = runs_test_z([0.5, 0.5, 0.5, 0.5])
         assert z == 0.0
         assert changes == 0
+
+    def test_one_residual_of_each_sign_has_zero_variance(self):
+        assert runs_test_z([1.0, -1.0]) == (0.0, 1)
 
     def test_zero_residuals_excluded(self):
         z, changes = runs_test_z([0.0, 0.0, 0.0])
