@@ -296,8 +296,9 @@ def _parser() -> argparse.ArgumentParser:
 
     source = argparse.ArgumentParser(add_help=False)  # input flags of analyze and plotdata
     source.add_argument("input_path", metavar="INPUT_CSV")
-    source.add_argument("--preset", help="Built-in region preset (default W12).")
-    source.add_argument("--members", help="Comma-separated row labels to sum.")
+    rows = source.add_mutually_exclusive_group()
+    rows.add_argument("--preset", help="Built-in region preset (default W12).")
+    rows.add_argument("--members", help="Comma-separated row labels to sum.")
     source.add_argument("--long", dest="long_format", action="store_true",
                         help="Input is a year,value file with values in billions.")
     source.add_argument("--label", help="Series label for --long input.")
@@ -350,6 +351,12 @@ def main(argv: list[str] | None = None, standalone_mode: bool = True) -> None:
     """Run one command line; a failure prints one ``error:`` line, raises SystemExit."""
     # standalone_mode is ignored: callers written for the earlier entry point pass it
     args = vars(_parser().parse_args(argv))
+    if args.get("long_format"):  # a usage error, refused before any other check
+        flags = [f"--{name.replace('_', '-')}" for name in ("preset", "members", "preset_config")
+                 if args[name] is not None]
+        if flags:
+            _fail(DataError.exit_code,
+                  f"--long reads a year,value file; it takes no {' or '.join(flags)}")
     try:
         args.pop("run")(**args)
         sys.stdout.flush()  # buffered output meets a closed pipe here, not at exit

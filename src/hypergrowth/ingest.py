@@ -192,9 +192,11 @@ def preset_catalog(overrides: dict[str, tuple[str, ...]] | None = None) -> list[
 def parse_preset_overrides(text: str) -> dict[str, tuple[str, ...]]:
     """Parse a plain key=value preset override file.
 
-    Each non-blank, non-comment line is ``NAME=label[,label...]``.
+    Each non-blank, non-comment line is ``NAME=label[,label...]``; a
+    NAME given on two lines is a ParseError.
     """
     overrides: dict[str, tuple[str, ...]] = {}
+    first_line: dict[str, int] = {}
     for lineno, line in enumerate(text.splitlines(), start=1):
         stripped = line.strip()
         if not stripped or stripped.startswith("#"):
@@ -203,9 +205,14 @@ def parse_preset_overrides(text: str) -> dict[str, tuple[str, ...]]:
             raise ParseError(f"preset override line {lineno}: expected NAME=labels")
         name, _, labels = stripped.partition("=")
         members = tuple(m.strip() for m in labels.split(",") if m.strip())
-        if not name.strip() or not members:
+        name = name.strip()
+        if not name or not members:
             raise ParseError(f"preset override line {lineno}: empty name or labels")
-        overrides[name.strip()] = members
+        if name in first_line:
+            raise ParseError(f"preset override line {lineno}: {name!r} is already "
+                             f"set on line {first_line[name]}")
+        first_line[name] = lineno
+        overrides[name] = members
     return overrides
 
 
@@ -220,10 +227,10 @@ def parse_long_csv(text: str, label: str) -> GrowthSeries:
         raise ParseError("long format requires a 'year,value' header")
     points = []
     for lineno, record in enumerate(reader, start=2):
-        if not record or all(not c.strip() for c in record):
-            continue
         try:
             points.append((float(record[0]), float(record[1])))
         except (ValueError, IndexError):
-            raise ParseError(f"line {lineno}: expected numeric year,value") from None
+            # a blank row never converts, so only a failed row needs the check
+            if any(c.strip() for c in record):
+                raise ParseError(f"line {lineno}: expected numeric year,value") from None
     return new_series(points, label=label)

@@ -22,6 +22,7 @@ Years past the fitted line's zero crossing are not evaluable.
 from __future__ import annotations
 
 import math
+import operator
 from typing import NamedTuple
 
 from .errors import (
@@ -29,7 +30,14 @@ from .errors import (
     NoPointsInWindowError,
     SegmentTooSparseError,
 )
-from .fitting import HyperbolicFit, fit_line, residuals, singularity
+from .fitting import (
+    SMALL_FIT_MAX,
+    HyperbolicFit,
+    LineFit,
+    fit_line,
+    residuals,
+    singularity,
+)
 from .series import GrowthSeries, Window, index_range
 
 DEFAULT_KAPPA = 3.0
@@ -170,6 +178,25 @@ def takeoff_scan(
     )
 
 
+def _sign_counts(residuals) -> tuple[int, int, int]:
+    """(positive, negative, sign changes) of the nonzero residuals, in order."""
+    signs = [r > 0.0 for r in residuals if r != 0.0]
+    n_pos = sum(signs)
+    return n_pos, len(signs) - n_pos, sum(map(operator.ne, signs, signs[1:]))
+
+
+def _runs_z(n_pos: int, n_neg: int, changes: int) -> float:
+    """Wald-Wolfowitz z of ``changes + 1`` runs; 0 for a degenerate sign sequence."""
+    if n_pos == 0 or n_neg == 0:
+        return 0.0
+    n = n_pos + n_neg
+    mu = 2.0 * n_pos * n_neg / n + 1.0
+    var = 2.0 * n_pos * n_neg * (2.0 * n_pos * n_neg - n) / (n**2 * (n - 1.0))
+    if var <= 0.0:
+        return 0.0
+    return (changes + 1 - mu) / math.sqrt(var)
+
+
 def runs_test_z(residuals: list[float]) -> tuple[float, int]:
     """Wald-Wolfowitz runs test on residual signs, normal approximation.
 
@@ -177,20 +204,48 @@ def runs_test_z(residuals: list[float]) -> tuple[float, int]:
     Degenerate sign sequences (all one sign, or fewer than 2 signed
     residuals) return z = 0.
     """
-    signs = [r > 0 for r in residuals if r != 0.0]
-    n = len(signs)
-    if n < 2:
-        return 0.0, 0
-    runs = 1 + sum(1 for a, b in zip(signs, signs[1:]) if a != b)
-    n_pos = sum(signs)
-    n_neg = n - n_pos
-    if n_pos == 0 or n_neg == 0:
-        return 0.0, runs - 1
-    mu = 2.0 * n_pos * n_neg / n + 1.0
-    var = 2.0 * n_pos * n_neg * (2.0 * n_pos * n_neg - n) / (n**2 * (n - 1.0))
-    if var <= 0.0:
-        return 0.0, runs - 1
-    return (runs - mu) / math.sqrt(var), runs - 1
+    n_pos, n_neg, changes = _sign_counts(residuals)
+    return _runs_z(n_pos, n_neg, changes), changes
+
+
+def _residual_line(line: LineFit, mean: float) -> tuple[float, float]:
+    """Intercept and slope of the model the runs test takes residuals about:
+    the line when it decreases, else the constant mean."""
+    if line.slope < 0.0:
+        return line.intercept, line.slope
+    return mean, 0.0  # r - (mean + 0.0 * y) is exactly r - mean
+
+
+def _scan_small(years, recip, points, mean):
+    """Stagnation scans in pure Python: (line, sum of squares about the mean,
+    positive and negative residuals, sign changes, GDP increases)."""
+    ss = sum([(r - mean) ** 2 for r in recip])
+    line = fit_line(years, recip)
+    a, b = _residual_line(line, mean)
+    n_pos, n_neg, changes = _sign_counts([r - (a + b * y) for y, r in zip(years, recip)])
+    values = [v for _, v in points]
+    return line, ss, n_pos, n_neg, changes, sum(map(operator.lt, values, values[1:]))
+
+
+def _scan_numpy(years, recip, points, mean):
+    """The scans of ``_scan_small``, vectorised; float overflow raises."""
+    import numpy as np
+
+    n = len(years)
+    with np.errstate(over="raise", divide="raise", invalid="raise"):
+        y = np.fromiter(years, float, n)
+        r = np.fromiter(recip, float, n)
+        d = r - mean
+        ss = float(np.sum(d * d))
+        line = fit_line(y, r)  # the arrays, so the fit converts nothing again
+        a, b = _residual_line(line, mean)
+        e = r - (a + b * y)
+        pos = e[e != 0.0] > 0.0
+        n_pos = int(np.count_nonzero(pos))
+        changes = int(np.count_nonzero(pos[1:] != pos[:-1]))
+        v = np.fromiter(map(operator.itemgetter(1), points), float, n)
+        increases = int(np.count_nonzero(v[1:] > v[:-1]))
+    return line, ss, n_pos, len(pos) - n_pos, changes, increases
 
 
 def stagnation_test(
@@ -209,32 +264,23 @@ def stagnation_test(
     beat the constant model and a monotone fraction of at least 0.75
     (sparse millennium-scale series may legitimately contain one early
     decline); stagnation-consistent is the complement.
+
+    Windows of at most SMALL_FIT_MAX points scan in pure Python, larger
+    ones in numpy, as ``fit_line`` does; only the constant model's rmse
+    may differ between the two, in its last digits.
     """
     lo, hi = index_range(s, w.t0, w.t1, need=4)
-    years = s.years[lo:hi]
-    recip = s.reciprocals[lo:hi]
     n = hi - lo
-
+    recip = s.reciprocals[lo:hi]
     mean = sum(recip) / n
-    rmse_constant = math.sqrt(sum((r - mean) ** 2 for r in recip) / n)
-
-    line = fit_line(years, recip)
-    if line.slope < 0.0:
-        rmse_hyperbolic = line.rmse
-        if line.rmse == 0.0:  # an exact line: what is left is float noise
-            residuals = [0.0] * n
-        else:
-            residuals = [
-                r - (line.intercept + line.slope * y) for y, r in zip(years, recip)
-            ]
-    else:
-        rmse_hyperbolic = rmse_constant
-        residuals = [r - mean for r in recip]
-
-    z, n_changes = runs_test_z(residuals)
-
-    values = [v for _, v in s.points[lo:hi]]
-    increases = sum(1 for a, b in zip(values, values[1:]) if b > a)
+    scan = _scan_small if n <= SMALL_FIT_MAX else _scan_numpy
+    line, ss, n_pos, n_neg, changes, increases = scan(
+        s.years[lo:hi], recip, s.points[lo:hi], mean
+    )
+    rmse_constant = math.sqrt(ss / n)
+    rmse_hyperbolic = line.rmse if line.slope < 0.0 else rmse_constant
+    if line.slope < 0.0 and line.rmse == 0.0:  # an exact line: residuals are float noise
+        n_pos = n_neg = changes = 0
     monotone_fraction = increases / (n - 1)
 
     if rmse_hyperbolic < rmse_constant and monotone_fraction >= MONOTONE_THRESHOLD:
@@ -244,8 +290,8 @@ def stagnation_test(
 
     return StagnationVerdict(
         window=w,
-        runs_test_z=z,
-        n_sign_changes=n_changes,
+        runs_test_z=_runs_z(n_pos, n_neg, changes),
+        n_sign_changes=changes,
         monotone_fraction=monotone_fraction,
         rmse_constant_model=rmse_constant,
         rmse_hyperbolic_model=rmse_hyperbolic,

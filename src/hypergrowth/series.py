@@ -12,6 +12,7 @@ from __future__ import annotations
 import math
 from bisect import bisect_left, bisect_right
 from functools import cached_property
+from operator import itemgetter
 from typing import Iterable, Sequence
 
 from .errors import (
@@ -92,16 +93,16 @@ class GrowthSeries(Frozen):
 
     @cached_property
     def years(self) -> tuple[float, ...]:
-        return tuple(p[0] for p in self.points)
+        return tuple(map(itemgetter(0), self.points))
 
     @cached_property
     def reciprocals(self) -> tuple[float, ...]:
         """1/value at each year, in 1/billions."""
-        return tuple(1.0 / p[1] for p in self.points)
+        return tuple([1.0 / v for _, v in self.points])
 
     @property
     def values(self) -> tuple[float, ...]:
-        return tuple(p[1] for p in self.points)
+        return tuple(map(itemgetter(1), self.points))
 
     def __len__(self) -> int:
         return len(self.points)

@@ -163,6 +163,35 @@ class TestExitCodes:
         assert_one_error_line(result, 4)
         assert result.output.endswith("available: W12, W30, EE, X9\n")
 
+    @pytest.mark.parametrize("flags", [
+        ["--preset", "W12"],
+        ["--members", "France"],
+        ["--preset-config", "MISSING"],
+        ["--preset", "NOPE", "--preset-config", "MISSING"],
+    ])
+    def test_long_with_wide_table_flags_is_2(self, runner, tmp_path, flags):
+        path = write_long(tmp_path, GOOD_ROWS)
+        flags = [str(tmp_path / "no.cfg") if f == "MISSING" else f for f in flags]
+        for command in (["analyze"], ["plotdata", "--out-prefix", str(tmp_path / "p")]):
+            result = run(runner, *command, path, "--long", *flags)
+            assert_one_error_line(result, 2)
+            assert "--long" in result.output and flags[0] in result.output
+
+    def test_members_with_preset_is_2(self, runner, europe_csv_path):
+        for flags in (["--members", "France", "--preset", "EE"],
+                      ["--preset", "EE", "--members", "France"]):
+            result = run(runner, "analyze", str(europe_csv_path), *flags)
+            assert_one_error_line(result, 2)
+            assert "--members" in result.output and "--preset" in result.output
+
+    def test_repeated_preset_config_name_is_2(self, runner, europe_csv_path, tmp_path):
+        cfg = tmp_path / "presets.cfg"
+        cfg.write_text("EE=France\nEE=Italy\n")
+        result = run(runner, "analyze", str(europe_csv_path), "--preset", "EE",
+                     "--preset-config", str(cfg))
+        assert_one_error_line(result, 2)
+        assert "'EE'" in result.output and "line 1" in result.output
+
     def test_members_without_labels_are_4(self, runner, europe_csv_path):
         result = run(runner, "analyze", str(europe_csv_path), "--members", " , ")
         assert_one_error_line(result, 4)
@@ -641,26 +670,40 @@ def long_rows(draw):
     return rows
 
 
-def assert_contract_holds(runner, tmp_path, source, kappa):
-    """Exit code in {0,2,3,4,5}; a failure is one error: line; a report is finite."""
+def assert_contract_holds(runner, tmp_path, source, kappa, refused=False):
+    """Exit code in {0,2,3,4,5}; a failure is one error: line; a report is finite.
+    Flags that cannot go together are ``refused``: every command then exits 2."""
     out = tmp_path / "report.json"
     results = [
         runner(["analyze", *source, "--kappa", repr(kappa), "-o", str(out)]),
         runner(["plotdata", *source, "--out-prefix", str(tmp_path / "plot")]),
     ]
     for result in results:
-        assert result.exit_code in {0, 2, 3, 4, 5}, (result.output, result.exception)
+        assert result.exit_code in ({2} if refused else {0, 2, 3, 4, 5}), (
+            result.output, result.exception)
         if result.exit_code:
             assert_one_error_line(result, result.exit_code)
     if results[0].exit_code == 0:
         json.loads(out.read_text(), parse_constant=_reject_constant)
 
 
+# --long reads no wide table, so each of these is refused with it
+WIDE_TABLE_FLAGS = st.sampled_from([
+    [], ["--preset", "W12"], ["--members", "A,B"], ["--preset-config", "CFG"],
+    ["--preset", "NOPE", "--preset-config", "CFG"],
+])
+
+
 @settings(max_examples=150, deadline=None)
-@given(rows=long_rows(), kappa=KAPPAS)
-def test_cli_contract_holds_for_any_long_input(tmp_path_factory, runner, rows, kappa):
+@given(rows=long_rows(), kappa=KAPPAS, flags=WIDE_TABLE_FLAGS)
+def test_cli_contract_holds_for_any_long_input(tmp_path_factory, runner, rows, kappa,
+                                               flags):
     tmp_path = tmp_path_factory.mktemp("contract")
-    assert_contract_holds(runner, tmp_path, [write_long(tmp_path, rows), "--long"], kappa)
+    cfg = tmp_path / "presets.cfg"
+    cfg.write_text("W12=A\n")
+    flags = [str(cfg) if f == "CFG" else f for f in flags]
+    assert_contract_holds(runner, tmp_path, [write_long(tmp_path, rows), "--long", *flags],
+                          kappa, refused=bool(flags))
 
 
 @st.composite
@@ -684,10 +727,13 @@ def wide_tables(draw):
 
 
 @settings(max_examples=150, deadline=None)
-@given(table=wide_tables(), members=st.sampled_from(["A,B", "B"]), kappa=KAPPAS)
+@given(table=wide_tables(), members=st.sampled_from(["A,B", "B"]), kappa=KAPPAS,
+       preset=st.sampled_from([[], ["--preset", "W12"], ["--preset", "NOPE"]]))
 def test_cli_contract_holds_for_any_wide_input(tmp_path_factory, runner, table, members,
-                                               kappa):
+                                               kappa, preset):
     tmp_path = tmp_path_factory.mktemp("contract")
     path = tmp_path / "wide.csv"
     path.write_text(table)
-    assert_contract_holds(runner, tmp_path, [str(path), "--members", members], kappa)
+    # --members and --preset each name the rows to use, so together they are refused
+    assert_contract_holds(runner, tmp_path, [str(path), "--members", members, *preset],
+                          kappa, refused=bool(preset))

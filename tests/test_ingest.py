@@ -159,6 +159,10 @@ class TestPresetCatalog:
         with pytest.raises(ParseError):
             parse_preset_overrides("not a mapping\n")
 
+    def test_repeated_override_names_both_lines(self):
+        with pytest.raises(ParseError, match=r"line 4: 'EE' is already set on line 1"):
+            parse_preset_overrides("EE=France\n# comment\nW30=A\n EE = Italy\n")
+
     @pytest.mark.parametrize("labels, mode", [
         (("X",), "sum-all"),
         (("X", "Y"), "direct-row"),
@@ -197,3 +201,23 @@ class TestParseLongCsv:
     def test_requires_header(self):
         with pytest.raises(ParseError):
             parse_long_csv("1,0.5\n1000,0.75\n", label="sim")
+
+    @pytest.mark.parametrize("blank", ["", "   ", " , ", ",", "\t,  ,"])
+    def test_blank_rows_skipped(self, blank):
+        s = parse_long_csv(f"year,value\n{blank}\n1,0.5\n{blank}\n1000,0.75\n", "sim")
+        assert s.points == ((1.0, 0.5), (1000.0, 0.75))
+
+    @pytest.mark.parametrize("bad", ["1820,", "1820", " 1820 ", "x,1.5", "1820,abc"])
+    def test_incomplete_row_names_its_line(self, bad):
+        # skipped blank lines still count towards the line number
+        text = f"year,value\n1,0.5\n\n  \n{bad}\n1000,0.75\n"
+        with pytest.raises(ParseError, match=r"^line 5: expected numeric year,value$"):
+            parse_long_csv(text, "sim")
+
+    def test_extra_columns_ignored(self):
+        s = parse_long_csv("year,value,note\n1,0.5,first\n1000,0.75,,x\n", "sim")
+        assert s.points == ((1.0, 0.5), (1000.0, 0.75))
+
+    def test_quoted_cells_and_crlf_parse(self):
+        s = parse_long_csv('year,value\r\n"1","0.5"\r\n\r\n1000, 0.75 \r\n', "sim")
+        assert s.points == ((1.0, 0.5), (1000.0, 0.75))

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hypergrowth.errors import (
     NoPointsAfterWindowError,
@@ -11,6 +13,8 @@ from hypergrowth.errors import (
 )
 from hypergrowth.fitting import fit_hyperbolic, singularity
 from hypergrowth.regimes import (
+    _scan_numpy,
+    _scan_small,
     detect_diversion,
     runs_test_z,
     segment_consistency,
@@ -203,6 +207,48 @@ class TestStagnationTest:
         s = new_series([(1, 10.0), (1000, 12.0), (1500, 44.0)], "s")
         with pytest.raises(WindowTooFewPointsError):
             stagnation_test(s, Window(1, 1750))
+
+    def test_large_window_too_extreme_for_floats_raises(self):
+        # more points than SMALL_FIT_MAX, so the scans run in numpy
+        s = new_series([(t, 1e-300 / (1.0 + t / 100.0)) for t in range(1, 101)], "x")
+        assert min(s.reciprocals) >= 1e300
+        with pytest.raises(ArithmeticError):
+            stagnation_test(s, Window(1, 1750))
+
+
+@st.composite
+def scan_inputs(draw):
+    """65-400 strictly increasing years with values of one of five shapes."""
+    n = draw(st.integers(65, 400))
+    start = draw(st.integers(-3000, 1000))
+    steps = draw(st.lists(st.integers(1, 20), min_size=n - 1, max_size=n - 1))
+    years = [float(start)]
+    for step in steps:
+        years.append(years[-1] + step)
+    shape = draw(st.sampled_from(["random", "constant", "line", "rising", "ties"]))
+    if shape == "random":
+        values = draw(st.lists(st.floats(0.1, 1e4), min_size=n, max_size=n))
+    elif shape == "constant":
+        values = [draw(st.floats(0.1, 1e4))] * n
+    elif shape == "line":  # an exact hyperbola: reciprocals on a decreasing line
+        values = [hyper(t, a=0.5, k=1e-4) for t in years]
+    elif shape == "rising":  # reciprocals on an increasing line: slope >= 0
+        values = [1.0 / (1.0 + 1e-4 * (t - start)) for t in years]
+    else:
+        values = draw(st.lists(st.sampled_from([1.0, 2.0, 3.0]), min_size=n, max_size=n))
+    return new_series(list(zip(years, values)), shape)
+
+
+@settings(max_examples=120, deadline=None)
+@given(s=scan_inputs())
+def test_scan_kernels_agree(s):
+    mean = sum(s.reciprocals) / len(s)
+    columns = (s.years, s.reciprocals, s.points, mean)
+    line_s, ss_s, *counts_s = _scan_small(*columns)
+    line_n, ss_n, *counts_n = _scan_numpy(*columns)
+    assert line_n == line_s  # both fit in numpy; one from the kernel's arrays
+    assert counts_n == counts_s
+    assert ss_n == pytest.approx(ss_s, rel=1e-12, abs=1e-300)
 
 
 class TestSegmentConsistency:
