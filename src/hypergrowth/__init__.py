@@ -26,12 +26,13 @@ from .regimes import (
     stagnation_test,
     takeoff_scan,
 )
-from .series import GrowthSeries, Window, new_series, reciprocal, window
+from .series import GrowthSeries, Window, from_columns, new_series, reciprocal, window
 
 __all__ = [
     "HypergrowthError",
     "GrowthSeries",
     "Window",
+    "from_columns",
     "new_series",
     "reciprocal",
     "window",

@@ -140,8 +140,8 @@ def _load_series(
 
     dataset = parse_wide_csv(text)
     overrides = parse_preset_overrides(_read(preset_config)[1]) if preset_config else {}
-    name = preset or "W12"
-    if members:
+    name = "W12" if preset is None else preset
+    if members is not None:
         name = "custom"
         overrides[name] = tuple(m.strip() for m in members.split(",") if m.strip())
         if not overrides[name]:
@@ -261,7 +261,7 @@ def simulate(
     series = generate(spec)
 
     lines = ["year,value"]
-    lines += [f"{y!r},{v!r}" for y, v in series.points]
+    lines += [f"{y!r},{v!r}" for y, v in zip(series.years, series.values)]
     text = "\n".join(lines) + "\n"
     if output == "-":
         sys.stdout.write(text)
@@ -351,12 +351,17 @@ def main(argv: list[str] | None = None, standalone_mode: bool = True) -> None:
     """Run one command line; a failure prints one ``error:`` line, raises SystemExit."""
     # standalone_mode is ignored: callers written for the earlier entry point pass it
     args = vars(_parser().parse_args(argv))
-    if args.get("long_format"):  # a usage error, refused before any other check
+    # usage errors, refused before any other check: a flag is never dropped silently
+    if args.get("long_format"):
         flags = [f"--{name.replace('_', '-')}" for name in ("preset", "members", "preset_config")
                  if args[name] is not None]
         if flags:
             _fail(DataError.exit_code,
                   f"--long reads a year,value file; it takes no {' or '.join(flags)}")
+    elif args.get("label") is not None:
+        _fail(DataError.exit_code, "--label names the series of a --long file; it needs --long")
+    if args.get("preset") == "":
+        _fail(DataError.exit_code, "--preset needs a preset name, got ''")
     try:
         args.pop("run")(**args)
         sys.stdout.flush()  # buffered output meets a closed pipe here, not at exit

@@ -56,8 +56,12 @@ def _sums_small(years, values, center):
     """Centered sums of a small fit: two passes of exactly rounded ``math.fsum``."""
     n = len(years)
     fsum, mul = math.fsum, operator.mul
-    xc = [t - center for t in years]
-    xbar = fsum(xc) / n
+    xbar_raw = fsum(years) / n
+    if center:
+        xc = [t - center for t in years]
+        xbar = fsum(xc) / n
+    else:  # t - 0.0 == t for every float, so centring on 0 changes nothing
+        xc, xbar = years, xbar_raw
     ybar = fsum(values) / n
     dx = [t - xbar for t in xc]
     dy = [v - ybar for v in values]
@@ -72,7 +76,7 @@ def _sums_small(years, values, center):
     # libm's pow behind ** 2 and r * r round a few floats differently;
     # ** 2 keeps the reported digits
     ssr = fsum([(e - slope * d) ** 2 for d, e in zip(dx, dy)])
-    return xbar, ybar, sxx, sxy, ssr, sst, fsum(years) / n
+    return xbar, ybar, sxx, sxy, ssr, sst, xbar_raw
 
 
 def _sums_numpy(years, values, center):
@@ -237,9 +241,9 @@ def percent_deviation(f: HyperbolicFit, s: GrowthSeries, t: float) -> float:
 
 
 def residuals(
-    f: HyperbolicFit, points, zero_rmse_scale: float = 0.0
+    f: HyperbolicFit, years, values, zero_rmse_scale: float = 0.0
 ) -> list[tuple[float, float, float, float]]:
-    """FitDiagnostics rows at the given (year, value) points.
+    """FitDiagnostics rows at the given years and their values.
 
     The normalized residual divides the raw one by the in-window rmse
     or, for an exact fit (rmse 0), by ``zero_rmse_scale``; it is 0 when
@@ -248,7 +252,7 @@ def residuals(
     a, k = f.a, f.k
     scale = f.rmse_reciprocal or zero_rmse_scale
     rows = []
-    for y, v in points:
+    for y, v in zip(years, values):
         line = a - k * y
         if line > 0.0:
             raw = 1.0 / v - line
@@ -259,4 +263,4 @@ def residuals(
 
 def goodness(f: HyperbolicFit, s: GrowthSeries) -> FitDiagnostics:
     """Residual diagnostics at every observed year with a positive line."""
-    return FitDiagnostics(rows=tuple(residuals(f, s.points)))
+    return FitDiagnostics(rows=tuple(residuals(f, s.years, s.values)))

@@ -12,6 +12,7 @@ from __future__ import annotations
 import csv
 import io
 import math
+from operator import itemgetter
 from typing import NamedTuple
 
 from .errors import (
@@ -21,7 +22,7 @@ from .errors import (
     PresetDefinitionError,
     UnknownMemberError,
 )
-from .series import Frozen, GrowthSeries, new_series
+from .series import Frozen, GrowthSeries, from_columns
 
 MILLIONS_PER_BILLION = 1000.0
 
@@ -69,6 +70,13 @@ class RegionPreset(Frozen):
             raise PresetDefinitionError("direct-row preset needs exactly one label")
         if self.mode == "sum-members" and not self.member_labels:
             raise PresetDefinitionError("sum-members preset needs at least one label")
+        seen: set[str] = set()
+        for label in self.member_labels:  # a repeated member would be summed twice
+            if label in seen:
+                raise PresetDefinitionError(
+                    f"preset {self.name!r}: member {label!r} is listed more than once"
+                )
+            seen.add(label)
 
 
 def parse_wide_csv(text: str) -> Dataset:
@@ -78,9 +86,18 @@ def parse_wide_csv(text: str) -> Dataset:
     cells must parse as strictly increasing finite years. Blank cells
     and cells <= 0 are dropped. Raises ParseError for malformed headers
     or non-numeric or non-finite cells (named with row label and year),
-    and DuplicateLabelError for repeated row labels.
+    and DuplicateLabelError for repeated row labels. A row may leave
+    trailing cells out, but a non-blank cell past the last header year is
+    a ParseError, as is a line the csv module cannot read.
     """
     reader = csv.reader(io.StringIO(text))
+    try:
+        return _read_wide(reader)
+    except csv.Error as exc:
+        raise ParseError(f"line {reader.line_num}: {exc}") from None
+
+
+def _read_wide(reader) -> Dataset:
     try:
         header = next(reader)
     except StopIteration:
@@ -110,6 +127,10 @@ def parse_wide_csv(text: str) -> Dataset:
             raise ParseError(f"line {lineno}: empty row label")
         if label in rows:
             raise DuplicateLabelError(f"duplicate row label {label!r}")
+        if any(c.strip() for c in record[len(header):]):  # a value past the last year
+            n_cells = max(i for i, c in enumerate(record) if c.strip())
+            raise ParseError(f"row {label!r} has {n_cells} value cells, "
+                             f"the header has {len(years)} years")
         cells: dict[float, float] = {}
         for year, cell in zip(years, record[1:]):
             raw = cell.strip()
@@ -144,24 +165,24 @@ def aggregate(d: Dataset, p: RegionPreset) -> GrowthSeries:
         if label not in d.rows:
             raise UnknownMemberError(f"preset {p.name!r}: row {label!r} not in dataset")
 
+    member_cells = [d.rows[label] for label in p.member_labels]
     if p.mode == "direct-row":
-        cells = d.rows[p.member_labels[0]]
-        points = [(y, v / MILLIONS_PER_BILLION) for y, v in sorted(cells.items())]
+        years = sorted(member_cells[0])
+        values = [member_cells[0][y] / MILLIONS_PER_BILLION for y in years]
     else:
-        member_cells = [d.rows[label] for label in p.member_labels]
         complete = set(member_cells[0])
         for cells in member_cells[1:]:
             complete &= set(cells)
-        points = [
-            (y, sum(cells[y] for cells in member_cells) / MILLIONS_PER_BILLION)
-            for y in sorted(complete)
+        years = sorted(complete)
+        values = [
+            sum(cells[y] for cells in member_cells) / MILLIONS_PER_BILLION for y in years
         ]
 
-    if len(points) < 2:
+    if len(years) < 2:
         raise IncompletePresetError(
-            f"preset {p.name!r}: only {len(points)} complete year(s) in dataset"
+            f"preset {p.name!r}: only {len(years)} complete year(s) in dataset"
         )
-    return new_series(points, label=p.name)
+    return from_columns(years, values, label=p.name)
 
 
 def preset_catalog(overrides: dict[str, tuple[str, ...]] | None = None) -> list[RegionPreset]:
@@ -217,20 +238,35 @@ def parse_preset_overrides(text: str) -> dict[str, tuple[str, ...]]:
 
 
 def parse_long_csv(text: str, label: str) -> GrowthSeries:
-    """Parse a two-column ``year,value`` CSV with values already in billions."""
+    """Parse a two-column ``year,value`` CSV with values already in billions.
+
+    Blank rows are skipped; a row whose first two cells are not numbers,
+    or a line the csv module cannot read, is a ParseError.
+    """
     reader = csv.reader(io.StringIO(text))
     try:
-        header = next(reader)
-    except StopIteration:
-        raise ParseError("empty input: no header row") from None
-    if len(header) < 2 or header[0].strip().lower() != "year":
-        raise ParseError("long format requires a 'year,value' header")
-    points = []
-    for lineno, record in enumerate(reader, start=2):
+        header = next(reader, None)
+        if header is None:
+            raise ParseError("empty input: no header row")
+        if len(header) < 2 or header[0].strip().lower() != "year":
+            raise ParseError("long format requires a 'year,value' header")
+        records = list(reader)
+    except csv.Error as exc:
+        raise ParseError(f"line {reader.line_num}: {exc}") from None
+    try:
+        # from_columns converts each column of cells in one C loop; a blank
+        # or non-numeric row stops it, and the loop below then finds the row
+        return from_columns(map(itemgetter(0), records), map(itemgetter(1), records), label)
+    except (ValueError, IndexError):
+        pass
+    years, values = [], []
+    for lineno, record in enumerate(records, start=2):
         try:
-            points.append((float(record[0]), float(record[1])))
+            year, value = float(record[0]), float(record[1])
         except (ValueError, IndexError):
-            # a blank row never converts, so only a failed row needs the check
             if any(c.strip() for c in record):
                 raise ParseError(f"line {lineno}: expected numeric year,value") from None
-    return new_series(points, label=label)
+            continue
+        years.append(year)
+        values.append(value)
+    return from_columns(years, values, label=label)

@@ -116,12 +116,13 @@ def detect_diversion(
     negative rule gives "faster". bypass_years is the gap between the
     fitted blow-up year a/k and the diversion year.
     """
-    post = s.points[index_range(s, f.fit_window.t0, f.fit_window.t1)[1]:]
+    lo = index_range(s, f.fit_window.t0, f.fit_window.t1)[1]
+    post = s.years[lo:]
     if not post:
         raise NoPointsAfterWindowError(
             f"series {s.label!r}: no observed years after {f.fit_window.t1:g}"
         )
-    rows = residuals(f, post, ABSOLUTE_RESIDUAL_TOLERANCE)
+    rows = residuals(f, post, s.values[lo:], ABSOLUTE_RESIDUAL_TOLERANCE)
     evaluable_until = rows[-1][0] if rows else f.fit_window.t1
 
     direction = "none"
@@ -163,7 +164,7 @@ def takeoff_scan(
         raise NoPointsInWindowError(
             f"series {s.label!r}: no observed years in [{w.t0:g}, {w.t1:g}]"
         )
-    rows = residuals(f, s.points[lo:hi], ABSOLUTE_RESIDUAL_TOLERANCE)
+    rows = residuals(f, s.years[lo:hi], s.values[lo:hi], ABSOLUTE_RESIDUAL_TOLERANCE)
     if not rows:
         raise NoPointsInWindowError(
             f"series {s.label!r}: fitted line not positive anywhere in "
@@ -216,18 +217,17 @@ def _residual_line(line: LineFit, mean: float) -> tuple[float, float]:
     return mean, 0.0  # r - (mean + 0.0 * y) is exactly r - mean
 
 
-def _scan_small(years, recip, points, mean):
+def _scan_small(years, recip, values, mean):
     """Stagnation scans in pure Python: (line, sum of squares about the mean,
     positive and negative residuals, sign changes, GDP increases)."""
     ss = sum([(r - mean) ** 2 for r in recip])
     line = fit_line(years, recip)
     a, b = _residual_line(line, mean)
     n_pos, n_neg, changes = _sign_counts([r - (a + b * y) for y, r in zip(years, recip)])
-    values = [v for _, v in points]
     return line, ss, n_pos, n_neg, changes, sum(map(operator.lt, values, values[1:]))
 
 
-def _scan_numpy(years, recip, points, mean):
+def _scan_numpy(years, recip, values, mean):
     """The scans of ``_scan_small``, vectorised; float overflow raises."""
     import numpy as np
 
@@ -243,7 +243,7 @@ def _scan_numpy(years, recip, points, mean):
         pos = e[e != 0.0] > 0.0
         n_pos = int(np.count_nonzero(pos))
         changes = int(np.count_nonzero(pos[1:] != pos[:-1]))
-        v = np.fromiter(map(operator.itemgetter(1), points), float, n)
+        v = np.fromiter(values, float, n)
         increases = int(np.count_nonzero(v[1:] > v[:-1]))
     return line, ss, n_pos, len(pos) - n_pos, changes, increases
 
@@ -275,7 +275,7 @@ def stagnation_test(
     mean = sum(recip) / n
     scan = _scan_small if n <= SMALL_FIT_MAX else _scan_numpy
     line, ss, n_pos, n_neg, changes, increases = scan(
-        s.years[lo:hi], recip, s.points[lo:hi], mean
+        s.years[lo:hi], recip, s.values[lo:hi], mean
     )
     rmse_constant = math.sqrt(ss / n)
     rmse_hyperbolic = line.rmse if line.slope < 0.0 else rmse_constant

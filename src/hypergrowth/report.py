@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import json
 import math
+from itertools import repeat
 from typing import NamedTuple
 
 from . import __version__
@@ -93,8 +94,8 @@ def analyze_series(
         "series": {
             "label": s.label,
             "n_points": len(s),
-            "first_year": s.points[0][0],
-            "last_year": s.points[-1][0],
+            "first_year": s.years[0],
+            "last_year": s.years[-1],
         },
         "fit": {
             "a": fit.a,
@@ -166,10 +167,8 @@ def gdp_plot_table(
     Observed points plus the model curve sampled on an even grid from
     the window start to min(singularity - 1, last observed year).
     """
-    rows: list[tuple[str, float, float]] = [
-        ("observed", y, v) for y, v in s.points
-    ]
-    t_end = min(singularity(fit) - 1.0, s.points[-1][0])
+    rows: list[tuple[str, float, float]] = list(zip(repeat("observed"), s.years, s.values))
+    t_end = min(singularity(fit) - 1.0, s.years[-1])
     t0 = fit.fit_window.t0
     if t_end > t0:
         step = (t_end - t0) / (n_samples - 1)
@@ -187,11 +186,11 @@ def reciprocal_plot_table(
     Observed reciprocals plus fitted-line samples over the full data
     range, clipped where the line reaches zero.
     """
-    rows: list[tuple[str, float, float]] = [
-        ("observed", y, r) for y, r in zip(s.years, s.reciprocals)
-    ]
-    t0 = s.points[0][0]
-    t_end = min(s.points[-1][0], singularity(fit))
+    rows: list[tuple[str, float, float]] = list(
+        zip(repeat("observed"), s.years, s.reciprocals)
+    )
+    t0 = s.years[0]
+    t_end = min(s.years[-1], singularity(fit))
     if t_end > t0:
         step = (t_end - t0) / (n_samples - 1)
         for i in range(n_samples):

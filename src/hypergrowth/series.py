@@ -1,10 +1,9 @@
 """Time-series core: validated growth series, windows, reciprocal transform.
 
-A GrowthSeries is an immutable, strictly ordered list of (year, value)
-pairs with finite years and finite positive values, so the reciprocal
-1/value always exists. Years are plain floats: calendar years with
-AD 1 = 1.0, and fractional years are meaningful (blow-up years rarely
-land on integers).
+A GrowthSeries is an immutable pair of columns, years strictly increasing
+and finite, values finite and positive, so the reciprocal 1/value always
+exists. Years are plain floats: calendar years with AD 1 = 1.0, and
+fractional years are meaningful (blow-up years rarely land on integers).
 """
 
 from __future__ import annotations
@@ -12,7 +11,8 @@ from __future__ import annotations
 import math
 from bisect import bisect_left, bisect_right
 from functools import cached_property
-from operator import itemgetter
+from itertools import repeat
+from operator import itemgetter, lt
 from typing import Iterable, Sequence
 
 from .errors import (
@@ -79,52 +79,88 @@ class Window(Frozen):
 class GrowthSeries(Frozen):
     """GDP-like series: values in billions of 1990 Geary-Khamis dollars.
 
-    ``years`` and ``reciprocals`` are computed once per series and kept.
+    A series stores two columns, ``years`` and ``values``, as tuples of
+    floats. ``points`` (the (year, value) pairs) and ``reciprocals``
+    (1/value) are derived views, computed on first use and kept. Eq,
+    hash, repr and pickling are over ``(points, label)``, so a series
+    equals the one ``GrowthSeries(points, label)`` builds from its pairs.
+
     Window and year selection bisects ``years``, so it relies on the
-    strictly increasing years that ``new_series`` establishes and that
-    ``window`` and ``reciprocal`` keep; build a series through them.
+    strictly increasing years that ``from_columns`` and ``new_series``
+    establish and that ``window`` and ``reciprocal`` keep; build a series
+    through them.
     """
 
     _fields = ("points", "label")
-    __slots__ = (*_fields, "__dict__")  # cached_property values; eq, hash, repr skip them
+    # cached_property values live in __dict__; eq, hash and repr read points
+    __slots__ = ("years", "values", "label", "__dict__")
 
     def __init__(self, points: tuple[tuple[float, float], ...], label: str) -> None:
-        self._assign(points, label)
+        _set_columns(self, tuple(map(itemgetter(0), points)),
+                     tuple(map(itemgetter(1), points)), label)
+        object.__setattr__(self, "points", points)
 
     @cached_property
-    def years(self) -> tuple[float, ...]:
-        return tuple(map(itemgetter(0), self.points))
+    def points(self) -> tuple[tuple[float, float], ...]:
+        return tuple(zip(self.years, self.values))
 
     @cached_property
     def reciprocals(self) -> tuple[float, ...]:
         """1/value at each year, in 1/billions."""
-        return tuple([1.0 / v for _, v in self.points])
-
-    @property
-    def values(self) -> tuple[float, ...]:
-        return tuple(map(itemgetter(1), self.points))
+        return tuple([1.0 / v for v in self.values])
 
     def __len__(self) -> int:
-        return len(self.points)
+        return len(self.years)
 
     def value_at(self, year: float) -> float | None:
         """Value at an observed year, None if the year is not observed."""
         lo, hi = index_range(self, year, year)
-        return self.points[lo][1] if lo < hi else None
+        return self.values[lo] if lo < hi else None
 
 
-def new_series(points: Iterable[Sequence[float]], label: str) -> GrowthSeries:
-    """Build a validated GrowthSeries.
+def _set_columns(s: GrowthSeries, years: tuple, values: tuple, label: str) -> GrowthSeries:
+    for name, value in (("years", years), ("values", values), ("label", label)):
+        object.__setattr__(s, name, value)
+    return s
 
-    Input pairs are sorted by year. Raises NonFiniteValueError,
+
+def _columns(years: tuple[float, ...], values: tuple[float, ...], label: str) -> GrowthSeries:
+    """A series over columns that already hold the series invariants."""
+    return _set_columns(object.__new__(GrowthSeries), years, values, label)
+
+
+def from_columns(
+    years: Iterable[float], values: Iterable[float], label: str
+) -> GrowthSeries:
+    """Build a validated GrowthSeries from a column of years and one of values.
+
+    The columns pair up by position and must have the same length; the
+    pairs are sorted by year. Raises NonFiniteValueError,
     DuplicateYearError, NonPositiveValueError, or TooFewPointsError when
     the data violate the series invariants.
+
+    Ordered valid columns pass C-level checks and are kept as they are.
+    Any other input is sorted and checked point by point, which chooses
+    the error to report.
     """
-    pts = sorted((float(y), float(v)) for y, v in points)
-    if len(pts) < 2:
-        raise TooFewPointsError(
-            f"series {label!r}: need at least 2 points, got {len(pts)}"
-        )
+    ys = tuple(map(float, years))
+    vs = tuple(map(float, values))
+    n = len(ys)
+    if len(vs) != n:
+        raise ValueError(f"series {label!r}: {n} years but {len(vs)} values")
+    if (
+        n >= 2
+        and all(map(lt, ys, ys[1:]))  # strictly increasing, so no nan
+        and -math.inf < ys[0]
+        and ys[-1] < math.inf
+        and all(map(lt, repeat(0.0, n), vs))  # positive, so no nan
+        and max(vs) < math.inf
+    ):
+        return _columns(ys, vs, label)
+
+    pts = sorted(zip(ys, vs))
+    if n < 2:
+        raise TooFewPointsError(f"series {label!r}: need at least 2 points, got {n}")
     prev = None
     for y, v in pts:
         if not (-math.inf < y < math.inf and v < math.inf):
@@ -138,18 +174,29 @@ def new_series(points: Iterable[Sequence[float]], label: str) -> GrowthSeries:
                 f"series {label!r}: value {v!r} at year {y:g} is not positive"
             )
         prev = y
-    return GrowthSeries(points=tuple(pts), label=label)
+    return _columns(tuple(map(itemgetter(0), pts)), tuple(map(itemgetter(1), pts)), label)
+
+
+def new_series(points: Iterable[Sequence[float]], label: str) -> GrowthSeries:
+    """Build a validated GrowthSeries from (year, value) pairs.
+
+    The pairs are unzipped into ``from_columns``, which sorts them by
+    year and raises its errors for data that violate the series invariants.
+    """
+    pts = tuple(points)
+    years, values = zip(*pts) if pts else ((), ())
+    return from_columns(years, values, label)
 
 
 def reciprocal(s: GrowthSeries) -> GrowthSeries:
     """Pointwise reciprocal (units 1/billions); years unchanged, values positive."""
-    return GrowthSeries(points=tuple(zip(s.years, s.reciprocals)), label=s.label)
+    return _columns(s.years, s.reciprocals, s.label)
 
 
 def index_range(
     s: GrowthSeries, t0: float, t1: float, need: int = 0, error=WindowTooFewPointsError
 ) -> tuple[int, int]:
-    """Indices ``lo, hi`` such that ``s.points[lo:hi]`` has the years in [t0, t1].
+    """Indices ``lo, hi`` such that ``s.years[lo:hi]`` are the years in [t0, t1].
 
     Bisects the sorted years; the range is empty unless t0 <= t1, so a
     nan bound selects nothing. Raises ``error`` when fewer than ``need``
@@ -168,4 +215,4 @@ def index_range(
 def window(s: GrowthSeries, w: Window) -> GrowthSeries:
     """Restrict a series to [t0, t1]; at least 2 points must survive."""
     lo, hi = index_range(s, w.t0, w.t1, need=2)
-    return GrowthSeries(points=s.points[lo:hi], label=f"{s.label} [{w.t0:g}, {w.t1:g}]")
+    return _columns(s.years[lo:hi], s.values[lo:hi], f"{s.label} [{w.t0:g}, {w.t1:g}]")

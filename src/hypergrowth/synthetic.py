@@ -13,7 +13,7 @@ import math
 
 from . import KINDS
 from .errors import AtSingularityError, ModelSpecError
-from .series import Frozen, GrowthSeries, new_series
+from .series import Frozen, GrowthSeries, from_columns
 
 _REQUIRED_PARAMS = {
     "hyperbolic": ("a", "k"),
@@ -96,4 +96,4 @@ def generate(spec: ModelSpec) -> GrowthSeries:
         factors = np.exp(rng.normal(0.0, spec.sigma, size=len(values)))
         values = [v * f for v, f in zip(values, factors)]
     label = spec.label or f"synthetic-{spec.kind}"
-    return new_series(zip(years, values), label=label)
+    return from_columns(years, values, label=label)

@@ -193,9 +193,47 @@ class TestExitCodes:
         assert "'EE'" in result.output and "line 1" in result.output
 
     def test_members_without_labels_are_4(self, runner, europe_csv_path):
-        result = run(runner, "analyze", str(europe_csv_path), "--members", " , ")
-        assert_one_error_line(result, 4)
-        assert "--members lists no usable labels" in result.output
+        for members in (" , ", ""):  # an empty --members once meant W12
+            result = run(runner, "analyze", str(europe_csv_path), "--members", members)
+            assert_one_error_line(result, 4)
+            assert "--members lists no usable labels" in result.output
+
+    def test_repeated_member_is_4(self, runner, europe_csv_path, tmp_path):
+        cfg = tmp_path / "presets.cfg"
+        cfg.write_text("W12=Austria,Belgium,Austria\n")
+        for flags in (["--members", "Austria,Belgium,Austria"], ["--preset-config", str(cfg)]):
+            result = run(runner, "analyze", str(europe_csv_path), *flags)
+            assert_one_error_line(result, 4)
+            assert "member 'Austria' is listed more than once" in result.output
+
+    @pytest.mark.parametrize("flags, message", [
+        (["--preset", ""], "--preset needs a preset name"),
+        (["--label", "Foo"], "--label names the series of a --long file"),
+        (["--preset", "W30", "--label", "Foo"], "--label names the series of a --long file"),
+    ])
+    def test_flags_without_effect_are_2(self, runner, europe_csv_path, tmp_path, flags, message):
+        for command in (["analyze"], ["plotdata", "--out-prefix", str(tmp_path / "p")]):
+            result = run(runner, *command, str(europe_csv_path), *flags)
+            assert_one_error_line(result, 2)
+            assert message in result.output
+
+    def test_oversized_field_is_2(self, runner, tmp_path):
+        big = "1" * 200_000
+        long_path = tmp_path / "big_long.csv"
+        long_path.write_text(f"year,value\n{big},5\n1900,6\n")
+        wide_path = tmp_path / "big_wide.csv"
+        wide_path.write_text(f"Region,1,1000\nX,{big},5\n")
+        for args in ([str(long_path), "--long"], [str(wide_path), "--members", "X"]):
+            result = run(runner, "analyze", *args)
+            assert_one_error_line(result, 2)
+            assert "line 2: field larger than field limit" in result.output
+
+    def test_wide_row_longer_than_header_is_2(self, runner, tmp_path):
+        wide = tmp_path / "wide.csv"
+        wide.write_text("Region,1,1000,1500\nA,10,20,30,40\n")
+        result = run(runner, "analyze", str(wide), "--members", "A")
+        assert_one_error_line(result, 2)
+        assert "row 'A' has 4 value cells, the header has 3 years" in result.output
 
     def test_non_utf8_preset_config_is_2(self, runner, europe_csv_path, tmp_path):
         cfg = tmp_path / "bad.cfg"
@@ -648,7 +686,8 @@ def _reject_constant(token):
     raise ValueError(f"report holds {token}")
 
 
-TOKENS = ("nan", "inf", "-inf", "1e-200", "1e308", "0", "-1")
+# the last token is a field longer than the csv module reads
+TOKENS = ("nan", "inf", "-inf", "1e-200", "1e308", "0", "-1", "9" * 140_000)
 KAPPAS = st.one_of(
     st.floats(0.5, 6.0),
     st.sampled_from([0.0, -5.0, math.nan, math.inf, -math.inf]),
@@ -690,7 +729,7 @@ def assert_contract_holds(runner, tmp_path, source, kappa, refused=False):
 # --long reads no wide table, so each of these is refused with it
 WIDE_TABLE_FLAGS = st.sampled_from([
     [], ["--preset", "W12"], ["--members", "A,B"], ["--preset-config", "CFG"],
-    ["--preset", "NOPE", "--preset-config", "CFG"],
+    ["--preset", "NOPE", "--preset-config", "CFG"], ["--preset", ""], ["--members", ""],
 ])
 
 
@@ -723,17 +762,21 @@ def wide_tables(draw):
             st.sampled_from(TOKENS))
     if draw(st.booleans()):
         header[draw(st.integers(1, len(years)))] = draw(st.sampled_from(TOKENS))
+    # cells past the last header year: blank ones are legal, a value is refused
+    draw(st.sampled_from(rows)).extend(draw(st.sampled_from([[], [""], ["", " "], ["", "7"]])))
     return "".join(",".join(row) + "\n" for row in [header, *rows])
 
 
 @settings(max_examples=150, deadline=None)
-@given(table=wide_tables(), members=st.sampled_from(["A,B", "B"]), kappa=KAPPAS,
-       preset=st.sampled_from([[], ["--preset", "W12"], ["--preset", "NOPE"]]))
+@given(table=wide_tables(), members=st.sampled_from(["A,B", "B", "A,A", ""]), kappa=KAPPAS,
+       flags=st.sampled_from([[], ["--preset", "W12"], ["--preset", "NOPE"], ["--preset", ""],
+                              ["--label", "L"]]))
 def test_cli_contract_holds_for_any_wide_input(tmp_path_factory, runner, table, members,
-                                               kappa, preset):
+                                               kappa, flags):
     tmp_path = tmp_path_factory.mktemp("contract")
     path = tmp_path / "wide.csv"
     path.write_text(table)
-    # --members and --preset each name the rows to use, so together they are refused
-    assert_contract_holds(runner, tmp_path, [str(path), "--members", members, *preset],
-                          kappa, refused=bool(preset))
+    # --members and --preset each name the rows to use, so together they are refused;
+    # --label names only a --long series, so it is refused without --long
+    assert_contract_holds(runner, tmp_path, [str(path), "--members", members, *flags],
+                          kappa, refused=bool(flags))

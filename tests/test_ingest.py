@@ -66,6 +66,26 @@ class TestParseWideCsv:
         d = parse_wide_csv("Region,1\n  France ,7\n")
         assert d.rows["France"] == {1.0: 7.0}
 
+    def test_value_past_the_last_header_year_names_row_and_cell_count(self):
+        with pytest.raises(ParseError, match=r"^row 'X' has 3 value cells, the header has 2 years$"):
+            parse_wide_csv("Region,1,1000\nX,10,20,30\n")
+
+    def test_trailing_blank_cells_are_legal(self):
+        d = parse_wide_csv("Region,1,1000\nX,10,20,, \nY,5\n")
+        assert d.rows == {"X": {1.0: 10.0, 1000.0: 20.0}, "Y": {1.0: 5.0}}
+
+    @pytest.mark.parametrize("where", ["label", "cell", "header"])
+    def test_oversized_field_is_a_parse_error(self, where):
+        big = "1" * 200_000
+        text = {
+            "label": f"Region,1,1000\nX,1,2\n{big},1,2\n",
+            "cell": f"Region,1,1000\nX,1,2\nY,1,{big}\n",
+            "header": f"Region,{big}\nX,1\n",
+        }[where]
+        line = 1 if where == "header" else 3
+        with pytest.raises(ParseError, match=rf"^line {line}: field larger than field limit"):
+            parse_wide_csv(text)
+
 
 class TestAggregate:
     def test_single_complete_year_is_too_few(self):
@@ -163,6 +183,16 @@ class TestPresetCatalog:
         with pytest.raises(ParseError, match=r"line 4: 'EE' is already set on line 1"):
             parse_preset_overrides("EE=France\n# comment\nW30=A\n EE = Italy\n")
 
+    @pytest.mark.parametrize("labels", [("X", "Y", "X"), ("X", "X")])
+    def test_repeated_member_is_refused(self, labels):
+        # a repeated member would be summed twice
+        with pytest.raises(PresetDefinitionError,
+                           match=r"^preset 'R': member 'X' is listed more than once$"):
+            RegionPreset("R", labels, "sum-members")
+        overrides = parse_preset_overrides("R=" + ",".join(labels) + "\n")
+        with pytest.raises(PresetDefinitionError, match="'X' is listed more than once"):
+            preset_catalog(overrides)
+
     @pytest.mark.parametrize("labels, mode", [
         (("X",), "sum-all"),
         (("X", "Y"), "direct-row"),
@@ -221,3 +251,13 @@ class TestParseLongCsv:
     def test_quoted_cells_and_crlf_parse(self):
         s = parse_long_csv('year,value\r\n"1","0.5"\r\n\r\n1000, 0.75 \r\n', "sim")
         assert s.points == ((1.0, 0.5), (1000.0, 0.75))
+
+    @pytest.mark.parametrize("row", ["{big},5", "1900,{big}"])
+    def test_oversized_field_is_a_parse_error(self, row):
+        text = "year,value\n1,0.5\n" + row.format(big="1" * 200_000) + "\n1000,0.75\n"
+        with pytest.raises(ParseError, match=r"^line 3: field larger than field limit"):
+            parse_long_csv(text, "sim")
+
+    def test_unsorted_rows_are_sorted(self):
+        s = parse_long_csv("year,value\n1000,0.75\n1,0.5\n", "sim")
+        assert s.years == (1.0, 1000.0) and s.values == (0.5, 0.75)

@@ -243,7 +243,7 @@ def scan_inputs(draw):
 @given(s=scan_inputs())
 def test_scan_kernels_agree(s):
     mean = sum(s.reciprocals) / len(s)
-    columns = (s.years, s.reciprocals, s.points, mean)
+    columns = (s.years, s.reciprocals, s.values, mean)
     line_s, ss_s, *counts_s = _scan_small(*columns)
     line_n, ss_n, *counts_n = _scan_numpy(*columns)
     assert line_n == line_s  # both fit in numpy; one from the kernel's arrays

@@ -83,7 +83,7 @@ def test_window_and_year_selection_match_linear_scan(s, data):
     with mock.patch.object(regimes, "residuals", wraps=regimes.residuals) as spy:
         if after:
             regimes.detect_diversion(fit, s)
-            assert list(spy.call_args.args[1]) == after
+            assert list(zip(*spy.call_args.args[1:3])) == after
         else:
             with pytest.raises(NoPointsAfterWindowError):
                 regimes.detect_diversion(fit, s)

@@ -1,4 +1,5 @@
 import math
+import pickle
 
 import pytest
 from hypothesis import given
@@ -14,7 +15,14 @@ from hypergrowth.errors import (
     WindowOrderError,
     WindowTooFewPointsError,
 )
-from hypergrowth.series import GrowthSeries, Window, new_series, reciprocal, window
+from hypergrowth.series import (
+    GrowthSeries,
+    Window,
+    from_columns,
+    new_series,
+    reciprocal,
+    window,
+)
 
 
 def test_minimal_valid_series():
@@ -173,3 +181,77 @@ def test_new_series_rejects_exactly_invariant_violations(points):
     else:
         s = new_series(points, "x")
         assert len(s) == len(points)
+
+
+def linear_reference(points, label):
+    """Sorted float pairs of a valid series, checked one point at a time."""
+    pts = sorted((float(y), float(v)) for y, v in points)
+    if len(pts) < 2:
+        raise TooFewPointsError(f"series {label!r}: need at least 2 points, got {len(pts)}")
+    prev = None
+    for y, v in pts:
+        if not (-math.inf < y < math.inf and v < math.inf):
+            raise NonFiniteValueError(f"series {label!r}: point ({y!r}, {v!r}) is not finite")
+        if y == prev:
+            raise DuplicateYearError(f"series {label!r}: duplicate year {y:g}")
+        if not v > 0:
+            raise NonPositiveValueError(
+                f"series {label!r}: value {v!r} at year {y:g} is not positive")
+        prev = y
+    return tuple(pts)
+
+
+GOOD_YEAR = st.one_of(st.integers(-3000, 3000), st.floats(-3000.0, 3000.0))
+GOOD_VALUE = st.floats(1e-300, 1e300)
+BAD = [math.nan, math.inf, -math.inf]
+WILD_YEAR = st.one_of(GOOD_YEAR, st.sampled_from([*BAD, 1500.0, 1500]))
+WILD_VALUE = st.one_of(GOOD_VALUE, st.sampled_from([*BAD, 0.0, -0.0, -2.5, 3.0]))
+
+
+@st.composite
+def point_lists(draw):
+    """Valid, sorted, unsorted, duplicate, non-finite, non-positive and short inputs."""
+    if draw(st.booleans()):
+        pts = draw(st.lists(st.tuples(GOOD_YEAR, GOOD_VALUE), max_size=12,
+                            unique_by=lambda p: float(p[0])))
+    else:
+        pts = draw(st.lists(st.tuples(WILD_YEAR, WILD_VALUE), max_size=8))
+    return sorted(pts, key=lambda p: float(p[0])) if draw(st.booleans()) else pts
+
+
+@given(points=point_lists(), as_columns=st.booleans())
+def test_column_constructor_matches_linear_reference(points, as_columns):
+    def build():
+        if as_columns:
+            return from_columns([y for y, _ in points], [v for _, v in points], "c")
+        return new_series(points, "c")
+
+    try:
+        want = linear_reference(points, "c")
+    except HypergrowthError as exc:
+        with pytest.raises(type(exc)) as caught:
+            build()
+        assert type(caught.value) is type(exc) and str(caught.value) == str(exc)
+        return
+    s = build()
+    assert s.years == tuple(y for y, _ in want)
+    assert s.values == tuple(v for _, v in want)
+    assert all(type(x) is float for x in s.years + s.values)
+    assert s.points == want
+    assert s.reciprocals == tuple(1.0 / v for _, v in want)
+    assert repr(s) == f"GrowthSeries(points={want!r}, label='c')"
+    assert s == GrowthSeries(want, "c") and hash(s) == hash((want, "c"))
+    copy = pickle.loads(pickle.dumps(s))
+    assert copy == s and repr(copy) == repr(s) and copy.years == s.years
+
+
+def test_columns_of_different_lengths_rejected():
+    with pytest.raises(ValueError, match="2 years but 1 values"):
+        from_columns([1, 2], [3], "x")
+
+
+def test_points_construct_a_series_over_columns():
+    s = GrowthSeries(((1.0, 2.0), (3.0, 4.0)), "x")
+    assert s.years == (1.0, 3.0) and s.values == (2.0, 4.0)
+    assert s == new_series([(3, 4), (1, 2)], "x")
+    assert reciprocal(s).points == ((1.0, 0.5), (3.0, 0.25))
