@@ -28,6 +28,7 @@ from .errors import (
     DataError,
     HypergrowthError,
     NonFiniteValueError,
+    PresetDefinitionError,
     UnknownPresetError,
     WindowError,
 )
@@ -143,9 +144,14 @@ def _load_series(
     name = "W12" if preset is None else preset
     if members is not None:
         name = "custom"
-        overrides[name] = tuple(m.strip() for m in members.split(",") if m.strip())
-        if not overrides[name]:
+        labels = tuple(m.strip() for m in members.split(",") if m.strip())
+        if not labels:
             raise UnknownPresetError("--members lists no usable labels")
+        for i, member in enumerate(labels):  # named here, not as the internal preset
+            if member in labels[:i]:
+                raise PresetDefinitionError(
+                    f"--members: member {member!r} is listed more than once")
+        overrides[name] = labels
     catalog = {p.name: p for p in preset_catalog(overrides)}
     if name not in catalog:
         raise UnknownPresetError(
@@ -360,8 +366,9 @@ def main(argv: list[str] | None = None, standalone_mode: bool = True) -> None:
                   f"--long reads a year,value file; it takes no {' or '.join(flags)}")
     elif args.get("label") is not None:
         _fail(DataError.exit_code, "--label names the series of a --long file; it needs --long")
-    if args.get("preset") == "":
-        _fail(DataError.exit_code, "--preset needs a preset name, got ''")
+    for flag, what in (("preset", "a preset name"), ("label", "a series name")):
+        if args.get(flag) == "":
+            _fail(DataError.exit_code, f"--{flag} needs {what}, got ''")
     try:
         args.pop("run")(**args)
         sys.stdout.flush()  # buffered output meets a closed pipe here, not at exit

@@ -118,6 +118,8 @@ def fit_line(years, values, center: float = 0.0) -> LineFit:
     sums = _sums_small if n <= SMALL_FIT_MAX else _sums_numpy
     xbar, ybar, sxx, sxy, ssr, sst, xbar_raw = sums(years, values, center)
     if sxx == 0.0:
+        if min(years) < max(years):  # distinct years whose centred squares underflow
+            raise ArithmeticError("line fit: years too close together for float arithmetic")
         raise FitTooFewPointsError("line fit needs at least 2 distinct years")
     slope = sxy / sxx
     alpha = ybar - slope * xbar          # intercept in centered coordinates

@@ -12,7 +12,8 @@ from __future__ import annotations
 import csv
 import io
 import math
-from operator import itemgetter
+from itertools import compress, repeat
+from operator import contains
 from typing import NamedTuple
 
 from .errors import (
@@ -131,26 +132,44 @@ def _read_wide(reader) -> Dataset:
             n_cells = max(i for i, c in enumerate(record) if c.strip())
             raise ParseError(f"row {label!r} has {n_cells} value cells, "
                              f"the header has {len(years)} years")
-        cells: dict[float, float] = {}
-        for year, cell in zip(years, record[1:]):
-            raw = cell.strip()
-            if not raw:
-                continue
-            try:
-                value = float(raw)
-            except ValueError:
-                raise ParseError(
-                    f"row {label!r}, year {year:g}: cell {raw!r} is not numeric"
-                ) from None
-            if 0.0 < value < math.inf:
-                cells[year] = value
-            elif not -math.inf < value <= 0.0:  # nan, inf or -inf
-                raise ParseError(
-                    f"row {label!r}, year {year:g}: cell {raw!r} is not finite"
-                )
+        values = record[1:len(header)]
+        try:
+            vals = list(map(float, filter(None, values)))  # float strips whitespace itself
+        except ValueError:  # a whitespace-only or non-numeric cell
+            vals = None
+        # a nan or an infinity makes the sum non-finite; so does a sum that overflows
+        if vals is not None and math.isfinite(sum(vals)):
+            cells = dict(zip(compress(years, values), vals))
+            if vals and min(vals) <= 0.0:
+                cells = {year: value for year, value in cells.items() if value > 0.0}
+        else:
+            cells = _cells_one_by_one(label, years, values)
         rows[label] = cells
 
     return Dataset(rows=rows, year_header=tuple(years))
+
+
+def _cells_one_by_one(label: str, years: list[float], cells: list[str]) -> dict[float, float]:
+    """A row's positive cells by year, converted one by one: blank cells are
+    skipped, and a non-numeric or non-finite cell is a ParseError naming it."""
+    row: dict[float, float] = {}
+    for year, cell in zip(years, cells):
+        raw = cell.strip()
+        if not raw:
+            continue
+        try:
+            value = float(raw)
+        except ValueError:
+            raise ParseError(
+                f"row {label!r}, year {year:g}: cell {raw!r} is not numeric"
+            ) from None
+        if 0.0 < value < math.inf:
+            row[year] = value
+        elif not -math.inf < value <= 0.0:  # nan, inf or -inf
+            raise ParseError(
+                f"row {label!r}, year {year:g}: cell {raw!r} is not finite"
+            )
+    return row
 
 
 def aggregate(d: Dataset, p: RegionPreset) -> GrowthSeries:
@@ -242,23 +261,32 @@ def parse_long_csv(text: str, label: str) -> GrowthSeries:
 
     Blank rows are skipped; a row whose first two cells are not numbers,
     or a line the csv module cannot read, is a ParseError.
+
+    Lines with exactly one comma and no quote or bare carriage return,
+    which csv would read as two plain cells each, are split and converted
+    in C loops; any other body is read by csv, row by row, which names
+    the line at fault.
     """
-    reader = csv.reader(io.StringIO(text))
+    f = io.StringIO(text)
+    reader = csv.reader(f)
     try:
         header = next(reader, None)
         if header is None:
             raise ParseError("empty input: no header row")
         if len(header) < 2 or header[0].strip().lower() != "year":
             raise ParseError("long format requires a 'year,value' header")
+    except csv.Error as exc:
+        raise ParseError(f"line {reader.line_num}: {exc}") from None
+    start = f.tell()
+    series = _two_cell_lines(f.read(), label)
+    if series is not None:
+        return series
+
+    f.seek(start)
+    try:
         records = list(reader)
     except csv.Error as exc:
         raise ParseError(f"line {reader.line_num}: {exc}") from None
-    try:
-        # from_columns converts each column of cells in one C loop; a blank
-        # or non-numeric row stops it, and the loop below then finds the row
-        return from_columns(map(itemgetter(0), records), map(itemgetter(1), records), label)
-    except (ValueError, IndexError):
-        pass
     years, values = [], []
     for lineno, record in enumerate(records, start=2):
         try:
@@ -270,3 +298,35 @@ def parse_long_csv(text: str, label: str) -> GrowthSeries:
         years.append(year)
         values.append(value)
     return from_columns(years, values, label=label)
+
+
+def _two_cell_lines(body: str, label: str) -> GrowthSeries | None:
+    """The series of a body of ``year,value`` lines that csv would read as two
+    plain cells each, or None when csv has to read it.
+
+    Each intermediate is dropped before the next is built: the peak memory
+    stays below that of the csv records.
+    """
+    body = body.replace("\r\n", "\n")
+    if '"' in body or "\r" in body:
+        return None
+    n_commas = body.count(",")
+    lines = list(filter(None, body.split("\n")))  # csv skips empty lines
+    del body
+    # as many commas as lines, and a comma on every line: one comma a line
+    if not (
+        len(lines) == n_commas
+        and all(map(contains, lines, repeat(",")))
+        and max(map(len, lines), default=0) <= csv.field_size_limit()
+    ):
+        return None
+    joined = ",".join(lines)
+    del lines
+    cells = joined.split(",")
+    del joined
+    years, values = cells[0::2], cells[1::2]
+    del cells
+    try:
+        return from_columns(years, values, label)
+    except ValueError:  # a cell that is not a number: the csv loop names its line
+        return None

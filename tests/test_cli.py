@@ -205,6 +205,9 @@ class TestExitCodes:
             result = run(runner, "analyze", str(europe_csv_path), *flags)
             assert_one_error_line(result, 4)
             assert "member 'Austria' is listed more than once" in result.output
+            # the message names what the user typed, never the internal preset 'custom'
+            named = "--members" if flags[0] == "--members" else "preset 'W12'"
+            assert named in result.output and "custom" not in result.output
 
     @pytest.mark.parametrize("flags, message", [
         (["--preset", ""], "--preset needs a preset name"),
@@ -216,6 +219,14 @@ class TestExitCodes:
             result = run(runner, *command, str(europe_csv_path), *flags)
             assert_one_error_line(result, 2)
             assert message in result.output
+
+    def test_empty_label_is_2(self, runner, tmp_path):
+        # an empty --label was once replaced by the file name without a word
+        long_path = write_long(tmp_path, GOOD_ROWS)
+        for command in (["analyze"], ["plotdata", "--out-prefix", str(tmp_path / "p")]):
+            result = run(runner, *command, long_path, "--long", "--label", "")
+            assert_one_error_line(result, 2)
+            assert "--label needs a series name, got ''" in result.output
 
     def test_oversized_field_is_2(self, runner, tmp_path):
         big = "1" * 200_000
@@ -537,6 +548,13 @@ class TestContract:
                 assert_one_error_line(run(runner, *args), 2)
         assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
 
+    def test_distinct_years_too_close_for_the_fit_are_2(self, runner, tmp_path):
+        # their centred squares underflow to 0; the years are distinct, so not a fit error
+        path = write_long(tmp_path, [(0, 1.0), (9.3e-247, 2.0), (6e-227, 3.0)])
+        for args in (["analyze", path, "--long"],
+                     ["plotdata", path, "--long", "--out-prefix", str(tmp_path / "p")]):
+            assert_one_error_line(run(runner, *args, "--window", "-1:1"), 2)
+
     @pytest.mark.parametrize("spec", ["0:1e12:1", "-1e308:1e308:1", "0:inf:1", "0:1:nan"])
     def test_range_years_refused_before_building(self, runner, spec):
         # the first two would take hours to build; the cap answers at once
@@ -724,17 +742,19 @@ def assert_contract_holds(runner, tmp_path, source, kappa, refused=False):
             assert_one_error_line(result, result.exit_code)
     if results[0].exit_code == 0:
         json.loads(out.read_text(), parse_constant=_reject_constant)
+    return results
 
 
-# --long reads no wide table, so each of these is refused with it
-WIDE_TABLE_FLAGS = st.sampled_from([
+# --long reads no wide table, so each of these is refused with it; so is an empty label
+REFUSED_LONG_FLAGS = st.sampled_from([
     [], ["--preset", "W12"], ["--members", "A,B"], ["--preset-config", "CFG"],
     ["--preset", "NOPE", "--preset-config", "CFG"], ["--preset", ""], ["--members", ""],
+    ["--label", ""],
 ])
 
 
 @settings(max_examples=150, deadline=None)
-@given(rows=long_rows(), kappa=KAPPAS, flags=WIDE_TABLE_FLAGS)
+@given(rows=long_rows(), kappa=KAPPAS, flags=REFUSED_LONG_FLAGS)
 def test_cli_contract_holds_for_any_long_input(tmp_path_factory, runner, rows, kappa,
                                                flags):
     tmp_path = tmp_path_factory.mktemp("contract")
@@ -778,5 +798,8 @@ def test_cli_contract_holds_for_any_wide_input(tmp_path_factory, runner, table, 
     path.write_text(table)
     # --members and --preset each name the rows to use, so together they are refused;
     # --label names only a --long series, so it is refused without --long
-    assert_contract_holds(runner, tmp_path, [str(path), "--members", members, *flags],
-                          kappa, refused=bool(flags))
+    results = assert_contract_holds(runner, tmp_path, [str(path), "--members", members, *flags],
+                                    kappa, refused=bool(flags))
+    for result in results:
+        if "listed more than once" in result.output:  # "A,A": named as the flag the user typed
+            assert "error: --members: member 'A'" in result.output, result.output

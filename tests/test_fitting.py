@@ -58,6 +58,16 @@ class TestFitLine:
         assert line.se_slope is None and line.se_intercept is None
         assert line.rmse == pytest.approx(0.0, abs=1e-15)
 
+    def test_distinct_years_whose_squares_underflow_are_an_arithmetic_error(self):
+        # centred squares of years this close underflow to 0, so sxx == 0
+        with pytest.raises(ArithmeticError, match="years too close together"):
+            fit_line([0.0, 9.3e-247, 6.0e-227], [1.0, 2.0, 3.0])
+
+    @pytest.mark.parametrize("years", [[5.0, 5.0], [5.0] * (SMALL_FIT_MAX + 1)])
+    def test_equal_years_are_too_few(self, years):
+        with pytest.raises(FitTooFewPointsError, match="at least 2 distinct years"):
+            fit_line(years, [1.0 + i for i in range(len(years))])
+
 
 class TestFitHyperbolic:
     def test_exact_recovery_on_collinear_reciprocals(self):

@@ -1,5 +1,9 @@
+import csv
+import io
+import math
+
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hypergrowth.errors import (
@@ -12,6 +16,7 @@ from hypergrowth.errors import (
     WindowError,
 )
 from hypergrowth.ingest import (
+    Dataset,
     RegionPreset,
     aggregate,
     parse_long_csv,
@@ -19,6 +24,7 @@ from hypergrowth.ingest import (
     parse_wide_csv,
     preset_catalog,
 )
+from hypergrowth.series import from_columns
 
 
 class TestParseWideCsv:
@@ -261,3 +267,193 @@ class TestParseLongCsv:
     def test_unsorted_rows_are_sorted(self):
         s = parse_long_csv("year,value\n1000,0.75\n1,0.5\n", "sim")
         assert s.years == (1.0, 1000.0) and s.values == (0.5, 0.75)
+
+
+# --- equivalence with the row-by-row, cell-by-cell parsers ------------------
+#
+# The parsers convert whole columns and rows in C loops and fall back to csv
+# records and per-row or per-cell loops only to name a bad line or cell. The
+# reference parsers below are those loops alone; both must give the same
+# series or Dataset, or the same error class and message, on any text.
+
+def reference_long(text, label):
+    reader = csv.reader(io.StringIO(text))
+    try:
+        header = next(reader, None)
+        if header is None:
+            raise ParseError("empty input: no header row")
+        if len(header) < 2 or header[0].strip().lower() != "year":
+            raise ParseError("long format requires a 'year,value' header")
+        records = list(reader)
+    except csv.Error as exc:
+        raise ParseError(f"line {reader.line_num}: {exc}") from None
+    years, values = [], []
+    for lineno, record in enumerate(records, start=2):
+        try:
+            year, value = float(record[0]), float(record[1])
+        except (ValueError, IndexError):
+            if any(c.strip() for c in record):
+                raise ParseError(f"line {lineno}: expected numeric year,value") from None
+            continue
+        years.append(year)
+        values.append(value)
+    return from_columns(years, values, label=label)
+
+
+def reference_wide(text):
+    reader = csv.reader(io.StringIO(text))
+    try:
+        return _reference_read_wide(reader)
+    except csv.Error as exc:
+        raise ParseError(f"line {reader.line_num}: {exc}") from None
+
+
+def _reference_read_wide(reader):
+    try:
+        header = next(reader)
+    except StopIteration:
+        raise ParseError("empty input: no header row") from None
+    if len(header) < 2:
+        raise ParseError("header must contain a label column and at least one year")
+    years = []
+    for cell in header[1:]:
+        try:
+            year = float(cell.strip())
+        except ValueError:
+            year = math.nan
+        if not math.isfinite(year):
+            raise ParseError(f"header cell {cell!r} is not a year")
+        years.append(year)
+    for y0, y1 in zip(years, years[1:]):
+        if not y0 < y1:
+            raise ParseError(f"header years not strictly increasing at {y1:g}")
+    rows = {}
+    for lineno, record in enumerate(reader, start=2):
+        if not record or all(not c.strip() for c in record):
+            continue
+        label = record[0].strip()
+        if not label:
+            raise ParseError(f"line {lineno}: empty row label")
+        if label in rows:
+            raise DuplicateLabelError(f"duplicate row label {label!r}")
+        if any(c.strip() for c in record[len(header):]):
+            n_cells = max(i for i, c in enumerate(record) if c.strip())
+            raise ParseError(f"row {label!r} has {n_cells} value cells, "
+                             f"the header has {len(years)} years")
+        cells = {}
+        for year, cell in zip(years, record[1:]):
+            raw = cell.strip()
+            if not raw:
+                continue
+            try:
+                value = float(raw)
+            except ValueError:
+                raise ParseError(
+                    f"row {label!r}, year {year:g}: cell {raw!r} is not numeric"
+                ) from None
+            if 0.0 < value < math.inf:
+                cells[year] = value
+            elif not -math.inf < value <= 0.0:
+                raise ParseError(
+                    f"row {label!r}, year {year:g}: cell {raw!r} is not finite"
+                )
+        rows[label] = cells
+    return Dataset(rows=rows, year_header=tuple(years))
+
+
+def outcome(parse, *args):
+    """The parse result, or the class and message of what it raised."""
+    try:
+        return parse(*args)
+    except Exception as exc:
+        return type(exc), str(exc)
+
+
+# cells the fast paths must leave to the loops, or convert exactly as they do
+ODD_CELLS = (" 4 ", "", " ", "\t5\u2003", '"', '"7"', "x", "nan", "inf", "-inf", "-1", "0",
+             "-0.0", "1e308", "1_0", "\x00", "1,2")
+BIG_CELL = "9" * 140_000  # longer than the csv module reads; float() reads it as inf
+NUMBERS = st.one_of(
+    st.integers(-3, 3000).map(str),
+    st.floats(1e-3, 1e6).map(repr),
+    st.floats(allow_nan=False, allow_infinity=False).map(repr),
+)
+CELLS = st.one_of(NUMBERS, NUMBERS, st.sampled_from(ODD_CELLS), st.just(BIG_CELL))
+LINE_ENDS = st.sampled_from(["\n", "\n", "\n", "\r\n", "\r", ""])
+
+
+def join_lines(draw, lines):
+    """Lines with drawn line ends; a missing end joins a line to the next."""
+    ends = [draw(LINE_ENDS) for _ in lines]
+    if draw(st.booleans()):
+        ends = ["\n"] * len(lines)  # keep many texts wholly plain
+    return "".join(line + end for line, end in zip(lines, ends))
+
+
+@st.composite
+def long_texts(draw):
+    """year,value texts: increasing years with perhaps a few odd cells and lines."""
+    header = draw(st.sampled_from(["year,value", "year,value", " Year ,v", "year", "x,y",
+                                   '"year",value', "year,value\r", ""]))
+    n = draw(st.integers(0, 12))
+    years = sorted(draw(st.lists(st.integers(1, 2000), min_size=n, max_size=n, unique=True)))
+    rows = [[str(t), repr(draw(st.floats(1e-3, 1e6)))] for t in years]
+    for _ in range(draw(st.integers(0, 2)) if rows else 0):
+        draw(st.sampled_from(rows))[draw(st.integers(0, 1))] = draw(CELLS)
+    lines = [",".join(row) for row in rows]
+    for _ in range(draw(st.integers(0, 2))):  # blank lines and lines of 1-3 cells
+        lines.insert(draw(st.integers(0, len(lines))), draw(st.one_of(
+            st.sampled_from(["", " ", ",", " , "]),
+            st.lists(CELLS, min_size=1, max_size=3).map(",".join),
+        )))
+    return header + "\n" + join_lines(draw, lines)
+
+
+@st.composite
+def wide_texts(draw):
+    """Wide tables: increasing header years, rows of numbers with a few odd cells."""
+    n_years = draw(st.integers(1, 8))
+    years = sorted(draw(st.lists(st.integers(1, 2000), min_size=n_years, max_size=n_years,
+                                 unique=True)))
+    lines = ["Region," + ",".join(map(str, years))]
+    for label in draw(st.lists(st.sampled_from(["A", "B", " C ", "", "D"]), max_size=4)):
+        cells = draw(st.lists(st.one_of(NUMBERS, st.just("")), min_size=0,
+                              max_size=n_years + 2))
+        for _ in range(draw(st.integers(0, 2))):
+            if cells:
+                cells[draw(st.integers(0, len(cells) - 1))] = draw(CELLS)
+        lines.append(",".join([label, *cells]))
+    if draw(st.booleans()):
+        lines.insert(draw(st.integers(1, len(lines))), draw(st.sampled_from(["", " , ,"])))
+    return join_lines(draw, lines)
+
+
+class TestFastPathsMatchTheLoops:
+    @settings(max_examples=400, deadline=None)
+    @given(text=long_texts())
+    def test_long(self, text):
+        assert outcome(parse_long_csv, text, "s") == outcome(reference_long, text, "s")
+
+    @settings(max_examples=400, deadline=None)
+    @given(text=wide_texts())
+    def test_wide(self, text):
+        assert outcome(parse_wide_csv, text) == outcome(reference_wide, text)
+
+    @pytest.mark.parametrize("body", [
+        "1,2,3\n4\n",            # as many commas as lines, but not one on each
+        "1,2\n3,4,5\n6\n",
+        '1,0.5\n"1000","0.75"\n',
+        "1,0.5\r\n\r\n1000,0.75\r\n",
+        "1,0.5\n1000,0.75\n\n",  # a trailing blank line
+        "1,0.5\n1000,0.75\r",
+        "1,0.5\n" + BIG_CELL + ",5\n",
+        "1,0.5\n",
+        "",
+    ])
+    def test_long_pinned(self, body):
+        text = "year,value\n" + body
+        assert outcome(parse_long_csv, text, "s") == outcome(reference_long, text, "s")
+
+    def test_misaligned_commas_name_their_line(self):
+        with pytest.raises(ParseError, match=r"^line 3: expected numeric year,value$"):
+            parse_long_csv("year,value\n1,2,3\n4\n", "s")
