@@ -32,7 +32,7 @@ from .errors import (
     UnknownPresetError,
     WindowError,
 )
-from .fitting import fit_hyperbolic
+from .fitting import YearsTooCloseError, fit_hyperbolic
 from .ingest import (
     aggregate,
     parse_long_csv,
@@ -79,7 +79,10 @@ def _write(path, text: str) -> None:
         _fail(DataError.exit_code, f"cannot write {path}: {exc.strerror or exc}")
 
 
-def _out_of_range(label: str) -> NonFiniteValueError:
+def _out_of_range(label: str, exc: Exception | None = None) -> DataError:
+    """The data error naming the series for arithmetic its numbers cannot take."""
+    if isinstance(exc, YearsTooCloseError):  # its message names the years
+        return DataError(f"series {label!r}: {exc}")
     return NonFiniteValueError(f"series {label!r}: values too extreme for float arithmetic")
 
 
@@ -193,7 +196,7 @@ def analyze(
     except (ArithmeticError, ValueError) as exc:  # the renderers refuse nan and infinity
         if isinstance(exc, HypergrowthError):  # WindowOrderError is a ValueError too
             raise
-        raise _out_of_range(series.label) from None
+        raise _out_of_range(series.label, exc) from None
 
     if output:
         _write(output, rendered)
@@ -217,8 +220,8 @@ def plotdata(
             ("gdp", gdp_plot_table(fit, series)),
             ("reciprocal", reciprocal_plot_table(fit, series)),
         )
-    except ArithmeticError:
-        raise _out_of_range(series.label) from None
+    except ArithmeticError as exc:
+        raise _out_of_range(series.label, exc) from None
     if not all(math.isfinite(v) for _, table in tables for _, _, v in table):
         raise _out_of_range(series.label)
 

@@ -36,6 +36,10 @@ COLLINEAR_RTOL = 1e-13
 SMALL_FIT_MAX = 64
 
 
+class YearsTooCloseError(ArithmeticError):
+    """Distinct years of a line fit whose centred squares underflow to 0."""
+
+
 class LineFit(NamedTuple):
     """Unconstrained least-squares line y = intercept + slope * t.
 
@@ -118,8 +122,11 @@ def fit_line(years, values, center: float = 0.0) -> LineFit:
     sums = _sums_small if n <= SMALL_FIT_MAX else _sums_numpy
     xbar, ybar, sxx, sxy, ssr, sst, xbar_raw = sums(years, values, center)
     if sxx == 0.0:
-        if min(years) < max(years):  # distinct years whose centred squares underflow
-            raise ArithmeticError("line fit: years too close together for float arithmetic")
+        first, last = min(years), max(years)
+        if first < last:  # distinct years whose centred squares underflow
+            raise YearsTooCloseError(
+                f"years too close together for float arithmetic ({first:g} to {last:g})"
+            )
         raise FitTooFewPointsError("line fit needs at least 2 distinct years")
     slope = sxy / sxx
     alpha = ybar - slope * xbar          # intercept in centered coordinates
@@ -140,14 +147,7 @@ def fit_line(years, values, center: float = 0.0) -> LineFit:
         se_slope = None
         se_intercept = None
 
-    return LineFit(
-        slope=slope,
-        intercept=intercept,
-        rmse=rmse,
-        r2=r2,
-        se_slope=se_slope,
-        se_intercept=se_intercept,
-    )
+    return LineFit(slope, intercept, rmse, r2, se_slope, se_intercept)
 
 
 class HyperbolicFit(NamedTuple):
@@ -201,16 +201,9 @@ def fit_hyperbolic(s: GrowthSeries, w: Window) -> HyperbolicFit:
             f"series {s.label!r}: reciprocal slope {line.slope:.3e} is not negative "
             f"on [{w.t0:g}, {w.t1:g}]"
         )
-    return HyperbolicFit(
-        a=line.intercept,
-        k=-line.slope,
-        fit_window=w,
-        n_points=hi - lo,
-        rmse_reciprocal=line.rmse,
-        r2_reciprocal=line.r2,
-        se_a=line.se_intercept,
-        se_k=line.se_slope,
-    )
+    # a, k, fit_window, n_points, rmse_reciprocal, r2_reciprocal, se_a, se_k
+    return HyperbolicFit(line.intercept, -line.slope, w, hi - lo, line.rmse, line.r2,
+                         line.se_intercept, line.se_slope)
 
 
 def model_value(f: HyperbolicFit, t: float) -> float:
@@ -242,17 +235,14 @@ def percent_deviation(f: HyperbolicFit, s: GrowthSeries, t: float) -> float:
     return 100.0 * (observed - model) / model
 
 
-def residuals(
-    f: HyperbolicFit, years, values, zero_rmse_scale: float = 0.0
-) -> list[tuple[float, float, float, float]]:
+def residuals(f: HyperbolicFit, years, values) -> list[tuple[float, float, float, float]]:
     """FitDiagnostics rows at the given years and their values.
 
-    The normalized residual divides the raw one by the in-window rmse
-    or, for an exact fit (rmse 0), by ``zero_rmse_scale``; it is 0 when
-    both are 0.
+    The normalized residual divides the raw one by the in-window rmse;
+    it is 0 for an exact fit (rmse 0).
     """
     a, k = f.a, f.k
-    scale = f.rmse_reciprocal or zero_rmse_scale
+    scale = f.rmse_reciprocal
     rows = []
     for y, v in zip(years, values):
         line = a - k * y

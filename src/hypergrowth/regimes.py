@@ -23,6 +23,8 @@ from __future__ import annotations
 
 import math
 import operator
+from bisect import bisect_right
+from itertools import islice
 from typing import NamedTuple
 
 from .errors import (
@@ -35,7 +37,6 @@ from .fitting import (
     HyperbolicFit,
     LineFit,
     fit_line,
-    residuals,
     singularity,
 )
 from .series import GrowthSeries, Window, index_range
@@ -94,14 +95,36 @@ class SegmentReport(NamedTuple):
     verdict: str  # "single-line-consistent" | "segmented"
 
 
-def _persistent_onset(flags: list[bool]) -> int | None:
-    """Index of the earliest True followed only by True, else None."""
-    onset = None
-    for i in range(len(flags) - 1, -1, -1):
-        if not flags[i]:
+def _normalized(f: HyperbolicFit, years, values):
+    """(year, normalized residual) where the fitted line is positive, in the
+    given order; an exact fit divides by ABSOLUTE_RESIDUAL_TOLERANCE."""
+    a, k = f.a, f.k
+    scale = f.rmse_reciprocal or ABSOLUTE_RESIDUAL_TOLERANCE
+    for y, v in zip(years, values):
+        line = a - k * y
+        if line > 0.0:
+            yield y, (1.0 / v - line) / scale
+
+
+def _persistent_onsets(rows, kappa: float) -> tuple:
+    """(first year, onset above kappa, onset below -kappa) of (year, normalized
+    residual) rows read from the last year back. An onset is the earliest year
+    of a run that lasts to the end, None without one; reading stops at the
+    first year that breaks both runs."""
+    last = above = below = None
+    up = down = True
+    for y, rho in rows:
+        if last is None:
+            last = y
+        up = up and rho > kappa
+        down = down and rho < -kappa
+        if not (up or down):
             break
-        onset = i
-    return onset
+        if up:
+            above = y
+        if down:
+            below = y
+    return last, above, below
 
 
 def detect_diversion(
@@ -114,35 +137,26 @@ def detect_diversion(
     year exceeding too. Positive exceedance (reciprocals above the
     line, GDP below the hyperbola) is direction "slower"; the symmetric
     negative rule gives "faster". bypass_years is the gap between the
-    fitted blow-up year a/k and the diversion year.
+    fitted blow-up year a/k and the diversion year. The scan reads back
+    from the last year, so its cost follows the reported tail.
     """
-    lo = index_range(s, f.fit_window.t0, f.fit_window.t1)[1]
-    post = s.years[lo:]
-    if not post:
+    years = s.years
+    lo = bisect_right(years, f.fit_window.t1)  # past the window, as t0 < t1
+    if lo == len(years):
         raise NoPointsAfterWindowError(
             f"series {s.label!r}: no observed years after {f.fit_window.t1:g}"
         )
-    rows = residuals(f, post, s.values[lo:], ABSOLUTE_RESIDUAL_TOLERANCE)
-    evaluable_until = rows[-1][0] if rows else f.fit_window.t1
-
-    direction = "none"
-    onset_year: float | None = None
-    pos = _persistent_onset([rho > kappa for _, _, rho, _ in rows])
-    neg = _persistent_onset([rho < -kappa for _, _, rho, _ in rows])
-    if pos is not None:
-        direction = "slower"
-        onset_year = rows[pos][0]
-    elif neg is not None:
-        direction = "faster"
-        onset_year = rows[neg][0]
-
-    return DiversionReport(
-        diversion_year=onset_year,
-        direction=direction,
-        bypass_years=None if onset_year is None else singularity(f) - onset_year,
-        threshold_kappa=kappa,
-        evaluable_until=evaluable_until,
+    backwards = islice(reversed(years), len(years) - lo)
+    last, above, below = _persistent_onsets(
+        _normalized(f, backwards, reversed(s.values)), kappa
     )
+    until = f.fit_window.t1 if last is None else last
+    # diversion_year, direction, bypass_years, threshold_kappa, evaluable_until
+    if above is not None:
+        return DiversionReport(above, "slower", singularity(f) - above, kappa, until)
+    if below is not None:
+        return DiversionReport(below, "faster", singularity(f) - below, kappa, until)
+    return DiversionReport(None, "none", None, kappa, until)
 
 
 def takeoff_scan(
@@ -164,19 +178,15 @@ def takeoff_scan(
         raise NoPointsInWindowError(
             f"series {s.label!r}: no observed years in [{w.t0:g}, {w.t1:g}]"
         )
-    rows = residuals(f, s.years[lo:hi], s.values[lo:hi], ABSOLUTE_RESIDUAL_TOLERANCE)
+    rows = list(_normalized(f, s.years[lo:hi], s.values[lo:hi]))
     if not rows:
         raise NoPointsInWindowError(
             f"series {s.label!r}: fitted line not positive anywhere in "
             f"[{w.t0:g}, {w.t1:g}]"
         )
-    onset = _persistent_onset([rho < -kappa for _, _, rho, _ in rows])
-    return TakeoffReport(
-        window=w,
-        found=onset is not None,
-        onset_year=None if onset is None else rows[onset][0],
-        max_negative_normalized_residual=min(rho for _, _, rho, _ in rows),
-    )
+    onset = _persistent_onsets(reversed(rows), kappa)[2]
+    # window, found, onset_year, max_negative_normalized_residual
+    return TakeoffReport(w, onset is not None, onset, min([rho for _, rho in rows]))
 
 
 def _sign_counts(residuals) -> tuple[int, int, int]:

@@ -28,7 +28,8 @@ from .errors import (
 class Frozen:
     """Immutable value: eq (same class only), hash, repr and pickling over ``_fields``.
 
-    ``__init__`` sets the fields once through ``_assign``; later assignment raises.
+    ``__init__`` sets the fields once, through ``_assign`` or ``object.__setattr__``;
+    later assignment raises.
     """
 
     __slots__ = ()
@@ -68,9 +69,10 @@ class Window(Frozen):
     __slots__ = _fields = ("t0", "t1")
 
     def __init__(self, t0: float, t1: float) -> None:
-        self._assign(t0, t1)
-        if not self.t0 < self.t1:
-            raise WindowOrderError(f"window requires t0 < t1, got [{self.t0}, {self.t1}]")
+        object.__setattr__(self, "t0", t0)
+        object.__setattr__(self, "t1", t1)
+        if not t0 < t1:
+            raise WindowOrderError(f"window requires t0 < t1, got [{t0}, {t1}]")
 
     def contains(self, year: float) -> bool:
         return self.t0 <= year <= self.t1

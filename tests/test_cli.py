@@ -545,15 +545,21 @@ class TestContract:
             warnings.simplefilter("always")
             for args in (["analyze", path, "--long"],
                          ["plotdata", path, "--long", "--out-prefix", str(tmp_path / "p")]):
-                assert_one_error_line(run(runner, *args), 2)
+                result = run(runner, *args)
+                assert_one_error_line(result, 2)
+                assert "values too extreme for float arithmetic" in result.output
         assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
 
     def test_distinct_years_too_close_for_the_fit_are_2(self, runner, tmp_path):
-        # their centred squares underflow to 0; the years are distinct, so not a fit error
+        # their centred squares underflow to 0; the years are distinct, so not a fit
+        # error, and the message names the years, not the values
         path = write_long(tmp_path, [(0, 1.0), (9.3e-247, 2.0), (6e-227, 3.0)])
         for args in (["analyze", path, "--long"],
                      ["plotdata", path, "--long", "--out-prefix", str(tmp_path / "p")]):
-            assert_one_error_line(run(runner, *args, "--window", "-1:1"), 2)
+            result = run(runner, *args, "--window", "-1:1")
+            assert_one_error_line(result, 2)
+            assert result.output == ("error: series 'long': years too close together "
+                                     "for float arithmetic (0 to 6e-227)\n")
 
     @pytest.mark.parametrize("spec", ["0:1e12:1", "-1e308:1e308:1", "0:inf:1", "0:1:nan"])
     def test_range_years_refused_before_building(self, runner, spec):

@@ -1,4 +1,6 @@
+import contextlib
 import math
+import random
 
 import numpy as np
 import pytest
@@ -6,13 +8,24 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hypergrowth.errors import (
+    HypergrowthError,
     NoPointsAfterWindowError,
     NoPointsInWindowError,
+    NonDecreasingLineError,
     SegmentTooSparseError,
     WindowTooFewPointsError,
 )
-from hypergrowth.fitting import fit_hyperbolic, singularity
+from hypergrowth.fitting import (
+    SMALL_FIT_MAX,
+    HyperbolicFit,
+    fit_hyperbolic,
+    singularity,
+)
 from hypergrowth.regimes import (
+    ABSOLUTE_RESIDUAL_TOLERANCE,
+    DEFAULT_TAKEOFF_WINDOW,
+    DiversionReport,
+    TakeoffReport,
     _scan_numpy,
     _scan_small,
     detect_diversion,
@@ -21,7 +34,7 @@ from hypergrowth.regimes import (
     stagnation_test,
     takeoff_scan,
 )
-from hypergrowth.series import Window, new_series
+from hypergrowth.series import Window, index_range, new_series
 
 A, K = 0.1147, 5.961e-5  # blow-up near 1924
 FIT_W = Window(1500, 1900)
@@ -292,3 +305,137 @@ class TestSegmentConsistency:
         z1 = [z for _, _, z in segment_consistency(s).z_scores]
         z2 = [z for _, _, z in segment_consistency(scaled).z_scores]
         assert z1 == pytest.approx(z2, rel=1e-9)
+
+
+# --- the diversion and takeoff scans against the row-based code they replaced
+
+def reference_rows(f, years, values):
+    """Residual rows (year, raw, normalized, relative GDP deviation) as the
+    row-based scans built them, with the absolute tolerance for an exact fit."""
+    a, k = f.a, f.k
+    scale = f.rmse_reciprocal or ABSOLUTE_RESIDUAL_TOLERANCE
+    rows = []
+    for y, v in zip(years, values):
+        line = a - k * y
+        if line > 0.0:
+            raw = 1.0 / v - line
+            rows.append((y, raw, raw / scale if scale else 0.0, -raw * v))
+    return rows
+
+
+def reference_onset(flags):
+    """Index of the earliest True followed only by True, else None."""
+    onset = None
+    for i in range(len(flags) - 1, -1, -1):
+        if not flags[i]:
+            break
+        onset = i
+    return onset
+
+
+def reference_diversion(f, s, kappa):
+    lo = index_range(s, f.fit_window.t0, f.fit_window.t1)[1]
+    post = s.years[lo:]
+    if not post:
+        raise NoPointsAfterWindowError(
+            f"series {s.label!r}: no observed years after {f.fit_window.t1:g}"
+        )
+    rows = reference_rows(f, post, s.values[lo:])
+    evaluable_until = rows[-1][0] if rows else f.fit_window.t1
+    direction = "none"
+    onset_year = None
+    pos = reference_onset([rho > kappa for _, _, rho, _ in rows])
+    neg = reference_onset([rho < -kappa for _, _, rho, _ in rows])
+    if pos is not None:
+        direction = "slower"
+        onset_year = rows[pos][0]
+    elif neg is not None:
+        direction = "faster"
+        onset_year = rows[neg][0]
+    return DiversionReport(
+        diversion_year=onset_year,
+        direction=direction,
+        bypass_years=None if onset_year is None else singularity(f) - onset_year,
+        threshold_kappa=kappa,
+        evaluable_until=evaluable_until,
+    )
+
+
+def reference_takeoff(f, s, w, kappa):
+    lo, hi = index_range(s, w.t0, w.t1)
+    if lo == hi:
+        raise NoPointsInWindowError(
+            f"series {s.label!r}: no observed years in [{w.t0:g}, {w.t1:g}]"
+        )
+    rows = reference_rows(f, s.years[lo:hi], s.values[lo:hi])
+    if not rows:
+        raise NoPointsInWindowError(
+            f"series {s.label!r}: fitted line not positive anywhere in "
+            f"[{w.t0:g}, {w.t1:g}]"
+        )
+    onset = reference_onset([rho < -kappa for _, _, rho, _ in rows])
+    return TakeoffReport(
+        window=w,
+        found=onset is not None,
+        onset_year=None if onset is None else rows[onset][0],
+        max_negative_normalized_residual=min(rho for _, _, rho, _ in rows),
+    )
+
+
+def outcome(test, *args):
+    """The record's repr, so every float compares bit for bit, or the error."""
+    try:
+        return repr(test(*args))
+    except HypergrowthError as exc:
+        return f"{type(exc).__name__}: {exc}"
+
+
+@st.composite
+def scan_cases(draw):
+    """A series, a fit on its first points, a takeoff window and a kappa.
+
+    The line's zero falls inside or after the years, so some late years
+    are not evaluable; the rmse may be 0 (the absolute tolerance applies).
+    From a drawn year on, the values leave the line by a drawn factor, so
+    persistent runs above and below kappa both occur.
+    """
+    n_in = draw(st.integers(3, 8))
+    n_post = draw(st.sampled_from([0, 1, 2, 7, SMALL_FIT_MAX - 1, SMALL_FIT_MAX + 1, 100]))
+    start, step = draw(st.integers(1000, 1800)), draw(st.integers(1, 4))
+    years = [float(start + step * i) for i in range(n_in + n_post)]
+    k = draw(st.sampled_from([1e-5, 1e-4, 1e-3]))
+    blowup = years[0] + draw(st.floats(0.2, 1.5)) * (years[-1] - years[0]) + 1.0
+    a = k * blowup
+    rng = random.Random(draw(st.integers(0, 2**32)))
+    sigma = draw(st.sampled_from([0.0, 1e-9, 0.01, 0.2]))
+    factor = draw(st.sampled_from([1.0, 0.5, 0.97, 1.03, 2.0]))
+    leave = draw(st.integers(0, len(years) - 1))
+    values = []
+    for i, t in enumerate(years):
+        line = a - k * t
+        value = 1.0 / line if line > 0.0 else rng.uniform(0.1, 10.0)
+        values.append(value * math.exp(sigma * rng.gauss(0.0, 1.0))
+                      * (factor if i >= leave else 1.0))
+    s = new_series(zip(years, values), "case")
+    w = Window(years[0], years[n_in - 1])
+    f = None
+    rmse = draw(st.sampled_from([None, 0.0, 1e-12, 1e-3, 0.05]))  # None: fit the points
+    if rmse is None:
+        with contextlib.suppress(NonDecreasingLineError):
+            f = fit_hyperbolic(s, w)
+    if f is None:  # the drawn line, its rmse relative to its value at the window's end
+        rmse = abs(a - k * w.t1) * (rmse or 0.0)
+        f = HyperbolicFit(a, k, w, n_in, rmse, 1.0, None, None)
+    t0, t1 = sorted(draw(st.lists(st.sampled_from(years), min_size=2, max_size=2)))
+    takeoff = draw(st.sampled_from([DEFAULT_TAKEOFF_WINDOW, Window(t0 - 0.5, t1)]))
+    kappa = draw(st.sampled_from([1e-9, 0.5, 3.0, 10.0, -1.0]))
+    return f, s, takeoff, kappa
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=scan_cases())
+def test_scans_match_the_row_based_reference(case):
+    f, s, takeoff, kappa = case
+    assert outcome(detect_diversion, f, s, kappa) == outcome(reference_diversion, f, s, kappa)
+    assert (outcome(takeoff_scan, f, s, takeoff, kappa)
+            == outcome(reference_takeoff, f, s, takeoff, kappa))

@@ -2,7 +2,6 @@
 exactly what a linear scan of the points selects."""
 
 import math
-from unittest import mock
 
 import pytest
 from hypothesis import assume, given, settings
@@ -76,17 +75,19 @@ def test_window_and_year_selection_match_linear_scan(s, data):
     else:
         assert fit_hyperbolic(s, w).n_points == len(inside)
 
-    # detect_diversion scores the points after the fit window
-    fit = HyperbolicFit(a=1.0, k=1e-4, fit_window=w, n_points=len(inside),
-                        rmse_reciprocal=1.0, r2_reciprocal=1.0, se_a=None, se_k=None)
-    after = linear(s, lambda y: y > w.t1)
-    with mock.patch.object(regimes, "residuals", wraps=regimes.residuals) as spy:
-        if after:
+    # detect_diversion scores the points after the fit window: a line just above
+    # 0 puts every one of them far above kappa, so the diversion starts at the
+    # first year after the window and lasts to the last
+    fit = HyperbolicFit(a=1e-12, k=1e-20, fit_window=w, n_points=len(inside),
+                        rmse_reciprocal=1e-15, r2_reciprocal=1.0, se_a=None, se_k=None)
+    after = [y for y, _ in linear(s, lambda y: y > w.t1)]
+    if after:
+        rep = regimes.detect_diversion(fit, s)
+        assert (rep.direction, rep.diversion_year, rep.evaluable_until) == (
+            "slower", after[0], after[-1])
+    else:
+        with pytest.raises(NoPointsAfterWindowError):
             regimes.detect_diversion(fit, s)
-            assert list(zip(*spy.call_args.args[1:3])) == after
-        else:
-            with pytest.raises(NoPointsAfterWindowError):
-                regimes.detect_diversion(fit, s)
 
     year = data.draw(st.one_of(bounds(s), st.just(math.nan)))
     assert s.value_at(year) == next((v for y, v in s.points if y == year), None)
