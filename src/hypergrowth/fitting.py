@@ -7,8 +7,23 @@ window. The blow-up (singularity) year is a/k, where the fitted line
 crosses zero.
 
 Years around 1900 combined with slopes around 1e-5 make the raw normal
-equations poorly conditioned, so the regression is computed on years
-centered at their own mean and de-centered afterwards.
+equations poorly conditioned, so the regression is computed from the
+centred moments (means, sums of squares and cross products about the
+means) and de-centred afterwards. Three kernels compute those moments,
+and one finisher turns them into a line:
+
+* a windowed fit of a series of at most SMALL_FIT_MAX = 64 points reads
+  the series' kept exact prefix sums (``GrowthSeries.prefix_moments``,
+  about five Python ints per point), so each window costs O(1) and each
+  moment is correctly rounded;
+* any other fit of at most 64 points sums centred floats with exactly
+  rounded ``math.fsum``;
+* a fit of more than 64 points sums in numpy, imported on first use.
+
+Windowed fits of a series (``fit_hyperbolic``, each segment of
+``segment_consistency``, a stagnation window of at most 64 points) go
+through ``fit_range``, which picks the kernel from the series length;
+``fit_line`` takes raw sequences and picks by their length.
 """
 
 from __future__ import annotations
@@ -32,8 +47,11 @@ COLLINEAR_RTOL = 1e-13
 
 # Fits of at most this many points sum in pure Python, larger ones in numpy:
 # below it numpy's per-call overhead outweighs the loop, and the small
-# inputs of the CLI never import numpy.
+# inputs of the CLI never import numpy. Series of at most this many points
+# keep exact prefix sums for their window fits.
 SMALL_FIT_MAX = 64
+
+_TOO_EXTREME = "line fit: values too extreme for float arithmetic"
 
 
 class YearsTooCloseError(ArithmeticError):
@@ -74,7 +92,7 @@ def _sums_small(years, values, center):
     # float products overflow to inf silently; once both sums of squares
     # are finite, no product d * e below can overflow
     if not math.isfinite(sxx + sst):
-        raise OverflowError("line fit: values too extreme for float arithmetic")
+        raise OverflowError(_TOO_EXTREME)
     sxy = fsum(map(mul, dx, dy))
     slope = sxy / sxx if sxx else 0.0
     # libm's pow behind ** 2 and r * r round a few floats differently;
@@ -103,31 +121,50 @@ def _sums_numpy(years, values, center):
         return xbar, ybar, sxx, sxy, ssr, sst, float(x.mean())
 
 
-def fit_line(years, values, center: float = 0.0) -> LineFit:
-    """OLS line fit with internal centering of the regressor.
+def _sums_table(table, lo, hi):
+    """Centred sums of points lo..hi-1 from a series' ``prefix_moments``.
 
-    Fits of at most SMALL_FIT_MAX points sum in pure Python; larger ones
-    use numpy, imported on first use. Input too extreme for float
-    arithmetic raises an ArithmeticError either way.
-
-    Args:
-        years: regressor values (calendar years).
-        values: response values (reciprocal GDP).
-        center: subtracted from the years first; the sums then centre
-            on the years' mean, so the default 0 suits any years.
+    The window sums and n times its centred sums (n*Sxx - Sx**2 and the
+    like) are exact integers, and each moment is one int true division,
+    which rounds once, correctly; the powers of two scale the divisor, so
+    nothing is rounded twice.
     """
-    n = len(years)
-    if n < 2:
-        raise FitTooFewPointsError(f"line fit needs at least 2 points, got {n}")
-    sums = _sums_small if n <= SMALL_FIT_MAX else _sums_numpy
-    xbar, ybar, sxx, sxy, ssr, sst, xbar_raw = sums(years, values, center)
-    if sxx == 0.0:
-        first, last = min(years), max(years)
-        if first < last:  # distinct years whose centred squares underflow
-            raise YearsTooCloseError(
-                f"years too close together for float arithmetic ({first:g} to {last:g})"
-            )
-        raise FitTooFewPointsError("line fit needs at least 2 distinct years")
+    bx, by, px, py, pxx, pxy, pyy = table
+    n = hi - lo
+    sx = px[hi] - px[lo]
+    sy = py[hi] - py[lo]
+    cxx = n * (pxx[hi] - pxx[lo]) - sx * sx
+    cxy = n * (pxy[hi] - pxy[lo]) - sx * sy
+    cyy = n * (pyy[hi] - pyy[lo]) - sy * sy
+    try:
+        sxx = cxx / (n << (2 * bx))
+        sst = cyy / (n << (2 * by))
+    except OverflowError:  # "integer division result too large for a float"
+        raise OverflowError(_TOO_EXTREME) from None
+    if not math.isfinite(sxx + sst):
+        raise OverflowError(_TOO_EXTREME)
+    xbar = sx / (n << bx)
+    # the residual sum of squares of the exact OLS line is Sst - Sxy**2/Sxx
+    ssr = (cyy * cxx - cxy * cxy) / ((n * cxx) << (2 * by))
+    return xbar, sy / (n << by), sxx, cxy / (n << (bx + by)), ssr, sst, xbar
+
+
+def _no_spread(years):
+    """Raise the error for a fit whose centred years square to 0."""
+    first, last = min(years), max(years)
+    if first < last:  # distinct years whose centred squares underflow
+        raise YearsTooCloseError(
+            f"years too close together for float arithmetic ({first:g} to {last:g})"
+        )
+    raise FitTooFewPointsError("line fit needs at least 2 distinct years")
+
+
+def _line_from_moments(n, center, xbar, ybar, sxx, sxy, ssr, sst, xbar_raw) -> LineFit:
+    """The line, its fit statistics and standard errors from centred moments.
+
+    ``xbar`` is the mean of the years less ``center``, ``xbar_raw`` the
+    mean of the years; sxx must be positive.
+    """
     slope = sxy / sxx
     alpha = ybar - slope * xbar          # intercept in centered coordinates
     intercept = alpha - slope * center   # de-centered
@@ -148,6 +185,46 @@ def fit_line(years, values, center: float = 0.0) -> LineFit:
         se_intercept = None
 
     return LineFit(slope, intercept, rmse, r2, se_slope, se_intercept)
+
+
+def fit_line(years, values, center: float = 0.0) -> LineFit:
+    """OLS line fit with internal centering of the regressor.
+
+    Fits of at most SMALL_FIT_MAX points sum in pure Python; larger ones
+    use numpy, imported on first use. Input too extreme for float
+    arithmetic raises an ArithmeticError either way.
+
+    Args:
+        years: regressor values (calendar years).
+        values: response values (reciprocal GDP).
+        center: subtracted from the years first; the sums then centre
+            on the years' mean, so the default 0 suits any years.
+    """
+    n = len(years)
+    if n < 2:
+        raise FitTooFewPointsError(f"line fit needs at least 2 points, got {n}")
+    sums = _sums_small if n <= SMALL_FIT_MAX else _sums_numpy
+    moments = sums(years, values, center)
+    if moments[2] == 0.0:
+        _no_spread(years)
+    return _line_from_moments(n, center, *moments)
+
+
+def fit_range(s: GrowthSeries, lo: int, hi: int) -> LineFit:
+    """Line fit of the reciprocals on the years of ``s.years[lo:hi]``.
+
+    A series of at most SMALL_FIT_MAX points builds its exact prefix sums
+    on the first call and fits every range from them in O(1); the result
+    depends only on the range's points, never on the rest of the series.
+    A longer series (or a range of fewer than 2 points) slices into
+    ``fit_line``.
+    """
+    if len(s) > SMALL_FIT_MAX or hi - lo < 2:
+        return fit_line(s.years[lo:hi], s.reciprocals[lo:hi])
+    moments = _sums_table(s.prefix_moments, lo, hi)
+    if moments[2] == 0.0:
+        _no_spread(s.years[lo:hi])
+    return _line_from_moments(hi - lo, 0.0, *moments)
 
 
 class HyperbolicFit(NamedTuple):
@@ -195,7 +272,7 @@ def fit_hyperbolic(s: GrowthSeries, w: Window) -> HyperbolicFit:
     this window).
     """
     lo, hi = index_range(s, w.t0, w.t1, need=3, error=FitTooFewPointsError)
-    line = fit_line(s.years[lo:hi], s.reciprocals[lo:hi])
+    line = fit_range(s, lo, hi)
     if line.slope >= 0.0:
         raise NonDecreasingLineError(
             f"series {s.label!r}: reciprocal slope {line.slope:.3e} is not negative "

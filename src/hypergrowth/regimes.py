@@ -37,6 +37,7 @@ from .fitting import (
     HyperbolicFit,
     LineFit,
     fit_line,
+    fit_range,
     singularity,
 )
 from .series import GrowthSeries, Window, index_range
@@ -227,18 +228,19 @@ def _residual_line(line: LineFit, mean: float) -> tuple[float, float]:
     return mean, 0.0  # r - (mean + 0.0 * y) is exactly r - mean
 
 
-def _scan_small(years, recip, values, mean):
-    """Stagnation scans in pure Python: (line, sum of squares about the mean,
-    positive and negative residuals, sign changes, GDP increases)."""
+def _scan_small(years, recip, values, mean, line):
+    """Stagnation scans in pure Python about a given line: (sum of squares
+    about the mean, positive and negative residuals, sign changes, GDP
+    increases)."""
     ss = sum([(r - mean) ** 2 for r in recip])
-    line = fit_line(years, recip)
     a, b = _residual_line(line, mean)
     n_pos, n_neg, changes = _sign_counts([r - (a + b * y) for y, r in zip(years, recip)])
-    return line, ss, n_pos, n_neg, changes, sum(map(operator.lt, values, values[1:]))
+    return ss, n_pos, n_neg, changes, sum(map(operator.lt, values, values[1:]))
 
 
 def _scan_numpy(years, recip, values, mean):
-    """The scans of ``_scan_small``, vectorised; float overflow raises."""
+    """The line fitted to the arrays the scans build, then the scans of
+    ``_scan_small`` about it, vectorised; float overflow raises."""
     import numpy as np
 
     n = len(years)
@@ -275,18 +277,21 @@ def stagnation_test(
     (sparse millennium-scale series may legitimately contain one early
     decline); stagnation-consistent is the complement.
 
-    Windows of at most SMALL_FIT_MAX points scan in pure Python, larger
-    ones in numpy, as ``fit_line`` does; only the constant model's rmse
-    may differ between the two, in its last digits.
+    Windows of at most SMALL_FIT_MAX points take the line from
+    ``fit_range`` and scan in pure Python; larger ones fit the line to the
+    arrays they scan in numpy, the kernel ``fit_range`` would use too.
+    Only the constant model's rmse may differ between the two scans, in
+    its last digits.
     """
     lo, hi = index_range(s, w.t0, w.t1, need=4)
     n = hi - lo
-    recip = s.reciprocals[lo:hi]
+    years, recip, values = s.years[lo:hi], s.reciprocals[lo:hi], s.values[lo:hi]
     mean = sum(recip) / n
-    scan = _scan_small if n <= SMALL_FIT_MAX else _scan_numpy
-    line, ss, n_pos, n_neg, changes, increases = scan(
-        s.years[lo:hi], recip, s.values[lo:hi], mean
-    )
+    if n <= SMALL_FIT_MAX:
+        line = fit_range(s, lo, hi)
+        ss, n_pos, n_neg, changes, increases = _scan_small(years, recip, values, mean, line)
+    else:
+        line, ss, n_pos, n_neg, changes, increases = _scan_numpy(years, recip, values, mean)
     rmse_constant = math.sqrt(ss / n)
     rmse_hyperbolic = line.rmse if line.slope < 0.0 else rmse_constant
     if line.slope < 0.0 and line.rmse == 0.0:  # an exact line: residuals are float noise
@@ -324,7 +329,6 @@ def segment_consistency(
     """
     cuts = sorted(b for b in boundaries if w.t0 < b < w.t1)
     edges = [w.t0, *cuts, w.t1]
-    years, recip = s.years, s.reciprocals
     # a segment ends where the next one starts, the last one at the window's end
     ranges = [index_range(s, t0, w.t1) for t0 in edges[:-1]]
     starts = [lo for lo, _ in ranges] + [ranges[-1][1]]
@@ -338,7 +342,7 @@ def segment_consistency(
                 f"series {s.label!r}: segment [{t0:g}, {t1:g}"
                 f"{']' if i == len(cuts) else ')'} has {n} point(s), need 2"
             )
-        line = fit_line(years[lo:hi], recip[lo:hi])
+        line = fit_range(s, lo, hi)
         segments.append(
             SegmentSlope(t0=t0, t1=t1, k=-line.slope, se=line.se_slope, n=n)
         )

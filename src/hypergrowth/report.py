@@ -16,7 +16,13 @@ from typing import NamedTuple
 
 from . import __version__
 from .errors import HypergrowthError
-from .fitting import HyperbolicFit, fit_hyperbolic, percent_deviation, singularity
+from .fitting import (
+    HyperbolicFit,
+    YearsTooCloseError,
+    fit_hyperbolic,
+    percent_deviation,
+    singularity,
+)
 from .regimes import (
     DEFAULT_KAPPA,
     DEFAULT_SEGMENT_BOUNDARIES,
@@ -83,8 +89,9 @@ def analyze_series(
     """Fit the series and run every regime test.
 
     The fit must succeed; individual regime tests whose preconditions
-    fail (for example no observed years after the window) are recorded
-    as skipped sections rather than aborting the report.
+    fail (for example no observed years after the window, or years too
+    close together for a line fit) are recorded as skipped sections
+    rather than aborting the report.
     """
     fit = fit_hyperbolic(s, fit_window)
 
@@ -125,10 +132,12 @@ def analyze_series(
 
 
 def _section(test, *args, **kwargs) -> dict:
-    """One regime test's record as plain data, or its skip reason when it cannot run."""
+    """One regime test's record as plain data, or its skip reason when it cannot
+    run, also when its window's years are too close together for a line fit.
+    Values too extreme for float arithmetic still abort the report."""
     try:
         return _plain(test(*args, **kwargs))
-    except HypergrowthError as exc:
+    except (HypergrowthError, YearsTooCloseError) as exc:
         return {"skipped": str(exc)}
 
 

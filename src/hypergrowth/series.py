@@ -11,8 +11,8 @@ from __future__ import annotations
 import math
 from bisect import bisect_left, bisect_right
 from functools import cached_property
-from itertools import repeat
-from operator import itemgetter, lt
+from itertools import accumulate, repeat
+from operator import itemgetter, lt, mul
 from typing import Iterable, Sequence
 
 from .errors import (
@@ -82,8 +82,9 @@ class GrowthSeries(Frozen):
     """GDP-like series: values in billions of 1990 Geary-Khamis dollars.
 
     A series stores two columns, ``years`` and ``values``, as tuples of
-    floats. ``points`` (the (year, value) pairs) and ``reciprocals``
-    (1/value) are derived views, computed on first use and kept. Eq,
+    floats. ``points`` (the (year, value) pairs), ``reciprocals``
+    (1/value) and ``prefix_moments`` (exact running sums for window fits)
+    are derived views, computed on first use and kept. Eq,
     hash, repr and pickling are over ``(points, label)``, so a series
     equals the one ``GrowthSeries(points, label)`` builds from its pairs.
 
@@ -111,6 +112,21 @@ class GrowthSeries(Frozen):
         """1/value at each year, in 1/billions."""
         return tuple([1.0 / v for v in self.values])
 
+    @cached_property
+    def prefix_moments(self) -> tuple:
+        """Exact running sums of the years and reciprocals, for O(1) window fits.
+
+        ``(bx, by, X, Y, XX, XY, YY)``: every year times ``2**bx`` and every
+        reciprocal times ``2**by`` is an integer, and each column holds the
+        running sums of those integers, of their squares and of their
+        products, starting from 0 before the first point. The sums over
+        ``years[lo:hi]`` are ``X[hi] - X[lo]`` and so on, with no rounding.
+        """
+        bx, xs = _scaled(self.years)
+        by, ys = _scaled(self.reciprocals)
+        return (bx, by, _running(xs), _running(ys), _running(map(mul, xs, xs)),
+                _running(map(mul, xs, ys)), _running(map(mul, ys, ys)))
+
     def __len__(self) -> int:
         return len(self.years)
 
@@ -118,6 +134,17 @@ class GrowthSeries(Frozen):
         """Value at an observed year, None if the year is not observed."""
         lo, hi = index_range(self, year, year)
         return self.values[lo] if lo < hi else None
+
+
+def _scaled(column) -> tuple[int, list[int]]:
+    """``(b, ints)`` with ``ints[i] == column[i] * 2**b`` exactly, for the least b >= 0."""
+    ratios = [f.as_integer_ratio() for f in column]  # denominators are powers of 2
+    b = max([q for _, q in ratios]).bit_length() - 1
+    return b, [p << (b + 1 - q.bit_length()) for p, q in ratios]
+
+
+def _running(column) -> tuple[int, ...]:
+    return tuple(accumulate(column, initial=0))
 
 
 def _set_columns(s: GrowthSeries, years: tuple, values: tuple, label: str) -> GrowthSeries:

@@ -561,6 +561,27 @@ class TestContract:
             assert result.output == ("error: series 'long': years too close together "
                                      "for float arithmetic (0 to 6e-227)\n")
 
+    def test_regime_window_with_years_too_close_is_skipped(self, runner, tmp_path):
+        # the fit is well posed; only the stagnation window's years are too close,
+        # so that section is skipped and the report still has every other section
+        path = write_long(tmp_path, [(0, 1), (9.3e-247, 2), (6e-227, 3), (1e-226, 4)]
+                          + [(1500, 10), (1600, 12), (1700, 15), (1820, 20), (1870, 30),
+                             (1900, 40), (1913, 50)])
+        out = tmp_path / "report.json"
+        result = run(runner, "analyze", path, "--long", "--stagnation-window", "-1:1",
+                     "-o", str(out))
+        assert result.exit_code == 0, result.output
+        report = json.loads(out.read_text())
+        assert report["stagnation"] == {
+            "skipped": "years too close together for float arithmetic (0 to 1e-226)"
+        }
+        assert report["fit"]["n_points"] == 6
+        assert "direction" in report["diversion"] and "found" in report["takeoff"]
+        # the same years as the fit window are still a failure of the fit itself
+        result = run(runner, "analyze", path, "--long", "--window", "-1:1")
+        assert_one_error_line(result, 2)
+        assert "years too close together for float arithmetic (0 to 1e-226)" in result.output
+
     @pytest.mark.parametrize("spec", ["0:1e12:1", "-1e308:1e308:1", "0:inf:1", "0:1:nan"])
     def test_range_years_refused_before_building(self, runner, spec):
         # the first two would take hours to build; the cap answers at once

@@ -1,8 +1,12 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from hypergrowth import series as series_module
 from hypergrowth.errors import (
     AtSingularityError,
     FitTooFewPointsError,
@@ -10,15 +14,20 @@ from hypergrowth.errors import (
     YearNotObservedError,
 )
 from hypergrowth.fitting import (
+    COLLINEAR_RTOL,
     SMALL_FIT_MAX,
+    YearsTooCloseError,
+    _sums_table,
     fit_hyperbolic,
     fit_line,
+    fit_range,
     goodness,
     model_value,
     percent_deviation,
     singularity,
 )
-from hypergrowth.series import Window, new_series
+from hypergrowth.report import analyze_series
+from hypergrowth.series import Window, new_series, window
 
 
 def hyperbola_series(a, k, years, label="hyp", scale=1.0):
@@ -234,3 +243,117 @@ class TestGoodness:
         late = [rho for y, _, rho, _ in diag.rows if y >= 1906]
         assert max(abs(r) for r in in_window) < 3.0
         assert late and all(r > 3.0 for r in late)
+
+
+# Window fits of a series of at most SMALL_FIT_MAX points read its exact prefix
+# sums. Each window is checked against the exact OLS line in Fractions.
+
+
+@st.composite
+def small_series(draw):
+    """3-64 points: fractional, negative and widely spread years, values 1e-3 to 1e6."""
+    n = draw(st.integers(3, SMALL_FIT_MAX))
+    start = draw(st.floats(-5000.0, 5000.0))
+    steps = draw(st.lists(st.floats(1e-3, 1e3), min_size=n - 1, max_size=n - 1))
+    years = [start]
+    for step in steps:  # a step of at least 1e-3 always moves a year below 1e5
+        years.append(years[-1] + step)
+    values = draw(st.lists(st.floats(1e-3, 1e6), min_size=n, max_size=n))
+    return new_series(zip(years, values), "x")
+
+
+def exact_prefix(column):
+    sums = [Fraction(0)]
+    for v in column:
+        sums.append(sums[-1] + Fraction(v))
+    return sums
+
+
+def exact_moments(px, py, pxx, pxy, pyy, lo, hi):
+    """(xbar, ybar, sxx, sxy, ssr, sst) of points lo..hi-1, exact."""
+    n = hi - lo
+    sx, sy = px[hi] - px[lo], py[hi] - py[lo]
+    sxx = pxx[hi] - pxx[lo] - sx * sx / n
+    sxy = pxy[hi] - pxy[lo] - sx * sy / n
+    sst = pyy[hi] - pyy[lo] - sy * sy / n
+    return sx / n, sy / n, sxx, sxy, sst - sxy * sxy / sxx, sst
+
+
+def within_ulps(got, want, ulps):
+    return abs(got - want) <= ulps * math.ulp(want)
+
+
+@settings(max_examples=40, deadline=None)
+@given(s=small_series())
+def test_small_series_window_fits_match_exact_ols(s):
+    years, recip = s.years, s.reciprocals
+    sums = (exact_prefix(years), exact_prefix(recip),
+            exact_prefix(Fraction(t) ** 2 for t in years),
+            exact_prefix(Fraction(t) * Fraction(r) for t, r in zip(years, recip)),
+            exact_prefix(Fraction(r) ** 2 for r in recip))
+    for lo in range(len(s) - 2):
+        for hi in range(lo + 3, len(s) + 1):
+            n = hi - lo
+            xbar, ybar, sxx, sxy, ssr, sst = moments = exact_moments(*sums, lo, hi)
+            # each moment of the table kernel is the exact one, correctly rounded
+            assert _sums_table(s.prefix_moments, lo, hi) == (*map(float, moments), float(xbar))
+            slope = sxy / sxx
+            if ssr <= Fraction(COLLINEAR_RTOL**2) * (sst + n * ybar * ybar):
+                ssr = Fraction(0)  # fit_line's collinear snap
+            w = Window(years[lo], years[hi - 1])
+            if slope >= 0:
+                with pytest.raises(NonDecreasingLineError):
+                    fit_hyperbolic(s, w)
+                continue
+            f = fit_hyperbolic(s, w)
+            assert f.n_points == n
+            assert within_ulps(-f.k, float(slope), 4)
+            assert within_ulps(f.rmse_reciprocal, math.sqrt(ssr / n), 4)
+            # a is ybar - slope * xbar: its rounding follows the larger term
+            a = ybar - slope * xbar
+            assert abs(f.a - float(a)) <= 1e-12 * float(max(abs(ybar), abs(slope * xbar)))
+            s2 = ssr / (n - 2)
+            se_k = math.sqrt(s2 / sxx)
+            se_a = math.sqrt(s2 * (Fraction(1, n) + xbar**2 / sxx))
+            assert abs(f.se_k - se_k) <= 1e-12 * se_k
+            assert abs(f.se_a - se_a) <= 1e-12 * se_a
+            # correctly rounded moments do not depend on the rest of the series
+            assert repr(fit_hyperbolic(window(s, w), w)) == repr(f)
+
+
+class TestPrefixMoments:
+    def test_built_once_per_series_and_reused(self, monkeypatch):
+        builds = []
+        scaled = series_module._scaled
+        monkeypatch.setattr(series_module, "_scaled",
+                            lambda column: builds.append(len(column)) or scaled(column))
+        s = hyperbola_series(0.1147, 5.961e-5, range(1500, 1901, 25))
+        assert "prefix_moments" not in vars(s)
+        for t0 in range(1500, 1800, 25):
+            fit_hyperbolic(s, Window(t0, 1900))
+        table = s.prefix_moments
+        analyze_series(s)
+        assert builds == [len(s), len(s)]  # the years and the reciprocals, once
+        assert s.prefix_moments is table
+
+    @pytest.mark.parametrize("n", [SMALL_FIT_MAX, SMALL_FIT_MAX + 1, 200])
+    def test_kept_only_by_series_of_at_most_small_fit_max_points(self, n):
+        s = hyperbola_series(0.1147, 5.961e-5, [1500 + 400 * i / (n - 1) for i in range(n)])
+        analyze_series(s)
+        assert ("prefix_moments" in vars(s)) == (n <= SMALL_FIT_MAX)
+
+    def test_years_too_close_raise_through_the_table(self):
+        s = new_series([(0, 1), (9.3e-247, 2), (6e-227, 3), (1e-226, 4), (1500, 10),
+                        (1600, 12), (1700, 15), (1820, 20), (1870, 30), (1900, 40),
+                        (1913, 50)], "mixed")
+        with pytest.raises(YearsTooCloseError, match=r"\(0 to 1e-226\)"):
+            fit_hyperbolic(s, Window(-1, 1))
+        assert "prefix_moments" in vars(s)
+        with pytest.raises(YearsTooCloseError, match=r"\(0 to 6e-227\)"):
+            fit_range(s, 0, 3)
+        fit_hyperbolic(s, Window(1500, 1900))  # the other windows still fit
+
+    def test_overflow_is_an_arithmetic_error_through_the_table(self):
+        s = new_series([(1, 1e-300), (2, 2e-300), (3, 3e-300), (4, 1.0)], "x")
+        with pytest.raises(OverflowError, match="values too extreme for float arithmetic"):
+            fit_range(s, 0, 4)

@@ -19,6 +19,7 @@ from hypergrowth.fitting import (
     SMALL_FIT_MAX,
     HyperbolicFit,
     fit_hyperbolic,
+    fit_range,
     singularity,
 )
 from hypergrowth.regimes import (
@@ -257,9 +258,9 @@ def scan_inputs(draw):
 def test_scan_kernels_agree(s):
     mean = sum(s.reciprocals) / len(s)
     columns = (s.years, s.reciprocals, s.values, mean)
-    line_s, ss_s, *counts_s = _scan_small(*columns)
-    line_n, ss_n, *counts_n = _scan_numpy(*columns)
-    assert line_n == line_s  # both fit in numpy; one from the kernel's arrays
+    line, ss_n, *counts_n = _scan_numpy(*columns)
+    assert line == fit_range(s, 0, len(s))  # both fit in numpy; one from the kernel's arrays
+    ss_s, *counts_s = _scan_small(*columns, line)
     assert counts_n == counts_s
     assert ss_n == pytest.approx(ss_s, rel=1e-12, abs=1e-300)
 
