@@ -9,27 +9,27 @@ crosses zero.
 Years around 1900 combined with slopes around 1e-5 make the raw normal
 equations poorly conditioned, so the regression is computed from the
 centred moments (means, sums of squares and cross products about the
-means) and de-centred afterwards. Three kernels compute those moments,
-and one finisher turns them into a line:
+means). Two kernels compute those moments and the line, and one finisher
+adds the fit statistics:
 
-* a windowed fit of a series of at most SMALL_FIT_MAX = 64 points reads
-  the series' kept exact prefix sums (``GrowthSeries.prefix_moments``,
-  about five Python ints per point), so each window costs O(1) and each
-  moment is correctly rounded;
-* any other fit of at most 64 points sums centred floats with exactly
-  rounded ``math.fsum``;
+* a fit of at most SMALL_FIT_MAX = 64 points reads exact integer prefix
+  sums (``prefix_moments``, about five Python ints per point), and each
+  moment is correctly rounded. A series of at most 64 points keeps its
+  table (``GrowthSeries.prefix_moments``), so each of its windows costs
+  O(1); any other such fit builds the table of its own points;
 * a fit of more than 64 points sums in numpy, imported on first use.
 
-Windowed fits of a series (``fit_hyperbolic``, each segment of
-``segment_consistency``, a stagnation window of at most 64 points) go
-through ``fit_range``, which picks the kernel from the series length;
-``fit_line`` takes raw sequences and picks by their length.
+So a fit of at most 64 points depends only on its points. Windowed fits
+of a series (``fit_hyperbolic``, each segment of ``segment_consistency``,
+a stagnation window of at most 64 points) go through ``fit_range``;
+``fit_line`` takes raw sequences.
 """
 
 from __future__ import annotations
 
 import math
-import operator
+from itertools import accumulate
+from operator import mul
 from typing import NamedTuple
 
 from .errors import (
@@ -45,10 +45,10 @@ from .series import GrowthSeries, Window, index_range
 # to the genuine perfect fit, so the rmse-0 conventions apply.
 COLLINEAR_RTOL = 1e-13
 
-# Fits of at most this many points sum in pure Python, larger ones in numpy:
-# below it numpy's per-call overhead outweighs the loop, and the small
-# inputs of the CLI never import numpy. Series of at most this many points
-# keep exact prefix sums for their window fits.
+# Fits of at most this many points sum exact integers in pure Python, larger
+# ones floats in numpy: below it numpy's per-call overhead outweighs the
+# loop, and the small inputs of the CLI never import numpy. Series of at most
+# this many points keep their exact prefix sums for their window fits.
 SMALL_FIT_MAX = 64
 
 _TOO_EXTREME = "line fit: values too extreme for float arithmetic"
@@ -74,60 +74,45 @@ class LineFit(NamedTuple):
     se_intercept: float | None
 
 
-def _sums_small(years, values, center):
-    """Centered sums of a small fit: two passes of exactly rounded ``math.fsum``."""
-    n = len(years)
-    fsum, mul = math.fsum, operator.mul
-    xbar_raw = fsum(years) / n
-    if center:
-        xc = [t - center for t in years]
-        xbar = fsum(xc) / n
-    else:  # t - 0.0 == t for every float, so centring on 0 changes nothing
-        xc, xbar = years, xbar_raw
-    ybar = fsum(values) / n
-    dx = [t - xbar for t in xc]
-    dy = [v - ybar for v in values]
-    sxx = fsum(map(mul, dx, dx))
-    sst = fsum(map(mul, dy, dy))
-    # float products overflow to inf silently; once both sums of squares
-    # are finite, no product d * e below can overflow
-    if not math.isfinite(sxx + sst):
-        raise OverflowError(_TOO_EXTREME)
-    sxy = fsum(map(mul, dx, dy))
-    slope = sxy / sxx if sxx else 0.0
-    # libm's pow behind ** 2 and r * r round a few floats differently;
-    # ** 2 keeps the reported digits
-    ssr = fsum([(e - slope * d) ** 2 for d, e in zip(dx, dy)])
-    return xbar, ybar, sxx, sxy, ssr, sst, xbar_raw
+def _scaled(column) -> tuple[int, list[int]]:
+    """``(b, ints)`` with ``ints[i] == column[i] * 2**b`` exactly, for the least b >= 0."""
+    try:  # a float's denominator is a power of 2
+        ratios = list(map(float.as_integer_ratio, map(float, column)))
+    except (OverflowError, ValueError):  # an infinity or a nan has no ratio
+        raise OverflowError(_TOO_EXTREME) from None
+    b = max([q for _, q in ratios]).bit_length() - 1
+    return b, [p << (b + 1 - q.bit_length()) for p, q in ratios]
 
 
-def _sums_numpy(years, values, center):
-    """Centered sums of a large fit, vectorised; float overflow raises."""
-    import numpy as np
+def _running(column) -> tuple[int, ...]:
+    return tuple(accumulate(column, initial=0))
 
-    with np.errstate(over="raise", divide="raise", invalid="raise"):
-        x = np.asarray(years, dtype=float)
-        y = np.asarray(values, dtype=float)
-        xc = x - center
-        xbar = float(xc.mean())
-        ybar = float(y.mean())
-        dx = xc - xbar
-        dy = y - ybar
-        sxx = float(np.sum(dx**2))
-        sst = float(np.sum(dy**2))
-        sxy = float(np.sum(dx * dy))
-        slope = sxy / sxx if sxx else 0.0
-        ssr = float(np.sum((dy - slope * dx) ** 2))
-        return xbar, ybar, sxx, sxy, ssr, sst, float(x.mean())
+
+def prefix_moments(years, values) -> tuple:
+    """Exact running sums of the years and values, for O(1) line fits of any range.
+
+    ``(bx, by, X, Y, XX, XY, YY)``: every year times ``2**bx`` and every
+    value times ``2**by`` is an integer, and each column holds the running
+    sums of those integers, of their squares and of their products,
+    starting from 0 before the first point. The sums over ``years[lo:hi]``
+    are ``X[hi] - X[lo]`` and so on, with no rounding. A nan or infinite
+    entry raises OverflowError.
+    """
+    bx, xs = _scaled(years)
+    by, ys = _scaled(values)
+    return (bx, by, _running(xs), _running(ys), _running(map(mul, xs, xs)),
+            _running(map(mul, xs, ys)), _running(map(mul, ys, ys)))
 
 
 def _sums_table(table, lo, hi):
-    """Centred sums of points lo..hi-1 from a series' ``prefix_moments``.
+    """The line and centred sums of points lo..hi-1 from a ``prefix_moments`` table.
 
-    The window sums and n times its centred sums (n*Sxx - Sx**2 and the
-    like) are exact integers, and each moment is one int true division,
-    which rounds once, correctly; the powers of two scale the divisor, so
-    nothing is rounded twice.
+    Returns ``(slope, intercept, ybar, sxx, ssr, sst, xbar)``. The window
+    sums and n times its centred sums (n*Sxx - Sx**2 and the like) are
+    exact integers, and each moment is one int true division, which rounds
+    once, correctly; the powers of two scale the divisor, so nothing is
+    rounded twice. The slope and intercept are float arithmetic on the
+    rounded moments.
     """
     bx, by, px, py, pxx, pxy, pyy = table
     n = hi - lo
@@ -143,10 +128,39 @@ def _sums_table(table, lo, hi):
         raise OverflowError(_TOO_EXTREME) from None
     if not math.isfinite(sxx + sst):
         raise OverflowError(_TOO_EXTREME)
+    if not sxx:  # equal years, or centred squares that underflow: the caller raises
+        return (0.0,) * 7
     xbar = sx / (n << bx)
+    ybar = sy / (n << by)
+    slope = (cxy / (n << (bx + by))) / sxx
     # the residual sum of squares of the exact OLS line is Sst - Sxy**2/Sxx
     ssr = (cyy * cxx - cxy * cxy) / ((n * cxx) << (2 * by))
-    return xbar, sy / (n << by), sxx, cxy / (n << (bx + by)), ssr, sst, xbar
+    return slope, ybar - slope * xbar, ybar, sxx, ssr, sst, xbar
+
+
+def _sums_numpy(years, values, center):
+    """The line and centred sums of a large fit, vectorised, in the order of
+    ``_sums_table``; float overflow, an infinity or a nan raises."""
+    import numpy as np
+
+    with np.errstate(over="raise", divide="raise", invalid="raise"):
+        x = np.asarray(years, dtype=float)
+        y = np.asarray(values, dtype=float)
+        xc = x - center
+        xbar = float(xc.mean())
+        ybar = float(y.mean())
+        dx = xc - xbar
+        dy = y - ybar
+        sxx = float(np.sum(dx**2))
+        sst = float(np.sum(dy**2))
+        if not math.isfinite(sxx + sst):  # a nan raises nothing on its way here
+            raise OverflowError(_TOO_EXTREME)
+        sxy = float(np.sum(dx * dy))
+        slope = sxy / sxx if sxx else 0.0
+        ssr = float(np.sum((dy - slope * dx) ** 2))
+        # the intercept in centred coordinates, de-centred
+        intercept = (ybar - slope * xbar) - slope * center
+        return slope, intercept, ybar, sxx, ssr, sst, float(x.mean())
 
 
 def _no_spread(years):
@@ -159,16 +173,12 @@ def _no_spread(years):
     raise FitTooFewPointsError("line fit needs at least 2 distinct years")
 
 
-def _line_from_moments(n, center, xbar, ybar, sxx, sxy, ssr, sst, xbar_raw) -> LineFit:
-    """The line, its fit statistics and standard errors from centred moments.
+def _line_from_moments(n, slope, intercept, ybar, sxx, ssr, sst, xbar) -> LineFit:
+    """The line with its fit statistics and standard errors, from a kernel's output.
 
-    ``xbar`` is the mean of the years less ``center``, ``xbar_raw`` the
-    mean of the years; sxx must be positive.
+    ``ybar`` and ``xbar`` are the means of the values and the years; sxx
+    must be positive.
     """
-    slope = sxy / sxx
-    alpha = ybar - slope * xbar          # intercept in centered coordinates
-    intercept = alpha - slope * center   # de-centered
-
     # sst/n + ybar^2 is the mean square of y, so no extra pass is needed
     if ssr <= COLLINEAR_RTOL**2 * (sst + n * ybar * ybar):
         ssr = 0.0
@@ -178,8 +188,8 @@ def _line_from_moments(n, center, xbar, ybar, sxx, sxy, ssr, sst, xbar_raw) -> L
     if n > 2:
         s2 = ssr / (n - 2)
         se_slope = math.sqrt(s2 / sxx)
-        # variance of the de-centered intercept at t = 0
-        se_intercept = math.sqrt(s2 * (1.0 / n + xbar_raw**2 / sxx))
+        # variance of the intercept at t = 0
+        se_intercept = math.sqrt(s2 * (1.0 / n + xbar**2 / sxx))
     else:
         se_slope = None
         se_intercept = None
@@ -188,43 +198,46 @@ def _line_from_moments(n, center, xbar, ybar, sxx, sxy, ssr, sst, xbar_raw) -> L
 
 
 def fit_line(years, values, center: float = 0.0) -> LineFit:
-    """OLS line fit with internal centering of the regressor.
+    """OLS line fit of the values on the years.
 
-    Fits of at most SMALL_FIT_MAX points sum in pure Python; larger ones
-    use numpy, imported on first use. Input too extreme for float
-    arithmetic raises an ArithmeticError either way.
+    Fits of at most SMALL_FIT_MAX points read the exact prefix sums of
+    their own points, so the result depends only on the points; larger
+    ones sum in numpy, imported on first use. Input too extreme for float
+    arithmetic, an infinity or a nan raises an ArithmeticError either way.
 
     Args:
         years: regressor values (calendar years).
         values: response values (reciprocal GDP).
-        center: subtracted from the years first; the sums then centre
-            on the years' mean, so the default 0 suits any years.
+        center: subtracted from the years before numpy sums them about
+            their mean, so the default 0 suits any years; exact sums need
+            no centre.
     """
     n = len(years)
     if n < 2:
         raise FitTooFewPointsError(f"line fit needs at least 2 points, got {n}")
-    sums = _sums_small if n <= SMALL_FIT_MAX else _sums_numpy
-    moments = sums(years, values, center)
-    if moments[2] == 0.0:
+    if n <= SMALL_FIT_MAX:
+        moments = _sums_table(prefix_moments(years, values), 0, n)
+    else:
+        moments = _sums_numpy(years, values, center)
+    if moments[3] == 0.0:
         _no_spread(years)
-    return _line_from_moments(n, center, *moments)
+    return _line_from_moments(n, *moments)
 
 
 def fit_range(s: GrowthSeries, lo: int, hi: int) -> LineFit:
     """Line fit of the reciprocals on the years of ``s.years[lo:hi]``.
 
     A series of at most SMALL_FIT_MAX points builds its exact prefix sums
-    on the first call and fits every range from them in O(1); the result
-    depends only on the range's points, never on the rest of the series.
-    A longer series (or a range of fewer than 2 points) slices into
-    ``fit_line``.
+    on the first call and fits every range from them in O(1). A longer
+    series (or a range of fewer than 2 points) slices into ``fit_line``.
+    Either way the result is ``fit_line`` on the range's points.
     """
     if len(s) > SMALL_FIT_MAX or hi - lo < 2:
         return fit_line(s.years[lo:hi], s.reciprocals[lo:hi])
     moments = _sums_table(s.prefix_moments, lo, hi)
-    if moments[2] == 0.0:
+    if moments[3] == 0.0:
         _no_spread(s.years[lo:hi])
-    return _line_from_moments(hi - lo, 0.0, *moments)
+    return _line_from_moments(hi - lo, *moments)
 
 
 class HyperbolicFit(NamedTuple):
@@ -312,8 +325,8 @@ def percent_deviation(f: HyperbolicFit, s: GrowthSeries, t: float) -> float:
     return 100.0 * (observed - model) / model
 
 
-def residuals(f: HyperbolicFit, years, values) -> list[tuple[float, float, float, float]]:
-    """FitDiagnostics rows at the given years and their values.
+def goodness(f: HyperbolicFit, s: GrowthSeries) -> FitDiagnostics:
+    """Residual diagnostics at every observed year with a positive line.
 
     The normalized residual divides the raw one by the in-window rmse;
     it is 0 for an exact fit (rmse 0).
@@ -321,15 +334,10 @@ def residuals(f: HyperbolicFit, years, values) -> list[tuple[float, float, float
     a, k = f.a, f.k
     scale = f.rmse_reciprocal
     rows = []
-    for y, v in zip(years, values):
+    for y, v in zip(s.years, s.values):
         line = a - k * y
         if line > 0.0:
             raw = 1.0 / v - line
             # relative GDP deviation (v - 1/line) / (1/line) = v*line - 1
             rows.append((y, raw, raw / scale if scale else 0.0, -raw * v))
-    return rows
-
-
-def goodness(f: HyperbolicFit, s: GrowthSeries) -> FitDiagnostics:
-    """Residual diagnostics at every observed year with a positive line."""
-    return FitDiagnostics(rows=tuple(residuals(f, s.years, s.values)))
+    return FitDiagnostics(rows=tuple(rows))

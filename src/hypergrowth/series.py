@@ -11,8 +11,8 @@ from __future__ import annotations
 import math
 from bisect import bisect_left, bisect_right
 from functools import cached_property
-from itertools import accumulate, repeat
-from operator import itemgetter, lt, mul
+from itertools import repeat
+from operator import itemgetter, lt
 from typing import Iterable, Sequence
 
 from .errors import (
@@ -114,18 +114,10 @@ class GrowthSeries(Frozen):
 
     @cached_property
     def prefix_moments(self) -> tuple:
-        """Exact running sums of the years and reciprocals, for O(1) window fits.
+        """``fitting.prefix_moments`` of the years and reciprocals, for O(1) window fits."""
+        from .fitting import prefix_moments  # fitting imports this module
 
-        ``(bx, by, X, Y, XX, XY, YY)``: every year times ``2**bx`` and every
-        reciprocal times ``2**by`` is an integer, and each column holds the
-        running sums of those integers, of their squares and of their
-        products, starting from 0 before the first point. The sums over
-        ``years[lo:hi]`` are ``X[hi] - X[lo]`` and so on, with no rounding.
-        """
-        bx, xs = _scaled(self.years)
-        by, ys = _scaled(self.reciprocals)
-        return (bx, by, _running(xs), _running(ys), _running(map(mul, xs, xs)),
-                _running(map(mul, xs, ys)), _running(map(mul, ys, ys)))
+        return prefix_moments(self.years, self.reciprocals)
 
     def __len__(self) -> int:
         return len(self.years)
@@ -134,17 +126,6 @@ class GrowthSeries(Frozen):
         """Value at an observed year, None if the year is not observed."""
         lo, hi = index_range(self, year, year)
         return self.values[lo] if lo < hi else None
-
-
-def _scaled(column) -> tuple[int, list[int]]:
-    """``(b, ints)`` with ``ints[i] == column[i] * 2**b`` exactly, for the least b >= 0."""
-    ratios = [f.as_integer_ratio() for f in column]  # denominators are powers of 2
-    b = max([q for _, q in ratios]).bit_length() - 1
-    return b, [p << (b + 1 - q.bit_length()) for p, q in ratios]
-
-
-def _running(column) -> tuple[int, ...]:
-    return tuple(accumulate(column, initial=0))
 
 
 def _set_columns(s: GrowthSeries, years: tuple, values: tuple, label: str) -> GrowthSeries:

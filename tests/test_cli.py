@@ -550,6 +550,14 @@ class TestContract:
                 assert "values too extreme for float arithmetic" in result.output
         assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
 
+    def test_subnormal_value_with_an_infinite_reciprocal_is_2(self, runner, tmp_path):
+        path = write_long(tmp_path, [(1500, "5e-324"), (1600, 1), (1700, 2), (1800, 3)])
+        for args in (["analyze", path, "--long"],
+                     ["plotdata", path, "--long", "--out-prefix", str(tmp_path / "p")]):
+            result = run(runner, *args)
+            assert_one_error_line(result, 2)
+            assert "values too extreme for float arithmetic" in result.output
+
     def test_distinct_years_too_close_for_the_fit_are_2(self, runner, tmp_path):
         # their centred squares underflow to 0; the years are distinct, so not a fit
         # error, and the message names the years, not the values

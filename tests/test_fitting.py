@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hypergrowth import series as series_module
+from hypergrowth import fitting as fitting_module
 from hypergrowth.errors import (
     AtSingularityError,
     FitTooFewPointsError,
@@ -71,6 +71,19 @@ class TestFitLine:
         # centred squares of years this close underflow to 0, so sxx == 0
         with pytest.raises(ArithmeticError, match=r"years too close together .*\(0 to 6e-227\)"):
             fit_line([0.0, 9.3e-247, 6.0e-227], [1.0, 2.0, 3.0])
+
+    @pytest.mark.parametrize("n", [3, SMALL_FIT_MAX, SMALL_FIT_MAX + 1])
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("column", [0, 1])
+    def test_nan_or_infinite_input_is_too_extreme(self, n, bad, column):
+        columns = ([1500.0 + i for i in range(n)], [1.0 + i for i in range(n)])
+        columns[column][1] = bad
+        if n <= SMALL_FIT_MAX:
+            with pytest.raises(OverflowError, match="values too extreme for float arithmetic"):
+                fit_line(*columns)
+        else:  # numpy's errstate raises a FloatingPointError for an infinity
+            with pytest.raises(ArithmeticError):
+                fit_line(*columns)
 
     @pytest.mark.parametrize("years", [[5.0, 5.0], [5.0] * (SMALL_FIT_MAX + 1)])
     def test_equal_years_are_too_few(self, years):
@@ -250,9 +263,9 @@ class TestGoodness:
 
 
 @st.composite
-def small_series(draw):
-    """3-64 points: fractional, negative and widely spread years, values 1e-3 to 1e6."""
-    n = draw(st.integers(3, SMALL_FIT_MAX))
+def small_series(draw, min_points=3, max_points=SMALL_FIT_MAX):
+    """3-64 points by default: fractional, negative and widely spread years, values 1e-3 to 1e6."""
+    n = draw(st.integers(min_points, max_points))
     start = draw(st.floats(-5000.0, 5000.0))
     steps = draw(st.lists(st.floats(1e-3, 1e3), min_size=n - 1, max_size=n - 1))
     years = [start]
@@ -294,9 +307,15 @@ def test_small_series_window_fits_match_exact_ols(s):
     for lo in range(len(s) - 2):
         for hi in range(lo + 3, len(s) + 1):
             n = hi - lo
-            xbar, ybar, sxx, sxy, ssr, sst = moments = exact_moments(*sums, lo, hi)
-            # each moment of the table kernel is the exact one, correctly rounded
-            assert _sums_table(s.prefix_moments, lo, hi) == (*map(float, moments), float(xbar))
+            xbar, ybar, sxx, sxy, ssr, sst = exact_moments(*sums, lo, hi)
+            got = _sums_table(s.prefix_moments, lo, hi)
+            # each moment of the table kernel is the exact one, correctly rounded,
+            assert got[2:] == tuple(map(float, (ybar, sxx, ssr, sst, xbar)))
+            # and the line is float arithmetic on the rounded moments
+            slope_f = float(sxy) / float(sxx)
+            assert got[:2] == (slope_f, float(ybar) - slope_f * float(xbar))
+            # a raw fit of the same points reads a table of its own points
+            assert repr(fit_line(years[lo:hi], recip[lo:hi])) == repr(fit_range(s, lo, hi))
             slope = sxy / sxx
             if ssr <= Fraction(COLLINEAR_RTOL**2) * (sst + n * ybar * ybar):
                 ssr = Fraction(0)  # fit_line's collinear snap
@@ -321,11 +340,29 @@ def test_small_series_window_fits_match_exact_ols(s):
             assert repr(fit_hyperbolic(window(s, w), w)) == repr(f)
 
 
+@settings(max_examples=5, deadline=None)
+@given(s=small_series(SMALL_FIT_MAX + 1, 2 * SMALL_FIT_MAX))
+def test_long_series_small_window_fits_depend_only_on_their_points(s):
+    # a series of more than 64 points keeps no table, yet each of its windows
+    # of at most 64 points fits to the same bits as a series of just its points
+    years = s.years
+    for lo in range(len(s) - 2):
+        for hi in range(lo + 3, min(len(s), lo + SMALL_FIT_MAX) + 1):
+            w = Window(years[lo], years[hi - 1])
+            try:
+                f = fit_hyperbolic(s, w)
+            except NonDecreasingLineError:
+                with pytest.raises(NonDecreasingLineError):
+                    fit_hyperbolic(window(s, w), w)
+                continue
+            assert repr(fit_hyperbolic(window(s, w), w)) == repr(f)
+
+
 class TestPrefixMoments:
     def test_built_once_per_series_and_reused(self, monkeypatch):
         builds = []
-        scaled = series_module._scaled
-        monkeypatch.setattr(series_module, "_scaled",
+        scaled = fitting_module._scaled
+        monkeypatch.setattr(fitting_module, "_scaled",
                             lambda column: builds.append(len(column)) or scaled(column))
         s = hyperbola_series(0.1147, 5.961e-5, range(1500, 1901, 25))
         assert "prefix_moments" not in vars(s)
@@ -357,3 +394,10 @@ class TestPrefixMoments:
         s = new_series([(1, 1e-300), (2, 2e-300), (3, 3e-300), (4, 1.0)], "x")
         with pytest.raises(OverflowError, match="values too extreme for float arithmetic"):
             fit_range(s, 0, 4)
+
+    def test_infinite_reciprocal_is_too_extreme_for_the_table(self):
+        s = new_series([(1500, 5e-324), (1600, 1), (1700, 2), (1800, 3)], "x")
+        assert math.isinf(s.reciprocals[0])
+        for fit in (lambda: fit_range(s, 0, 4), lambda: fit_hyperbolic(s, Window(1500, 1800))):
+            with pytest.raises(OverflowError, match="values too extreme for float arithmetic"):
+                fit()
