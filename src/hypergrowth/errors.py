@@ -30,7 +30,7 @@ class DuplicateYearError(DataError):
 
 
 class NonPositiveValueError(DataError):
-    pass
+    """A value is not positive, or so small that its reciprocal overflows."""
 
 
 class NonFiniteValueError(DataError):

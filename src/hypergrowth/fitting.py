@@ -45,6 +45,11 @@ from .series import GrowthSeries, Window, index_range
 # to the genuine perfect fit, so the rmse-0 conventions apply.
 COLLINEAR_RTOL = 1e-13
 
+# Residual scale when a fit's rmse is exactly 0: a normalized residual is
+# then the raw one per this much, so the regime scans' kappa comparison
+# degenerates to an absolute tolerance of this much per unit of kappa.
+ABSOLUTE_RESIDUAL_TOLERANCE = 1e-9
+
 # Fits of at most this many points sum exact integers in pure Python, larger
 # ones floats in numpy: below it numpy's per-call overhead outweighs the
 # loop, and the small inputs of the CLI never import numpy. Series of at most
@@ -263,14 +268,8 @@ class HyperbolicFit(NamedTuple):
 
 
 class FitDiagnostics(NamedTuple):
-    """Per-year residual table for an accepted fit.
-
-    Each row is (year, raw reciprocal residual, normalized residual,
-    relative GDP deviation). Raw residual is observed minus fitted in
-    reciprocal space; normalized divides by the in-window rmse (0 by
-    convention when rmse is 0). Rows exist only at observed years where
-    the fitted line is positive.
-    """
+    """Per-year residual table for an accepted fit: the ``residual_rows``
+    of every observed year, the rows the diversion and takeoff scans read."""
 
     rows: tuple[tuple[float, float, float, float], ...]
 
@@ -325,19 +324,24 @@ def percent_deviation(f: HyperbolicFit, s: GrowthSeries, t: float) -> float:
     return 100.0 * (observed - model) / model
 
 
-def goodness(f: HyperbolicFit, s: GrowthSeries) -> FitDiagnostics:
-    """Residual diagnostics at every observed year with a positive line.
+def residual_rows(f: HyperbolicFit, years, values):
+    """(year, raw, normalized, relative GDP deviation) at each year where the
+    fitted line is positive, in the given order.
 
-    The normalized residual divides the raw one by the in-window rmse;
-    it is 0 for an exact fit (rmse 0).
+    The raw residual is observed minus fitted in reciprocal space. The
+    normalized one divides it by the in-window rmse, or by
+    ABSOLUTE_RESIDUAL_TOLERANCE for an exact fit (rmse 0). The relative
+    GDP deviation is (v - 1/line) / (1/line) = v*line - 1.
     """
     a, k = f.a, f.k
-    scale = f.rmse_reciprocal
-    rows = []
-    for y, v in zip(s.years, s.values):
+    scale = f.rmse_reciprocal or ABSOLUTE_RESIDUAL_TOLERANCE
+    for y, v in zip(years, values):
         line = a - k * y
         if line > 0.0:
             raw = 1.0 / v - line
-            # relative GDP deviation (v - 1/line) / (1/line) = v*line - 1
-            rows.append((y, raw, raw / scale if scale else 0.0, -raw * v))
-    return FitDiagnostics(rows=tuple(rows))
+            yield y, raw, raw / scale, -raw * v
+
+
+def goodness(f: HyperbolicFit, s: GrowthSeries) -> FitDiagnostics:
+    """Residual diagnostics at every observed year with a positive line."""
+    return FitDiagnostics(tuple(residual_rows(f, s.years, s.values)))

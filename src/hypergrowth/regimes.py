@@ -38,6 +38,7 @@ from .fitting import (
     LineFit,
     fit_line,
     fit_range,
+    residual_rows,
     singularity,
 )
 from .series import GrowthSeries, Window, index_range
@@ -47,10 +48,6 @@ DEFAULT_TAKEOFF_WINDOW = Window(1760.0, 1840.0)
 DEFAULT_STAGNATION_WINDOW = Window(1.0, 1750.0)
 DEFAULT_SEGMENT_BOUNDARIES = (1750.0, 1870.0)
 DEFAULT_SEGMENT_WINDOW = Window(1500.0, 1900.0)
-
-# Residual scale when the in-window rmse is exactly 0: the kappa comparison
-# then degenerates to an absolute tolerance of this much per unit of kappa.
-ABSOLUTE_RESIDUAL_TOLERANCE = 1e-9
 
 Z_CRITICAL = 1.96
 MONOTONE_THRESHOLD = 0.75
@@ -96,25 +93,14 @@ class SegmentReport(NamedTuple):
     verdict: str  # "single-line-consistent" | "segmented"
 
 
-def _normalized(f: HyperbolicFit, years, values):
-    """(year, normalized residual) where the fitted line is positive, in the
-    given order; an exact fit divides by ABSOLUTE_RESIDUAL_TOLERANCE."""
-    a, k = f.a, f.k
-    scale = f.rmse_reciprocal or ABSOLUTE_RESIDUAL_TOLERANCE
-    for y, v in zip(years, values):
-        line = a - k * y
-        if line > 0.0:
-            yield y, (1.0 / v - line) / scale
-
-
 def _persistent_onsets(rows, kappa: float) -> tuple:
-    """(first year, onset above kappa, onset below -kappa) of (year, normalized
-    residual) rows read from the last year back. An onset is the earliest year
-    of a run that lasts to the end, None without one; reading stops at the
-    first year that breaks both runs."""
+    """(first year, onset above kappa, onset below -kappa) of ``residual_rows``
+    read from the last year back. An onset is the earliest year of a run that
+    lasts to the end, None without one; reading stops at the first year that
+    breaks both runs."""
     last = above = below = None
     up = down = True
-    for y, rho in rows:
+    for y, _, rho, _ in rows:
         if last is None:
             last = y
         up = up and rho > kappa
@@ -149,7 +135,7 @@ def detect_diversion(
         )
     backwards = islice(reversed(years), len(years) - lo)
     last, above, below = _persistent_onsets(
-        _normalized(f, backwards, reversed(s.values)), kappa
+        residual_rows(f, backwards, reversed(s.values)), kappa
     )
     until = f.fit_window.t1 if last is None else last
     # diversion_year, direction, bypass_years, threshold_kappa, evaluable_until
@@ -179,7 +165,7 @@ def takeoff_scan(
         raise NoPointsInWindowError(
             f"series {s.label!r}: no observed years in [{w.t0:g}, {w.t1:g}]"
         )
-    rows = list(_normalized(f, s.years[lo:hi], s.values[lo:hi]))
+    rows = list(residual_rows(f, s.years[lo:hi], s.values[lo:hi]))
     if not rows:
         raise NoPointsInWindowError(
             f"series {s.label!r}: fitted line not positive anywhere in "
@@ -187,7 +173,7 @@ def takeoff_scan(
         )
     onset = _persistent_onsets(reversed(rows), kappa)[2]
     # window, found, onset_year, max_negative_normalized_residual
-    return TakeoffReport(w, onset is not None, onset, min([rho for _, rho in rows]))
+    return TakeoffReport(w, onset is not None, onset, min([rho for _, _, rho, _ in rows]))
 
 
 def _sign_counts(residuals) -> tuple[int, int, int]:
@@ -207,17 +193,6 @@ def _runs_z(n_pos: int, n_neg: int, changes: int) -> float:
     if var <= 0.0:
         return 0.0
     return (changes + 1 - mu) / math.sqrt(var)
-
-
-def runs_test_z(residuals: list[float]) -> tuple[float, int]:
-    """Wald-Wolfowitz runs test on residual signs, normal approximation.
-
-    Returns (z, number of sign changes). Zero residuals are excluded.
-    Degenerate sign sequences (all one sign, or fewer than 2 signed
-    residuals) return z = 0.
-    """
-    n_pos, n_neg, changes = _sign_counts(residuals)
-    return _runs_z(n_pos, n_neg, changes), changes
 
 
 def _residual_line(line: LineFit, mean: float) -> tuple[float, float]:

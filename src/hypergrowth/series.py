@@ -1,9 +1,9 @@
 """Time-series core: validated growth series, windows, reciprocal transform.
 
 A GrowthSeries is an immutable pair of columns, years strictly increasing
-and finite, values finite and positive, so the reciprocal 1/value always
-exists. Years are plain floats: calendar years with AD 1 = 1.0, and
-fractional years are meaningful (blow-up years rarely land on integers).
+and finite, values finite and positive with a finite reciprocal 1/value.
+Years are plain floats: calendar years with AD 1 = 1.0, and fractional
+years are meaningful (blow-up years rarely land on integers).
 """
 
 from __future__ import annotations
@@ -28,8 +28,8 @@ from .errors import (
 class Frozen:
     """Immutable value: eq (same class only), hash, repr and pickling over ``_fields``.
 
-    ``__init__`` sets the fields once, through ``_assign`` or ``object.__setattr__``;
-    later assignment raises.
+    The constructor sets the fields once, through ``_assign`` or
+    ``object.__setattr__``; later assignment raises.
     """
 
     __slots__ = ()
@@ -84,24 +84,21 @@ class GrowthSeries(Frozen):
     A series stores two columns, ``years`` and ``values``, as tuples of
     floats. ``points`` (the (year, value) pairs), ``reciprocals``
     (1/value) and ``prefix_moments`` (exact running sums for window fits)
-    are derived views, computed on first use and kept. Eq,
-    hash, repr and pickling are over ``(points, label)``, so a series
-    equals the one ``GrowthSeries(points, label)`` builds from its pairs.
+    are derived views, computed on first use and kept. Eq, hash, repr and
+    pickling are over ``(years, values, label)``.
 
-    Window and year selection bisects ``years``, so it relies on the
-    strictly increasing years that ``from_columns`` and ``new_series``
-    establish and that ``window`` and ``reciprocal`` keep; build a series
-    through them.
+    The class takes no constructor arguments: ``from_columns`` and
+    ``new_series`` validate and sort, and ``window`` and ``reciprocal``
+    keep the strictly increasing years that window and year selection
+    bisect.
     """
 
-    _fields = ("points", "label")
-    # cached_property values live in __dict__; eq, hash and repr read points
+    _fields = ("years", "values", "label")
+    # cached_property values live in __dict__, outside eq, hash, repr and pickling
     __slots__ = ("years", "values", "label", "__dict__")
 
-    def __init__(self, points: tuple[tuple[float, float], ...], label: str) -> None:
-        _set_columns(self, tuple(map(itemgetter(0), points)),
-                     tuple(map(itemgetter(1), points)), label)
-        object.__setattr__(self, "points", points)
+    def __reduce__(self):
+        return _columns, self._values()
 
     @cached_property
     def points(self) -> tuple[tuple[float, float], ...]:
@@ -128,15 +125,11 @@ class GrowthSeries(Frozen):
         return self.values[lo] if lo < hi else None
 
 
-def _set_columns(s: GrowthSeries, years: tuple, values: tuple, label: str) -> GrowthSeries:
-    for name, value in (("years", years), ("values", values), ("label", label)):
-        object.__setattr__(s, name, value)
-    return s
-
-
 def _columns(years: tuple[float, ...], values: tuple[float, ...], label: str) -> GrowthSeries:
     """A series over columns that already hold the series invariants."""
-    return _set_columns(object.__new__(GrowthSeries), years, values, label)
+    s = object.__new__(GrowthSeries)
+    s._assign(years, values, label)
+    return s
 
 
 def from_columns(
@@ -146,8 +139,9 @@ def from_columns(
 
     The columns pair up by position and must have the same length; the
     pairs are sorted by year. Raises NonFiniteValueError,
-    DuplicateYearError, NonPositiveValueError, or TooFewPointsError when
-    the data violate the series invariants.
+    DuplicateYearError, NonPositiveValueError (also for a value so small
+    that its reciprocal overflows), or TooFewPointsError when the data
+    violate the series invariants.
 
     Ordered valid columns pass C-level checks and are kept as they are.
     Any other input is sorted and checked point by point, which chooses
@@ -165,6 +159,7 @@ def from_columns(
         and ys[-1] < math.inf
         and all(map(lt, repeat(0.0, n), vs))  # positive, so no nan
         and max(vs) < math.inf
+        and 1.0 / min(vs) < math.inf
     ):
         return _columns(ys, vs, label)
 
@@ -182,6 +177,10 @@ def from_columns(
         if not v > 0:
             raise NonPositiveValueError(
                 f"series {label!r}: value {v!r} at year {y:g} is not positive"
+            )
+        if not 1.0 / v < math.inf:
+            raise NonPositiveValueError(
+                f"series {label!r}: value {v!r} at year {y:g} has an infinite reciprocal"
             )
         prev = y
     return _columns(tuple(map(itemgetter(0), pts)), tuple(map(itemgetter(1), pts)), label)

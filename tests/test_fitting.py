@@ -1,5 +1,6 @@
 import math
-from fractions import Fraction
+from itertools import accumulate
+from operator import mul
 
 import numpy as np
 import pytest
@@ -14,6 +15,7 @@ from hypergrowth.errors import (
     YearNotObservedError,
 )
 from hypergrowth.fitting import (
+    ABSOLUTE_RESIDUAL_TOLERANCE,
     COLLINEAR_RTOL,
     SMALL_FIT_MAX,
     YearsTooCloseError,
@@ -24,6 +26,7 @@ from hypergrowth.fitting import (
     goodness,
     model_value,
     percent_deviation,
+    prefix_moments,
     singularity,
 )
 from hypergrowth.report import analyze_series
@@ -236,7 +239,7 @@ class TestGoodness:
         assert len(diag.rows) == len(s)
         for _, raw, normalized, rel in diag.rows:
             assert raw == pytest.approx(0.0, abs=1e-15)
-            assert normalized == 0.0  # rmse 0 convention
+            assert normalized == raw / ABSOLUTE_RESIDUAL_TOLERANCE  # the scans' rmse-0 scale
             assert rel == pytest.approx(0.0, abs=1e-12)
 
     def test_rows_only_where_line_positive(self):
@@ -259,7 +262,9 @@ class TestGoodness:
 
 
 # Window fits of a series of at most SMALL_FIT_MAX points read its exact prefix
-# sums. Each window is checked against the exact OLS line in Fractions.
+# sums. Each window is checked against the exact OLS line, computed in integers
+# over a common power of two: every quantity is a ratio of integers, and one
+# int true division rounds it, once and correctly.
 
 
 @st.composite
@@ -275,21 +280,26 @@ def small_series(draw, min_points=3, max_points=SMALL_FIT_MAX):
     return new_series(zip(years, values), "x")
 
 
+def exact_scaled(column):
+    """``(b, ints)`` with ``ints[i] == column[i] * 2**b`` exactly: each float is
+    its 53-bit significand times a power of two, shifted to the smallest one."""
+    parts = [math.frexp(v) for v in column]
+    b = max(0, *[53 - e for _, e in parts])
+    return b, [int(math.ldexp(m, 53)) << (b + e - 53) for m, e in parts]
+
+
 def exact_prefix(column):
-    sums = [Fraction(0)]
-    for v in column:
-        sums.append(sums[-1] + Fraction(v))
-    return sums
+    return list(accumulate(column, initial=0))
 
 
-def exact_moments(px, py, pxx, pxy, pyy, lo, hi):
-    """(xbar, ybar, sxx, sxy, ssr, sst) of points lo..hi-1, exact."""
+def exact_sums(px, py, pxx, pxy, pyy, lo, hi):
+    """Scaled integer sums of points lo..hi-1: n, the sums of x, y, x**2 and
+    y**2, and n times the centred sums of squares and products, cxx, cxy, cyy."""
     n = hi - lo
     sx, sy = px[hi] - px[lo], py[hi] - py[lo]
-    sxx = pxx[hi] - pxx[lo] - sx * sx / n
-    sxy = pxy[hi] - pxy[lo] - sx * sy / n
-    sst = pyy[hi] - pyy[lo] - sy * sy / n
-    return sx / n, sy / n, sxx, sxy, sst - sxy * sxy / sxx, sst
+    qxx, qyy = pxx[hi] - pxx[lo], pyy[hi] - pyy[lo]
+    return (n, sx, sy, qxx, qyy,
+            n * qxx - sx * sx, n * (pxy[hi] - pxy[lo]) - sx * sy, n * qyy - sy * sy)
 
 
 def within_ulps(got, want, ulps):
@@ -300,40 +310,46 @@ def within_ulps(got, want, ulps):
 @given(s=small_series())
 def test_small_series_window_fits_match_exact_ols(s):
     years, recip = s.years, s.reciprocals
-    sums = (exact_prefix(years), exact_prefix(recip),
-            exact_prefix(Fraction(t) ** 2 for t in years),
-            exact_prefix(Fraction(t) * Fraction(r) for t, r in zip(years, recip)),
-            exact_prefix(Fraction(r) ** 2 for r in recip))
+    (bx, xs), (by, ys) = exact_scaled(years), exact_scaled(recip)
+    sums = (exact_prefix(xs), exact_prefix(ys), exact_prefix(map(mul, xs, xs)),
+            exact_prefix(map(mul, xs, ys)), exact_prefix(map(mul, ys, ys)))
+    snap_p, snap_q = (COLLINEAR_RTOL**2).as_integer_ratio()
     for lo in range(len(s) - 2):
         for hi in range(lo + 3, len(s) + 1):
-            n = hi - lo
-            xbar, ybar, sxx, sxy, ssr, sst = exact_moments(*sums, lo, hi)
+            n, sx, sy, qxx, qyy, cxx, cxy, cyy = exact_sums(*sums, lo, hi)
+            # the exact moments: xbar, ybar, Sxx, Sst and ssr = Sst - Sxy**2/Sxx
+            xbar, ybar = sx / (n << bx), sy / (n << by)
+            sxx, sst = cxx / (n << 2 * bx), cyy / (n << 2 * by)
+            rss = cyy * cxx - cxy * cxy  # ssr is rss / (n * cxx * 4**by)
             got = _sums_table(s.prefix_moments, lo, hi)
             # each moment of the table kernel is the exact one, correctly rounded,
-            assert got[2:] == tuple(map(float, (ybar, sxx, ssr, sst, xbar)))
+            assert got[2:] == (ybar, sxx, rss / ((n * cxx) << 2 * by), sst, xbar)
             # and the line is float arithmetic on the rounded moments
-            slope_f = float(sxy) / float(sxx)
-            assert got[:2] == (slope_f, float(ybar) - slope_f * float(xbar))
+            slope_f = (cxy / (n << (bx + by))) / sxx
+            assert got[:2] == (slope_f, ybar - slope_f * xbar)
             # a raw fit of the same points reads a table of its own points
             assert repr(fit_line(years[lo:hi], recip[lo:hi])) == repr(fit_range(s, lo, hi))
-            slope = sxy / sxx
-            if ssr <= Fraction(COLLINEAR_RTOL**2) * (sst + n * ybar * ybar):
-                ssr = Fraction(0)  # fit_line's collinear snap
+            # fit_line's collinear snap, ssr <= rtol**2 * (Sst + n * ybar**2),
+            # where Sst + n * ybar**2 is the sum of the squared values
+            if rss * snap_q <= snap_p * qyy * n * cxx:
+                rss = 0
             w = Window(years[lo], years[hi - 1])
-            if slope >= 0:
+            if cxy >= 0:  # the exact slope Sxy / Sxx is not negative
                 with pytest.raises(NonDecreasingLineError):
                     fit_hyperbolic(s, w)
                 continue
             f = fit_hyperbolic(s, w)
             assert f.n_points == n
-            assert within_ulps(-f.k, float(slope), 4)
-            assert within_ulps(f.rmse_reciprocal, math.sqrt(ssr / n), 4)
+            assert within_ulps(-f.k, (cxy << bx) / (cxx << by), 4)
+            assert within_ulps(f.rmse_reciprocal, math.sqrt(rss / ((n * n * cxx) << 2 * by)), 4)
             # a is ybar - slope * xbar: its rounding follows the larger term
-            a = ybar - slope * xbar
-            assert abs(f.a - float(a)) <= 1e-12 * float(max(abs(ybar), abs(slope * xbar)))
-            s2 = ssr / (n - 2)
-            se_k = math.sqrt(s2 / sxx)
-            se_a = math.sqrt(s2 * (Fraction(1, n) + xbar**2 / sxx))
+            a = (sy * cxx - cxy * sx) / ((n * cxx) << by)
+            slope_xbar = abs(cxy * sx) / ((n * cxx) << by)
+            assert abs(f.a - a) <= 1e-12 * max(abs(ybar), slope_xbar)
+            # with s2 = ssr / (n - 2): se_k**2 = s2 / Sxx, and
+            # se_a**2 = s2 * (1/n + xbar**2 / Sxx) = s2 * (sum of squared years) / (n * Sxx)
+            se_k = math.sqrt((rss << 2 * bx) / ((cxx * cxx * (n - 2)) << 2 * by))
+            se_a = math.sqrt(rss * qxx / ((n * cxx * cxx * (n - 2)) << 2 * by))
             assert abs(f.se_k - se_k) <= 1e-12 * se_k
             assert abs(f.se_a - se_a) <= 1e-12 * se_a
             # correctly rounded moments do not depend on the rest of the series
@@ -396,8 +412,8 @@ class TestPrefixMoments:
             fit_range(s, 0, 4)
 
     def test_infinite_reciprocal_is_too_extreme_for_the_table(self):
-        s = new_series([(1500, 5e-324), (1600, 1), (1700, 2), (1800, 3)], "x")
-        assert math.isinf(s.reciprocals[0])
-        for fit in (lambda: fit_range(s, 0, 4), lambda: fit_hyperbolic(s, Window(1500, 1800))):
+        # a series refuses such a value, so give the table an infinite column directly
+        years, recip = (1500.0, 1600.0, 1700.0, 1800.0), (math.inf, 1.0, 0.5, 1 / 3)
+        for build in (lambda: prefix_moments(years, recip), lambda: fit_line(years, recip)):
             with pytest.raises(OverflowError, match="values too extreme for float arithmetic"):
-                fit()
+                build()

@@ -16,21 +16,23 @@ from hypergrowth.errors import (
     WindowTooFewPointsError,
 )
 from hypergrowth.fitting import (
+    ABSOLUTE_RESIDUAL_TOLERANCE,
     SMALL_FIT_MAX,
     HyperbolicFit,
     fit_hyperbolic,
     fit_range,
+    goodness,
     singularity,
 )
 from hypergrowth.regimes import (
-    ABSOLUTE_RESIDUAL_TOLERANCE,
     DEFAULT_TAKEOFF_WINDOW,
     DiversionReport,
     TakeoffReport,
+    _runs_z,
     _scan_numpy,
     _scan_small,
+    _sign_counts,
     detect_diversion,
-    runs_test_z,
     segment_consistency,
     stagnation_test,
     takeoff_scan,
@@ -169,21 +171,22 @@ class TestTakeoffScan:
 
 class TestRunsTest:
     def test_alternating_signs_z_positive_and_growing(self):
-        z4, _ = runs_test_z([1.0, -1.0] * 4)
-        z10, _ = runs_test_z([1.0, -1.0] * 10)
+        z4 = _runs_z(*_sign_counts([1.0, -1.0] * 4))
+        z10 = _runs_z(*_sign_counts([1.0, -1.0] * 10))
         assert 0 < z4 < z10
 
     def test_all_same_sign_degenerate(self):
-        z, changes = runs_test_z([0.5, 0.5, 0.5, 0.5])
-        assert z == 0.0
-        assert changes == 0
+        counts = _sign_counts([0.5, 0.5, 0.5, 0.5])
+        assert _runs_z(*counts) == 0.0
+        assert counts == (4, 0, 0)
 
     def test_one_residual_of_each_sign_has_zero_variance(self):
-        assert runs_test_z([1.0, -1.0]) == (0.0, 1)
+        counts = _sign_counts([1.0, -1.0])
+        assert _runs_z(*counts) == 0.0 and counts == (1, 1, 1)
 
     def test_zero_residuals_excluded(self):
-        z, changes = runs_test_z([0.0, 0.0, 0.0])
-        assert z == 0.0 and changes == 0
+        counts = _sign_counts([0.0, 0.0, 0.0])
+        assert _runs_z(*counts) == 0.0 and counts == (0, 0, 0)
 
 
 class TestStagnationTest:
@@ -440,3 +443,5 @@ def test_scans_match_the_row_based_reference(case):
     assert outcome(detect_diversion, f, s, kappa) == outcome(reference_diversion, f, s, kappa)
     assert (outcome(takeoff_scan, f, s, takeoff, kappa)
             == outcome(reference_takeoff, f, s, takeoff, kappa))
+    # the rows a user reads are the rows the verdicts come from
+    assert goodness(f, s).rows == tuple(reference_rows(f, s.years, s.values))

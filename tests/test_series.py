@@ -47,6 +47,12 @@ def test_nonpositive_value_rejected():
         new_series([(1, 10), (1500, 0.0)], "x")
     with pytest.raises(NonPositiveValueError):
         new_series([(1, 10), (1500, -3.0)], "x")
+    for tiny in (5e-324, 2.0**-1024):  # 1/tiny overflows
+        with pytest.raises(NonPositiveValueError, match="at year 1500 has an infinite recipr"):
+            new_series([(1, 10), (1500, tiny)], "x")
+    # the next float up has a finite reciprocal
+    s = new_series([(1, 10), (1500, math.nextafter(2.0**-1024, 1.0))], "x")
+    assert s.reciprocals[1] < math.inf
 
 
 @pytest.mark.parametrize(
@@ -170,7 +176,7 @@ def test_window_partitions_series(points, lo, span):
 def test_new_series_rejects_exactly_invariant_violations(points):
     years = [y for y, _ in points]
     has_dup = len(set(years)) != len(years)
-    has_nonpos = any(v <= 0 for _, v in points)
+    has_nonpos = any(v <= 0 or 1.0 / v == math.inf for _, v in points)
     too_few = len(points) < 2
     if too_few and not has_dup:
         with pytest.raises(TooFewPointsError):
@@ -197,6 +203,9 @@ def linear_reference(points, label):
         if not v > 0:
             raise NonPositiveValueError(
                 f"series {label!r}: value {v!r} at year {y:g} is not positive")
+        if math.isinf(1.0 / v):
+            raise NonPositiveValueError(
+                f"series {label!r}: value {v!r} at year {y:g} has an infinite reciprocal")
         prev = y
     return tuple(pts)
 
@@ -205,7 +214,8 @@ GOOD_YEAR = st.one_of(st.integers(-3000, 3000), st.floats(-3000.0, 3000.0))
 GOOD_VALUE = st.floats(1e-300, 1e300)
 BAD = [math.nan, math.inf, -math.inf]
 WILD_YEAR = st.one_of(GOOD_YEAR, st.sampled_from([*BAD, 1500.0, 1500]))
-WILD_VALUE = st.one_of(GOOD_VALUE, st.sampled_from([*BAD, 0.0, -0.0, -2.5, 3.0]))
+WILD_VALUE = st.one_of(GOOD_VALUE,
+                       st.sampled_from([*BAD, 0.0, -0.0, -2.5, 3.0, 5e-324, 2.0**-1024]))
 
 
 @st.composite
@@ -239,8 +249,8 @@ def test_column_constructor_matches_linear_reference(points, as_columns):
     assert all(type(x) is float for x in s.years + s.values)
     assert s.points == want
     assert s.reciprocals == tuple(1.0 / v for _, v in want)
-    assert repr(s) == f"GrowthSeries(points={want!r}, label='c')"
-    assert s == GrowthSeries(want, "c") and hash(s) == hash((want, "c"))
+    assert repr(s) == f"GrowthSeries(years={s.years!r}, values={s.values!r}, label='c')"
+    assert hash(s) == hash((s.years, s.values, "c"))
     copy = pickle.loads(pickle.dumps(s))
     assert copy == s and repr(copy) == repr(s) and copy.years == s.years
 
@@ -251,7 +261,9 @@ def test_columns_of_different_lengths_rejected():
 
 
 def test_points_construct_a_series_over_columns():
-    s = GrowthSeries(((1.0, 2.0), (3.0, 4.0)), "x")
+    # only the validating constructors build a series
+    with pytest.raises(TypeError):
+        GrowthSeries(((1.0, 2.0), (3.0, 4.0)), "x")
+    s = new_series([(3, 4), (1, 2)], "x")
     assert s.years == (1.0, 3.0) and s.values == (2.0, 4.0)
-    assert s == new_series([(3, 4), (1, 2)], "x")
     assert reciprocal(s).points == ((1.0, 0.5), (3.0, 0.25))

@@ -4,7 +4,7 @@ import pytest
 
 from hypergrowth.errors import AtSingularityError, ModelSpecError
 from hypergrowth.fitting import fit_hyperbolic, fit_line
-from hypergrowth.regimes import runs_test_z, stagnation_test
+from hypergrowth.regimes import _runs_z, _sign_counts, stagnation_test
 from hypergrowth.series import Window
 from hypergrowth.synthetic import ModelSpec, generate
 
@@ -132,5 +132,4 @@ class TestExponentialControl:
         expected_runs = 2.0 * n_pos * n_neg / len(signs) + 1.0
         assert runs <= 3
         assert runs < expected_runs
-        z, _ = runs_test_z(resid)
-        assert z < 0
+        assert _runs_z(*_sign_counts(resid)) < 0

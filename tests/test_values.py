@@ -109,21 +109,22 @@ POINTS = st.lists(st.tuples(st.sampled_from([1.0, 2.0, 3.0]), st.sampled_from([1
 
 
 @given(a=st.tuples(POINTS, st.sampled_from("xy")), b=st.tuples(POINTS, st.sampled_from("xy")),
-       warm=st.sampled_from(["none", "years", "reciprocals", "both"]))
+       warm=st.sampled_from(["none", "points", "reciprocals", "both"]))
 def test_series_equal_exactly_when_fields_equal(a, b, warm):
     sa, sb = new_series(*a), new_series(*b)
     # the kept tuples, filled on one side only, take no part in eq, hash or repr
-    if warm in ("years", "both"):
-        sa.years
+    if warm in ("points", "both"):
+        sa.points
     if warm in ("reciprocals", "both"):
         sa.reciprocals
-    fields_equal = (sa.points, sa.label) == (sb.points, sb.label)
+    fields_equal = (sa.years, sa.values, sa.label) == (sb.years, sb.values, sb.label)
     assert (sa == sb) is fields_equal
     assert (sa != sb) is not fields_equal
     if fields_equal:
         assert hash(sa) == hash(sb)
         assert repr(sa) == repr(sb)
-    assert repr(sa) == f"GrowthSeries(points={sa.points!r}, label={sa.label!r})"
+    assert repr(sa) == (f"GrowthSeries(years={sa.years!r}, values={sa.values!r}, "
+                        f"label={sa.label!r})")
 
 
 @pytest.mark.parametrize("build, error, message", [
