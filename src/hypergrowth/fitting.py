@@ -12,11 +12,11 @@ centred moments (means, sums of squares and cross products about the
 means). Two kernels compute those moments and the line, and one finisher
 adds the fit statistics:
 
-* a fit of at most SMALL_FIT_MAX = 64 points reads exact integer prefix
-  sums (``prefix_moments``, about five Python ints per point), and each
-  moment is correctly rounded. A series of at most 64 points keeps its
-  table (``GrowthSeries.prefix_moments``), so each of its windows costs
-  O(1); any other such fit builds the table of its own points;
+* a fit of at most SMALL_FIT_MAX = 64 points reads exact integer sums of
+  its points (``_sums_exact``), and each moment is correctly rounded. A
+  series of at most 64 points keeps their running sums
+  (``GrowthSeries.prefix_moments``, about five Python ints per point), so
+  each of its windows costs O(1); any other such fit sums its own points;
 * a fit of more than 64 points sums in numpy, imported on first use.
 
 So a fit of at most 64 points depends only on its points. Windowed fits
@@ -69,6 +69,8 @@ class LineFit(NamedTuple):
     ``rmse`` is the root mean square residual (divided by n, not n - 2);
     standard errors use the usual n - 2 denominator and are None when
     there are no residual degrees of freedom; both are 0 for collinear data.
+    ``rmse_constant`` is the rmse of the constant model y = ``mean``, from
+    the same sums, so on at most SMALL_FIT_MAX points it is never below rmse.
     """
 
     slope: float
@@ -77,6 +79,8 @@ class LineFit(NamedTuple):
     r2: float
     se_slope: float | None
     se_intercept: float | None
+    mean: float
+    rmse_constant: float
 
 
 def _scaled(column) -> tuple[int, list[int]]:
@@ -89,8 +93,11 @@ def _scaled(column) -> tuple[int, list[int]]:
     return b, [p << (b + 1 - q.bit_length()) for p, q in ratios]
 
 
-def _running(column) -> tuple[int, ...]:
-    return tuple(accumulate(column, initial=0))
+def _scaled_columns(years, values):
+    """``(bx, by, (xs, ys, xx, xy, yy))``: ``_scaled`` columns and their products."""
+    bx, xs = _scaled(years)
+    by, ys = _scaled(values)
+    return bx, by, (xs, ys, map(mul, xs, xs), map(mul, xs, ys), map(mul, ys, ys))
 
 
 def prefix_moments(years, values) -> tuple:
@@ -103,29 +110,23 @@ def prefix_moments(years, values) -> tuple:
     are ``X[hi] - X[lo]`` and so on, with no rounding. A nan or infinite
     entry raises OverflowError.
     """
-    bx, xs = _scaled(years)
-    by, ys = _scaled(values)
-    return (bx, by, _running(xs), _running(ys), _running(map(mul, xs, xs)),
-            _running(map(mul, xs, ys)), _running(map(mul, ys, ys)))
+    bx, by, columns = _scaled_columns(years, values)
+    return (bx, by, *[tuple(accumulate(c, initial=0)) for c in columns])
 
 
-def _sums_table(table, lo, hi):
-    """The line and centred sums of points lo..hi-1 from a ``prefix_moments`` table.
+def _sums_exact(bx, by, n, sx, sy, qxx, qxy, qyy):
+    """``(slope, intercept, ybar, sxx, ssr, sst, xbar)`` of n points from
+    their exact sums: sx, sy, qxx, qxy and qyy sum the integers x * 2**bx
+    and y * 2**by of the years and values, their squares and products.
 
-    Returns ``(slope, intercept, ybar, sxx, ssr, sst, xbar)``. The window
-    sums and n times its centred sums (n*Sxx - Sx**2 and the like) are
-    exact integers, and each moment is one int true division, which rounds
-    once, correctly; the powers of two scale the divisor, so nothing is
-    rounded twice. The slope and intercept are float arithmetic on the
-    rounded moments.
+    n times the centred sums (n*Sxx - Sx**2 and the like) are exact
+    integers, and each moment is one int true division, which rounds once,
+    correctly; the powers of two scale the divisor, so nothing is rounded
+    twice. The slope and intercept are float arithmetic on the moments.
     """
-    bx, by, px, py, pxx, pxy, pyy = table
-    n = hi - lo
-    sx = px[hi] - px[lo]
-    sy = py[hi] - py[lo]
-    cxx = n * (pxx[hi] - pxx[lo]) - sx * sx
-    cxy = n * (pxy[hi] - pxy[lo]) - sx * sy
-    cyy = n * (pyy[hi] - pyy[lo]) - sy * sy
+    cxx = n * qxx - sx * sx
+    cxy = n * qxy - sx * sy
+    cyy = n * qyy - sy * sy
     try:
         sxx = cxx / (n << (2 * bx))
         sst = cyy / (n << (2 * by))
@@ -145,7 +146,7 @@ def _sums_table(table, lo, hi):
 
 def _sums_numpy(years, values, center):
     """The line and centred sums of a large fit, vectorised, in the order of
-    ``_sums_table``; float overflow, an infinity or a nan raises."""
+    ``_sums_exact``; float overflow, an infinity or a nan raises."""
     import numpy as np
 
     with np.errstate(over="raise", divide="raise", invalid="raise"):
@@ -199,13 +200,13 @@ def _line_from_moments(n, slope, intercept, ybar, sxx, ssr, sst, xbar) -> LineFi
         se_slope = None
         se_intercept = None
 
-    return LineFit(slope, intercept, rmse, r2, se_slope, se_intercept)
+    return LineFit(slope, intercept, rmse, r2, se_slope, se_intercept, ybar, math.sqrt(sst / n))
 
 
 def fit_line(years, values, center: float = 0.0) -> LineFit:
     """OLS line fit of the values on the years.
 
-    Fits of at most SMALL_FIT_MAX points read the exact prefix sums of
+    Fits of at most SMALL_FIT_MAX points read the exact integer sums of
     their own points, so the result depends only on the points; larger
     ones sum in numpy, imported on first use. Input too extreme for float
     arithmetic, an infinity or a nan raises an ArithmeticError either way.
@@ -221,7 +222,8 @@ def fit_line(years, values, center: float = 0.0) -> LineFit:
     if n < 2:
         raise FitTooFewPointsError(f"line fit needs at least 2 points, got {n}")
     if n <= SMALL_FIT_MAX:
-        moments = _sums_table(prefix_moments(years, values), 0, n)
+        bx, by, columns = _scaled_columns(years, values)
+        moments = _sums_exact(bx, by, n, *map(sum, columns))
     else:
         moments = _sums_numpy(years, values, center)
     if moments[3] == 0.0:
@@ -239,7 +241,9 @@ def fit_range(s: GrowthSeries, lo: int, hi: int) -> LineFit:
     """
     if len(s) > SMALL_FIT_MAX or hi - lo < 2:
         return fit_line(s.years[lo:hi], s.reciprocals[lo:hi])
-    moments = _sums_table(s.prefix_moments, lo, hi)
+    bx, by, px, py, pxx, pxy, pyy = s.prefix_moments
+    moments = _sums_exact(bx, by, hi - lo, px[hi] - px[lo], py[hi] - py[lo],
+                          pxx[hi] - pxx[lo], pxy[hi] - pxy[lo], pyy[hi] - pyy[lo])
     if moments[3] == 0.0:
         _no_spread(s.years[lo:hi])
     return _line_from_moments(hi - lo, *moments)

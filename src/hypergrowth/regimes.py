@@ -195,25 +195,23 @@ def _runs_z(n_pos: int, n_neg: int, changes: int) -> float:
     return (changes + 1 - mu) / math.sqrt(var)
 
 
-def _residual_line(line: LineFit, mean: float) -> tuple[float, float]:
+def _residual_line(line: LineFit) -> tuple[float, float]:
     """Intercept and slope of the model the runs test takes residuals about:
     the line when it decreases, else the constant mean."""
     if line.slope < 0.0:
         return line.intercept, line.slope
-    return mean, 0.0  # r - (mean + 0.0 * y) is exactly r - mean
+    return line.mean, 0.0  # r - (mean + 0.0 * y) is exactly r - mean
 
 
-def _scan_small(years, recip, values, mean, line):
-    """Stagnation scans in pure Python about a given line: (sum of squares
-    about the mean, positive and negative residuals, sign changes, GDP
-    increases)."""
-    ss = sum([(r - mean) ** 2 for r in recip])
-    a, b = _residual_line(line, mean)
+def _scan_small(years, recip, values, line):
+    """Stagnation scans in pure Python about a given line: (positive and
+    negative residuals, sign changes, GDP increases)."""
+    a, b = _residual_line(line)
     n_pos, n_neg, changes = _sign_counts([r - (a + b * y) for y, r in zip(years, recip)])
-    return ss, n_pos, n_neg, changes, sum(map(operator.lt, values, values[1:]))
+    return n_pos, n_neg, changes, sum(map(operator.lt, values, values[1:]))
 
 
-def _scan_numpy(years, recip, values, mean):
+def _scan_numpy(years, recip, values):
     """The line fitted to the arrays the scans build, then the scans of
     ``_scan_small`` about it, vectorised; float overflow raises."""
     import numpy as np
@@ -222,17 +220,15 @@ def _scan_numpy(years, recip, values, mean):
     with np.errstate(over="raise", divide="raise", invalid="raise"):
         y = np.fromiter(years, float, n)
         r = np.fromiter(recip, float, n)
-        d = r - mean
-        ss = float(np.sum(d * d))
         line = fit_line(y, r)  # the arrays, so the fit converts nothing again
-        a, b = _residual_line(line, mean)
+        a, b = _residual_line(line)
         e = r - (a + b * y)
         pos = e[e != 0.0] > 0.0
         n_pos = int(np.count_nonzero(pos))
         changes = int(np.count_nonzero(pos[1:] != pos[:-1]))
         v = np.fromiter(values, float, n)
         increases = int(np.count_nonzero(v[1:] > v[:-1]))
-    return line, ss, n_pos, len(pos) - n_pos, changes, increases
+    return line, n_pos, len(pos) - n_pos, changes, increases
 
 
 def stagnation_test(
@@ -252,28 +248,26 @@ def stagnation_test(
     (sparse millennium-scale series may legitimately contain one early
     decline); stagnation-consistent is the complement.
 
-    Windows of at most SMALL_FIT_MAX points take the line from
+    The constant model is the line's ``mean`` and ``rmse_constant``, so
+    on a window of at most SMALL_FIT_MAX points, whose sums are exact, the
+    line's rmse never exceeds it. Such windows take the line from
     ``fit_range`` and scan in pure Python; larger ones fit the line to the
     arrays they scan in numpy, the kernel ``fit_range`` would use too.
-    Only the constant model's rmse may differ between the two scans, in
-    its last digits.
     """
     lo, hi = index_range(s, w.t0, w.t1, need=4)
     n = hi - lo
     years, recip, values = s.years[lo:hi], s.reciprocals[lo:hi], s.values[lo:hi]
-    mean = sum(recip) / n
     if n <= SMALL_FIT_MAX:
         line = fit_range(s, lo, hi)
-        ss, n_pos, n_neg, changes, increases = _scan_small(years, recip, values, mean, line)
+        n_pos, n_neg, changes, increases = _scan_small(years, recip, values, line)
     else:
-        line, ss, n_pos, n_neg, changes, increases = _scan_numpy(years, recip, values, mean)
-    rmse_constant = math.sqrt(ss / n)
-    rmse_hyperbolic = line.rmse if line.slope < 0.0 else rmse_constant
+        line, n_pos, n_neg, changes, increases = _scan_numpy(years, recip, values)
+    rmse_hyperbolic = line.rmse if line.slope < 0.0 else line.rmse_constant
     if line.slope < 0.0 and line.rmse == 0.0:  # an exact line: residuals are float noise
         n_pos = n_neg = changes = 0
     monotone_fraction = increases / (n - 1)
 
-    if rmse_hyperbolic < rmse_constant and monotone_fraction >= MONOTONE_THRESHOLD:
+    if rmse_hyperbolic < line.rmse_constant and monotone_fraction >= MONOTONE_THRESHOLD:
         verdict = "hyperbolic-consistent"
     else:
         verdict = "stagnation-consistent"
@@ -283,7 +277,7 @@ def stagnation_test(
         runs_test_z=_runs_z(n_pos, n_neg, changes),
         n_sign_changes=changes,
         monotone_fraction=monotone_fraction,
-        rmse_constant_model=rmse_constant,
+        rmse_constant_model=line.rmse_constant,
         rmse_hyperbolic_model=rmse_hyperbolic,
         verdict=verdict,
     )
@@ -296,13 +290,13 @@ def segment_consistency(
 ) -> SegmentReport:
     """Compare reciprocal-line slopes across claimed regime boundaries.
 
-    The window is split at the boundaries into half-open segments (the
-    last one closed). Each segment gets its own line fit; adjacent
-    segments with at least 3 points on both sides are compared with
+    The window is split once at each distinct boundary inside it into
+    half-open segments (the last one closed), each with its own line fit.
+    Adjacent segments with at least 3 points on both sides are compared with
     z = |k_i - k_j| / sqrt(se_i^2 + se_j^2). The verdict is
     single-line-consistent when every defined z stays below 1.96.
     """
-    cuts = sorted(b for b in boundaries if w.t0 < b < w.t1)
+    cuts = sorted({b for b in boundaries if w.t0 < b < w.t1})
     edges = [w.t0, *cuts, w.t1]
     # a segment ends where the next one starts, the last one at the window's end
     ranges = [index_range(s, t0, w.t1) for t0 in edges[:-1]]
@@ -318,9 +312,7 @@ def segment_consistency(
                 f"{']' if i == len(cuts) else ')'} has {n} point(s), need 2"
             )
         line = fit_range(s, lo, hi)
-        segments.append(
-            SegmentSlope(t0=t0, t1=t1, k=-line.slope, se=line.se_slope, n=n)
-        )
+        segments.append(SegmentSlope(t0, t1, -line.slope, line.se_slope, n))
 
     z_scores: list[tuple[int, int, float]] = []
     for i in range(len(segments) - 1):
@@ -328,7 +320,7 @@ def segment_consistency(
         if a.n < 3 or b.n < 3:
             continue
         delta = abs(a.k - b.k)
-        denom = math.sqrt((a.se or 0.0) ** 2 + (b.se or 0.0) ** 2)
+        denom = math.sqrt(a.se**2 + b.se**2)  # segments of 3+ points have an se
         if denom == 0.0:
             # exact per-segment fits: identical slopes are consistent,
             # different slopes are an unambiguous break
@@ -337,14 +329,10 @@ def segment_consistency(
             z = delta / denom
         z_scores.append((i, i + 1, z))
 
-    verdict = (
-        "single-line-consistent"
-        if all(z < Z_CRITICAL for _, _, z in z_scores)
-        else "segmented"
-    )
+    consistent = all(z < Z_CRITICAL for _, _, z in z_scores)
     return SegmentReport(
         boundaries=tuple(cuts),
         segments=tuple(segments),
         z_scores=tuple(z_scores),
-        verdict=verdict,
+        verdict="single-line-consistent" if consistent else "segmented",
     )

@@ -88,6 +88,31 @@ class TestAnalyze:
             assert result.exit_code == 0
         assert out1.read_bytes() == out2.read_bytes()
 
+    def test_repeated_boundary_gives_the_same_segments(self, runner, europe_csv_path,
+                                                       tmp_path):
+        sections = []
+        for spec in ("1750,1870", "1750,1750,1870"):
+            out = tmp_path / f"{spec}.json"
+            result = run(runner, "analyze", str(europe_csv_path), "--boundaries", spec,
+                         "-o", str(out))
+            assert result.exit_code == 0, result.output
+            sections.append(json.loads(out.read_text())["segments"])
+        assert "verdict" in sections[0]
+        assert sections[1] == sections[0]
+
+    def test_near_flat_stagnation_line_is_never_worse_than_the_mean(self, runner,
+                                                                    tmp_path):
+        # symmetric values, the last nudged by 23 ulps: the line explains less than
+        # an ulp of the variance, and both rmse values come from one fit
+        path = write_long(tmp_path, [(1, "0.9930178432893716"), (11, "0.9992193598750976"),
+                                     (21, "0.9992193598750976"), (31, "0.9930178432893741")])
+        out = tmp_path / "report.json"
+        result = run(runner, "analyze", path, "--long", "--window", "1:31",
+                     "--stagnation-window", "0:40", "-o", str(out))
+        assert result.exit_code == 0, result.output
+        stagnation = json.loads(out.read_text())["stagnation"]
+        assert stagnation["rmse_hyperbolic_model"] <= stagnation["rmse_constant_model"]
+
 
 REPO_ROOT = pathlib.Path(__file__).parents[1]
 GOLDEN_DIR = REPO_ROOT / "tests" / "data" / "golden"

@@ -19,7 +19,7 @@ from hypergrowth.fitting import (
     COLLINEAR_RTOL,
     SMALL_FIT_MAX,
     YearsTooCloseError,
-    _sums_table,
+    _sums_exact,
     fit_hyperbolic,
     fit_line,
     fit_range,
@@ -293,13 +293,13 @@ def exact_prefix(column):
 
 
 def exact_sums(px, py, pxx, pxy, pyy, lo, hi):
-    """Scaled integer sums of points lo..hi-1: n, the sums of x, y, x**2 and
-    y**2, and n times the centred sums of squares and products, cxx, cxy, cyy."""
+    """Scaled integer sums of points lo..hi-1: n, the sums of x, y, x**2, x*y
+    and y**2, and n times the centred sums of squares and products, cxx, cxy, cyy."""
     n = hi - lo
     sx, sy = px[hi] - px[lo], py[hi] - py[lo]
-    qxx, qyy = pxx[hi] - pxx[lo], pyy[hi] - pyy[lo]
-    return (n, sx, sy, qxx, qyy,
-            n * qxx - sx * sx, n * (pxy[hi] - pxy[lo]) - sx * sy, n * qyy - sy * sy)
+    qxx, qxy, qyy = pxx[hi] - pxx[lo], pxy[hi] - pxy[lo], pyy[hi] - pyy[lo]
+    return (n, sx, sy, qxx, qxy, qyy,
+            n * qxx - sx * sx, n * qxy - sx * sy, n * qyy - sy * sy)
 
 
 def within_ulps(got, want, ulps):
@@ -316,19 +316,24 @@ def test_small_series_window_fits_match_exact_ols(s):
     snap_p, snap_q = (COLLINEAR_RTOL**2).as_integer_ratio()
     for lo in range(len(s) - 2):
         for hi in range(lo + 3, len(s) + 1):
-            n, sx, sy, qxx, qyy, cxx, cxy, cyy = exact_sums(*sums, lo, hi)
+            n, sx, sy, qxx, qxy, qyy, cxx, cxy, cyy = exact_sums(*sums, lo, hi)
             # the exact moments: xbar, ybar, Sxx, Sst and ssr = Sst - Sxy**2/Sxx
             xbar, ybar = sx / (n << bx), sy / (n << by)
             sxx, sst = cxx / (n << 2 * bx), cyy / (n << 2 * by)
             rss = cyy * cxx - cxy * cxy  # ssr is rss / (n * cxx * 4**by)
-            got = _sums_table(s.prefix_moments, lo, hi)
-            # each moment of the table kernel is the exact one, correctly rounded,
+            got = _sums_exact(bx, by, n, sx, sy, qxx, qxy, qyy)
+            # each moment of the exact kernel is the exact one, correctly rounded,
             assert got[2:] == (ybar, sxx, rss / ((n * cxx) << 2 * by), sst, xbar)
             # and the line is float arithmetic on the rounded moments
             slope_f = (cxy / (n << (bx + by))) / sxx
             assert got[:2] == (slope_f, ybar - slope_f * xbar)
-            # a raw fit of the same points reads a table of its own points
-            assert repr(fit_line(years[lo:hi], recip[lo:hi])) == repr(fit_range(s, lo, hi))
+            # a raw fit of the same points sums its own points to the same bits
+            line = fit_range(s, lo, hi)
+            assert repr(fit_line(years[lo:hi], recip[lo:hi])) == repr(line)
+            # the constant model is the line's mean and rmse about it
+            assert line.mean == ybar
+            assert line.rmse_constant == math.sqrt(sst / n)
+            assert line.rmse <= line.rmse_constant
             # fit_line's collinear snap, ssr <= rtol**2 * (Sst + n * ybar**2),
             # where Sst + n * ybar**2 is the sum of the squared values
             if rss * snap_q <= snap_p * qyy * n * cxx:

@@ -1,6 +1,7 @@
 import contextlib
 import math
 import random
+from itertools import accumulate
 
 import numpy as np
 import pytest
@@ -259,13 +260,45 @@ def scan_inputs(draw):
 @settings(max_examples=120, deadline=None)
 @given(s=scan_inputs())
 def test_scan_kernels_agree(s):
-    mean = sum(s.reciprocals) / len(s)
-    columns = (s.years, s.reciprocals, s.values, mean)
-    line, ss_n, *counts_n = _scan_numpy(*columns)
+    columns = (s.years, s.reciprocals, s.values)
+    line, *counts = _scan_numpy(*columns)
     assert line == fit_range(s, 0, len(s))  # both fit in numpy; one from the kernel's arrays
-    ss_s, *counts_s = _scan_small(*columns, line)
-    assert counts_n == counts_s
-    assert ss_n == pytest.approx(ss_s, rel=1e-12, abs=1e-300)
+    assert tuple(counts) == _scan_small(*columns, line)
+
+
+def nudged(v, ulps):
+    """v moved by ``ulps`` units in the last place, up for ulps > 0."""
+    for _ in range(abs(ulps)):
+        v = math.nextafter(v, math.inf if ulps > 0 else 0.0)
+    return v
+
+
+@st.composite
+def stagnation_windows(draw):
+    """4-64 points; half the draws are near flat: equally spaced years and
+    symmetric values, one of them nudged by 1 to 50 ulps, so the line explains
+    less than an ulp of the variance."""
+    n = draw(st.integers(4, SMALL_FIT_MAX))
+    if draw(st.booleans()):
+        start, step = draw(st.integers(-3000, 1000)), draw(st.integers(1, 50))
+        years = [float(start + step * i) for i in range(n)]
+        half = draw(st.lists(st.floats(0.5, 2.0), min_size=n // 2, max_size=n // 2))
+        values = half + [draw(st.floats(0.5, 2.0))] * (n % 2) + half[::-1]
+        i = draw(st.integers(0, n - 1))
+        values[i] = nudged(values[i], draw(st.integers(1, 50)) * draw(st.sampled_from([-1, 1])))
+    else:
+        steps = draw(st.lists(st.floats(1e-3, 1e3), min_size=n - 1, max_size=n - 1))
+        years = list(accumulate(steps, initial=draw(st.floats(-5000.0, 5000.0))))
+        values = draw(st.lists(st.floats(1e-3, 1e6), min_size=n, max_size=n))
+    return new_series(zip(years, values), "w")
+
+
+@settings(max_examples=200, deadline=None)
+@given(s=stagnation_windows())
+def test_stagnation_line_never_worse_than_the_mean(s):
+    v = stagnation_test(s, Window(s.years[0], s.years[-1]))
+    assert v.rmse_hyperbolic_model <= v.rmse_constant_model
+    assert v.rmse_constant_model == fit_range(s, 0, len(s)).rmse_constant
 
 
 class TestSegmentConsistency:
@@ -299,6 +332,15 @@ class TestSegmentConsistency:
         with pytest.raises(SegmentTooSparseError) as err:
             segment_consistency(s, boundaries=(1750, 1870), w=Window(1500, 1900))
         assert "1750" in str(err.value) and "1870" in str(err.value)
+
+    def test_repeated_boundary_cuts_once(self):
+        rng = np.random.default_rng(3)
+        s = new_series([(t, hyper(t) * math.exp(rng.normal(0, 0.03)))
+                        for t in range(1500, 1901, 25)], "noisy")
+        want = segment_consistency(s, boundaries=(1750, 1870))
+        assert len(want.segments) == 3
+        for boundaries in ((1750, 1750, 1870), (1870, 1750, 1870, 1750)):
+            assert segment_consistency(s, boundaries=boundaries) == want
 
     def test_rescaling_leaves_z_scores_unchanged(self):
         rng = np.random.default_rng(5)
