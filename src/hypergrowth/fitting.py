@@ -17,12 +17,15 @@ adds the fit statistics:
   series of at most 64 points keeps their running sums
   (``GrowthSeries.prefix_moments``, about five Python ints per point), so
   each of its windows costs O(1); any other such fit sums its own points;
-* a fit of more than 64 points sums in numpy, imported on first use.
+* a fit of more than 64 points sums in numpy, imported on first use
+  (``_sums_numpy``). A window of more than 64 points of a series slices
+  views of the float64 columns the series keeps (``GrowthSeries.arrays``),
+  so no window converts the series again.
 
 So a fit of at most 64 points depends only on its points. Windowed fits
 of a series (``fit_hyperbolic``, each segment of ``segment_consistency``,
-a stagnation window of at most 64 points) go through ``fit_range``;
-``fit_line`` takes raw sequences.
+the line of ``stagnation_test``) go through ``fit_range``; ``fit_line``
+takes raw sequences.
 """
 
 from __future__ import annotations
@@ -70,7 +73,7 @@ class LineFit(NamedTuple):
     standard errors use the usual n - 2 denominator and are None when
     there are no residual degrees of freedom; both are 0 for collinear data.
     ``rmse_constant`` is the rmse of the constant model y = ``mean``, from
-    the same sums, so on at most SMALL_FIT_MAX points it is never below rmse.
+    the same sums, and never below rmse.
     """
 
     slope: float
@@ -146,12 +149,21 @@ def _sums_exact(bx, by, n, sx, sy, qxx, qxy, qyy):
 
 def _sums_numpy(years, values, center):
     """The line and centred sums of a large fit, vectorised, in the order of
-    ``_sums_exact``; float overflow, an infinity or a nan raises."""
+    ``_sums_exact``; float overflow, an infinity or a nan raises.
+
+    ndarrays (such as views of ``GrowthSeries.arrays``) are read as they
+    are; any other sequence is converted once. The residual sum of squares
+    is clamped to the total one: an OLS line is never worse than the mean,
+    but the two sums round separately.
+    """
     import numpy as np
 
+    n = len(years)
     with np.errstate(over="raise", divide="raise", invalid="raise"):
-        x = np.asarray(years, dtype=float)
-        y = np.asarray(values, dtype=float)
+        x, y = (
+            np.asarray(c, dtype=float) if isinstance(c, np.ndarray) else np.fromiter(c, float, n)
+            for c in (years, values)
+        )
         xc = x - center
         xbar = float(xc.mean())
         ybar = float(y.mean())
@@ -163,7 +175,7 @@ def _sums_numpy(years, values, center):
             raise OverflowError(_TOO_EXTREME)
         sxy = float(np.sum(dx * dy))
         slope = sxy / sxx if sxx else 0.0
-        ssr = float(np.sum((dy - slope * dx) ** 2))
+        ssr = min(float(np.sum((dy - slope * dx) ** 2)), sst)
         # the intercept in centred coordinates, de-centred
         intercept = (ybar - slope * xbar) - slope * center
         return slope, intercept, ybar, sxx, ssr, sst, float(x.mean())
@@ -234,11 +246,17 @@ def fit_line(years, values, center: float = 0.0) -> LineFit:
 def fit_range(s: GrowthSeries, lo: int, hi: int) -> LineFit:
     """Line fit of the reciprocals on the years of ``s.years[lo:hi]``.
 
-    A series of at most SMALL_FIT_MAX points builds its exact prefix sums
-    on the first call and fits every range from them in O(1). A longer
-    series (or a range of fewer than 2 points) slices into ``fit_line``.
-    Either way the result is ``fit_line`` on the range's points.
+    A range of more than SMALL_FIT_MAX points fits views of the float64
+    columns the series keeps (``s.arrays``, built on the first such call)
+    in numpy. A series of at most SMALL_FIT_MAX points builds its exact
+    prefix sums on the first call and fits every range from them in O(1).
+    A range of at most SMALL_FIT_MAX points of a longer series (or of
+    fewer than 2 points) slices the tuples into ``fit_line``. In every case the
+    result is ``fit_line`` on the range's points.
     """
+    if hi - lo > SMALL_FIT_MAX:
+        years, recip, _ = s.arrays
+        return fit_line(years[lo:hi], recip[lo:hi])
     if len(s) > SMALL_FIT_MAX or hi - lo < 2:
         return fit_line(s.years[lo:hi], s.reciprocals[lo:hi])
     bx, by, px, py, pxx, pxy, pyy = s.prefix_moments

@@ -307,7 +307,8 @@ def _two_cell_lines(body: str, label: str) -> GrowthSeries | None:
     Each intermediate is dropped before the next is built: the peak memory
     stays below that of the csv records.
     """
-    body = body.replace("\r\n", "\n")
+    if "\r" in body:  # the replace copies the whole body, so only a body with a CR pays
+        body = body.replace("\r\n", "\n")
     if '"' in body or "\r" in body:
         return None
     n_commas = body.count(",")

@@ -36,7 +36,6 @@ from .fitting import (
     SMALL_FIT_MAX,
     HyperbolicFit,
     LineFit,
-    fit_line,
     fit_range,
     residual_rows,
     singularity,
@@ -211,24 +210,19 @@ def _scan_small(years, recip, values, line):
     return n_pos, n_neg, changes, sum(map(operator.lt, values, values[1:]))
 
 
-def _scan_numpy(years, recip, values):
-    """The line fitted to the arrays the scans build, then the scans of
-    ``_scan_small`` about it, vectorised; float overflow raises."""
+def _scan_numpy(years, recip, values, line):
+    """The scans of ``_scan_small`` on float64 arrays (views of
+    ``GrowthSeries.arrays``), vectorised; float overflow raises."""
     import numpy as np
 
-    n = len(years)
     with np.errstate(over="raise", divide="raise", invalid="raise"):
-        y = np.fromiter(years, float, n)
-        r = np.fromiter(recip, float, n)
-        line = fit_line(y, r)  # the arrays, so the fit converts nothing again
         a, b = _residual_line(line)
-        e = r - (a + b * y)
+        e = recip - (a + b * years)
         pos = e[e != 0.0] > 0.0
         n_pos = int(np.count_nonzero(pos))
         changes = int(np.count_nonzero(pos[1:] != pos[:-1]))
-        v = np.fromiter(values, float, n)
-        increases = int(np.count_nonzero(v[1:] > v[:-1]))
-    return line, n_pos, len(pos) - n_pos, changes, increases
+        increases = int(np.count_nonzero(values[1:] > values[:-1]))
+    return n_pos, len(pos) - n_pos, changes, increases
 
 
 def stagnation_test(
@@ -248,20 +242,19 @@ def stagnation_test(
     (sparse millennium-scale series may legitimately contain one early
     decline); stagnation-consistent is the complement.
 
-    The constant model is the line's ``mean`` and ``rmse_constant``, so
-    on a window of at most SMALL_FIT_MAX points, whose sums are exact, the
-    line's rmse never exceeds it. Such windows take the line from
-    ``fit_range`` and scan in pure Python; larger ones fit the line to the
-    arrays they scan in numpy, the kernel ``fit_range`` would use too.
+    The line comes from ``fit_range``, and the constant model is its
+    ``mean`` and ``rmse_constant``, so the line's rmse never exceeds it.
+    A window of at most SMALL_FIT_MAX points scans slices of the columns
+    in pure Python; a larger one scans views of ``s.arrays`` in numpy.
     """
     lo, hi = index_range(s, w.t0, w.t1, need=4)
     n = hi - lo
-    years, recip, values = s.years[lo:hi], s.reciprocals[lo:hi], s.values[lo:hi]
+    line = fit_range(s, lo, hi)
     if n <= SMALL_FIT_MAX:
-        line = fit_range(s, lo, hi)
-        n_pos, n_neg, changes, increases = _scan_small(years, recip, values, line)
+        scan, columns = _scan_small, (s.years, s.reciprocals, s.values)
     else:
-        line, n_pos, n_neg, changes, increases = _scan_numpy(years, recip, values)
+        scan, columns = _scan_numpy, s.arrays
+    n_pos, n_neg, changes, increases = scan(*[c[lo:hi] for c in columns], line)
     rmse_hyperbolic = line.rmse if line.slope < 0.0 else line.rmse_constant
     if line.slope < 0.0 and line.rmse == 0.0:  # an exact line: residuals are float noise
         n_pos = n_neg = changes = 0

@@ -82,10 +82,13 @@ class GrowthSeries(Frozen):
     """GDP-like series: values in billions of 1990 Geary-Khamis dollars.
 
     A series stores two columns, ``years`` and ``values``, as tuples of
-    floats. ``points`` (the (year, value) pairs), ``reciprocals``
-    (1/value) and ``prefix_moments`` (exact running sums for window fits)
-    are derived views, computed on first use and kept. Eq, hash, repr and
-    pickling are over ``(years, values, label)``.
+    floats. ``points`` (the (year, value) pairs) and ``reciprocals``
+    (1/value) are derived views, computed on first use and kept, as is
+    one view for each size class of fit: ``prefix_moments`` (exact
+    running sums) for a series of at most ``fitting.SMALL_FIT_MAX``
+    points, and ``arrays`` (read-only float64 columns) for the numpy
+    kernels of longer ones. Eq, hash, repr and pickling are over
+    ``(years, values, label)``, so a pickled copy keeps no derived view.
 
     The class takes no constructor arguments: ``from_columns`` and
     ``new_series`` validate and sort, and ``window`` and ``reciprocal``
@@ -115,6 +118,24 @@ class GrowthSeries(Frozen):
         from .fitting import prefix_moments  # fitting imports this module
 
         return prefix_moments(self.years, self.reciprocals)
+
+    @cached_property
+    def arrays(self) -> tuple:
+        """Read-only float64 columns ``(years, reciprocals, values)``, for the
+        numpy kernels of ranges of more than ``fitting.SMALL_FIT_MAX`` points.
+
+        The reciprocal column is the same IEEE division as ``reciprocals``,
+        so it holds the same bits; numpy is imported on first use.
+        """
+        import numpy as np
+
+        n = len(self.years)
+        years = np.fromiter(self.years, float, n)
+        values = np.fromiter(self.values, float, n)
+        columns = (years, 1.0 / values, values)
+        for column in columns:
+            column.flags.writeable = False
+        return columns
 
     def __len__(self) -> int:
         return len(self.years)

@@ -155,6 +155,16 @@ class TestGolden:
         want = json.loads((GOLDEN_DIR / golden).read_text(encoding="utf-8"))
         assert_matches_golden(json.loads(out.read_text(encoding="utf-8")), want)
 
+    def test_long_series_analyze_matches_golden(self, runner, monkeypatch, tmp_path):
+        # 380 points (simulate --years 1,6,...,1896 --sigma 0.05): the fit of 81
+        # points and the stagnation test of 350 run in the numpy kernels
+        monkeypatch.chdir(REPO_ROOT)
+        out = tmp_path / "report.json"
+        result = run(runner, "analyze", "tests/data/long_hyperbolic.csv", "--long", "-o", str(out))
+        assert result.exit_code == 0, result.output
+        want = json.loads((GOLDEN_DIR / "analyze_long.json").read_text(encoding="utf-8"))
+        assert_matches_golden(json.loads(out.read_text(encoding="utf-8")), want)
+
 
 class TestExitCodes:
     def test_parse_error_is_2(self, runner, tmp_path):

@@ -29,6 +29,7 @@ from hypergrowth.fitting import (
     prefix_moments,
     singularity,
 )
+from hypergrowth.ingest import aggregate, preset_catalog
 from hypergrowth.report import analyze_series
 from hypergrowth.series import Window, new_series, window
 
@@ -422,3 +423,21 @@ class TestPrefixMoments:
         for build in (lambda: prefix_moments(years, recip), lambda: fit_line(years, recip)):
             with pytest.raises(OverflowError, match="values too extreme for float arithmetic"):
                 build()
+
+
+class TestKeptArrays:
+    def test_built_once_by_long_range_fits_and_reused(self):
+        s = hyperbola_series(0.1147, 5.961e-5, [1500 + 2 * i for i in range(200)])
+        assert "arrays" not in vars(s)
+        fit_range(s, 0, SMALL_FIT_MAX)  # at most 64 points: the exact path
+        assert "arrays" not in vars(s)
+        fit_range(s, 0, SMALL_FIT_MAX + 1)
+        arrays = s.arrays
+        analyze_series(s)
+        assert s.arrays is arrays
+
+    def test_bundled_presets_never_build_them(self, europe_dataset):
+        for preset in preset_catalog():
+            s = aggregate(europe_dataset, preset)
+            analyze_series(s)
+            assert "arrays" not in vars(s)

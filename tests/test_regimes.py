@@ -20,7 +20,9 @@ from hypergrowth.fitting import (
     ABSOLUTE_RESIDUAL_TOLERANCE,
     SMALL_FIT_MAX,
     HyperbolicFit,
+    _sums_numpy,
     fit_hyperbolic,
+    fit_line,
     fit_range,
     goodness,
     singularity,
@@ -260,10 +262,43 @@ def scan_inputs(draw):
 @settings(max_examples=120, deadline=None)
 @given(s=scan_inputs())
 def test_scan_kernels_agree(s):
-    columns = (s.years, s.reciprocals, s.values)
-    line, *counts = _scan_numpy(*columns)
-    assert line == fit_range(s, 0, len(s))  # both fit in numpy; one from the kernel's arrays
-    assert tuple(counts) == _scan_small(*columns, line)
+    line = fit_range(s, 0, len(s))
+    assert _scan_numpy(*s.arrays, line) == _scan_small(s.years, s.reciprocals, s.values, line)
+
+
+@settings(max_examples=60, deadline=None)
+@given(s=scan_inputs(), data=st.data())
+def test_long_range_fits_of_the_kept_arrays_match_fit_line(s, data):
+    # views at even and odd offsets fit to the bits of the sliced tuples
+    for parity in (0, 1):
+        room = len(s) - parity - SMALL_FIT_MAX - 1
+        if room < 0:
+            continue
+        lo = parity + 2 * data.draw(st.integers(0, room // 2))
+        hi = data.draw(st.integers(lo + SMALL_FIT_MAX + 1, len(s)))
+        assert fit_range(s, lo, hi) == fit_line(s.years[lo:hi], s.reciprocals[lo:hi])
+
+
+@settings(max_examples=60, deadline=None)
+@given(s=scan_inputs())
+def test_kept_arrays_hold_the_columns(s):
+    years, recip, values = s.arrays
+    assert recip.tolist() == list(s.reciprocals)
+    assert years.tolist() == list(s.years) and values.tolist() == list(s.values)
+
+
+@settings(max_examples=60, deadline=None)
+@given(s=scan_inputs())
+def test_numpy_kernel_reads_any_sequence_alike(s):
+    years, recip = s.years, s.reciprocals
+    inputs = [
+        (list(years), list(recip)),
+        (years, recip),
+        ([int(t) for t in years], recip),  # scan_inputs draws whole years
+        s.arrays[:2],
+    ]
+    results = [_sums_numpy(x, y, 0.0) for x, y in inputs]
+    assert all(r == results[0] for r in results)
 
 
 def nudged(v, ulps):
@@ -275,10 +310,11 @@ def nudged(v, ulps):
 
 @st.composite
 def stagnation_windows(draw):
-    """4-64 points; half the draws are near flat: equally spaced years and
-    symmetric values, one of them nudged by 1 to 50 ulps, so the line explains
-    less than an ulp of the variance."""
-    n = draw(st.integers(4, SMALL_FIT_MAX))
+    """4-64 or 65-400 points, one size class each half of the draws; half the
+    draws are near flat: equally spaced years and symmetric values, one of
+    them nudged by 1 to 50 ulps, so the line explains less than an ulp of the
+    variance."""
+    n = draw(st.integers(4, SMALL_FIT_MAX) | st.integers(SMALL_FIT_MAX + 1, 400))
     if draw(st.booleans()):
         start, step = draw(st.integers(-3000, 1000)), draw(st.integers(1, 50))
         years = [float(start + step * i) for i in range(n)]
@@ -299,6 +335,21 @@ def test_stagnation_line_never_worse_than_the_mean(s):
     v = stagnation_test(s, Window(s.years[0], s.years[-1]))
     assert v.rmse_hyperbolic_model <= v.rmse_constant_model
     assert v.rmse_constant_model == fit_range(s, 0, len(s)).rmse_constant
+
+
+def test_near_flat_long_windows_line_never_worse_than_the_mean():
+    # numpy rounds the two sums of squares separately; without the clamp the
+    # line came out worse than the mean on seeds 22, 26 and 51
+    for seed in range(60):
+        rng = random.Random(seed)
+        n = SMALL_FIT_MAX + 1 + seed % 50
+        half = [rng.uniform(0.5, 2.0) for _ in range(n // 2)]
+        values = half + [rng.uniform(0.5, 2.0)] * (n % 2) + half[::-1]
+        i = rng.randrange(n)
+        values[i] = nudged(values[i], rng.randint(1, 50) * rng.choice([-1, 1]))
+        s = new_series([(float(t), v) for t, v in enumerate(values, 1)], "flat")
+        v = stagnation_test(s, Window(1.0, float(n)))
+        assert v.rmse_hyperbolic_model <= v.rmse_constant_model, seed
 
 
 class TestSegmentConsistency:

@@ -267,3 +267,23 @@ def test_points_construct_a_series_over_columns():
     s = new_series([(3, 4), (1, 2)], "x")
     assert s.years == (1.0, 3.0) and s.values == (2.0, 4.0)
     assert reciprocal(s).points == ((1.0, 0.5), (3.0, 0.25))
+
+
+def long_series(n=200):
+    return from_columns([1500.0 + i for i in range(n)], [1.0 + i / 8 for i in range(n)], "long")
+
+
+def test_kept_arrays_are_read_only():
+    s = long_series()
+    for column in s.arrays:
+        with pytest.raises(ValueError, match="read-only"):
+            column[0] = 1.0
+    assert s.arrays[1].tolist() == list(s.reciprocals)
+
+
+def test_pickled_long_series_keeps_no_arrays():
+    s = long_series()
+    assert len(s.arrays) == 3 and "arrays" in vars(s)
+    copy = pickle.loads(pickle.dumps(s))
+    assert copy == s and hash(copy) == hash(s) and repr(copy) == repr(s)
+    assert "arrays" not in vars(copy)
