@@ -98,7 +98,8 @@ def test_window_and_year_selection_match_linear_scan(s, data):
 def test_segment_counts_match_linear_scan(s, data):
     w = draw_window(data, s)
     cuts = data.draw(st.lists(bounds(s), max_size=3))
-    edges = [w.t0, *sorted(b for b in cuts if w.t0 < b < w.t1), w.t1]
+    # the window is cut once at each distinct boundary inside it
+    edges = [w.t0, *sorted({b for b in cuts if w.t0 < b < w.t1}), w.t1]
     counts = [
         len(linear(s, lambda y: lo <= y < hi or (last and y == hi)))
         for lo, hi, last in zip(edges, edges[1:], [False] * (len(edges) - 2) + [True])
