@@ -32,7 +32,7 @@ from .errors import (
     UnknownPresetError,
     WindowError,
 )
-from .fitting import YearsTooCloseError, fit_hyperbolic
+from .fitting import fit_hyperbolic
 from .ingest import (
     aggregate,
     parse_long_csv,
@@ -79,10 +79,8 @@ def _write(path, text: str) -> None:
         _fail(DataError.exit_code, f"cannot write {path}: {exc.strerror or exc}")
 
 
-def _out_of_range(label: str, exc: Exception | None = None) -> DataError:
+def _out_of_range(label: str) -> DataError:
     """The data error naming the series for arithmetic its numbers cannot take."""
-    if isinstance(exc, YearsTooCloseError):  # its message names the years
-        return DataError(f"series {label!r}: {exc}")
     return NonFiniteValueError(f"series {label!r}: values too extreme for float arithmetic")
 
 
@@ -196,7 +194,7 @@ def analyze(
     except (ArithmeticError, ValueError) as exc:  # the renderers refuse nan and infinity
         if isinstance(exc, HypergrowthError):  # WindowOrderError is a ValueError too
             raise
-        raise _out_of_range(series.label, exc) from None
+        raise _out_of_range(series.label) from None
 
     if output:
         _write(output, rendered)
@@ -220,8 +218,8 @@ def plotdata(
             ("gdp", gdp_plot_table(fit, series)),
             ("reciprocal", reciprocal_plot_table(fit, series)),
         )
-    except ArithmeticError as exc:
-        raise _out_of_range(series.label, exc) from None
+    except ArithmeticError:
+        raise _out_of_range(series.label) from None
     if not all(math.isfinite(v) for _, table in tables for _, _, v in table):
         raise _out_of_range(series.label)
 
@@ -235,10 +233,7 @@ def plotdata(
         print(f"wrote {path}")
 
 
-def simulate(
-    kind, a_param, k_param, s0, r_param, cap, mean, amplitude, period,
-    years, sigma, seed, output,
-) -> None:
+def simulate(kind, years, sigma, seed, output, **params) -> None:
     """Generate a synthetic year,value series (values in billions)."""
     from .synthetic import ModelSpec, generate  # only this command needs the generators
 
@@ -259,11 +254,7 @@ def simulate(
     else:
         sample_years = _parse_year_list(years, "--years")
 
-    provided = {
-        "a": a_param, "k": k_param, "s0": s0, "r": r_param,
-        "cap": cap, "mean": mean, "amplitude": amplitude, "period": period,
-    }
-    params = {name: value for name, value in provided.items() if value is not None}
+    params = {name: value for name, value in params.items() if value is not None}
     spec = ModelSpec(
         kind=kind, params=params, sample_years=sample_years, sigma=sigma, seed=seed,
     )
@@ -339,14 +330,14 @@ def _parser() -> argparse.ArgumentParser:
 
     cmd = command(simulate)
     cmd.add_argument("--kind", choices=KINDS, required=True)
-    for flag, dest, text in (
-        ("--a", "a_param", "hyperbolic intercept"), ("--k", "k_param", "hyperbolic slope"),
-        ("--s0", "s0", "exponential/logistic start value"), ("--r", "r_param", "growth rate"),
-        ("--cap", "cap", "logistic ceiling"), ("--mean", "mean", "stagnation mean level"),
-        ("--amplitude", "amplitude", "stagnation oscillation amplitude"),
-        ("--period", "period", "stagnation oscillation period, years"),
+    for flag, text in (
+        ("--a", "hyperbolic intercept"), ("--k", "hyperbolic slope"),
+        ("--s0", "exponential/logistic start value"), ("--r", "growth rate"),
+        ("--cap", "logistic ceiling"), ("--mean", "stagnation mean level"),
+        ("--amplitude", "stagnation oscillation amplitude"),
+        ("--period", "stagnation oscillation period, years"),
     ):
-        cmd.add_argument(flag, dest=dest, type=float, metavar="FLOAT", help=text)
+        cmd.add_argument(flag, type=float, metavar="FLOAT", help=text)
     cmd.add_argument("--years", required=True,
                      help="Sample years: comma list (1,1000,1500) or range START:STOP:STEP.")
     cmd.add_argument("--sigma", type=float, default=0.0,

@@ -41,6 +41,10 @@ class TooFewPointsError(DataError):
     """A series ended up with fewer than the required number of points."""
 
 
+class YearsTooCloseError(DataError):
+    """Distinct years of a line fit whose centred squares underflow to 0."""
+
+
 class ParseError(DataError):
     """Malformed input file (header, cell, or row structure)."""
 

@@ -40,6 +40,7 @@ from .errors import (
     FitTooFewPointsError,
     NonDecreasingLineError,
     YearNotObservedError,
+    YearsTooCloseError,
 )
 from .series import GrowthSeries, Window, index_range
 
@@ -60,10 +61,6 @@ ABSOLUTE_RESIDUAL_TOLERANCE = 1e-9
 SMALL_FIT_MAX = 64
 
 _TOO_EXTREME = "line fit: values too extreme for float arithmetic"
-
-
-class YearsTooCloseError(ArithmeticError):
-    """Distinct years of a line fit whose centred squares underflow to 0."""
 
 
 class LineFit(NamedTuple):
@@ -221,7 +218,8 @@ def fit_line(years, values, center: float = 0.0) -> LineFit:
     Fits of at most SMALL_FIT_MAX points read the exact integer sums of
     their own points, so the result depends only on the points; larger
     ones sum in numpy, imported on first use. Input too extreme for float
-    arithmetic, an infinity or a nan raises an ArithmeticError either way.
+    arithmetic, an infinity or a nan raises an ArithmeticError either way;
+    distinct years whose centred squares underflow raise YearsTooCloseError.
 
     Args:
         years: regressor values (calendar years).
@@ -246,19 +244,16 @@ def fit_line(years, values, center: float = 0.0) -> LineFit:
 def fit_range(s: GrowthSeries, lo: int, hi: int) -> LineFit:
     """Line fit of the reciprocals on the years of ``s.years[lo:hi]``.
 
-    A range of more than SMALL_FIT_MAX points fits views of the float64
-    columns the series keeps (``s.arrays``, built on the first such call)
-    in numpy. A series of at most SMALL_FIT_MAX points builds its exact
-    prefix sums on the first call and fits every range from them in O(1).
-    A range of at most SMALL_FIT_MAX points of a longer series (or of
-    fewer than 2 points) slices the tuples into ``fit_line``. In every case the
-    result is ``fit_line`` on the range's points.
+    A series of at most SMALL_FIT_MAX points builds its exact prefix sums
+    on the first call and fits every range of at least 2 points from them
+    in O(1). Any other range goes to ``fit_line``: a range of more than
+    SMALL_FIT_MAX points as views of the float64 columns the series keeps
+    (``s.arrays``, built on the first such call), a shorter one as tuple
+    slices. In every case the result is ``fit_line`` on the range's points.
     """
-    if hi - lo > SMALL_FIT_MAX:
-        years, recip, _ = s.arrays
-        return fit_line(years[lo:hi], recip[lo:hi])
     if len(s) > SMALL_FIT_MAX or hi - lo < 2:
-        return fit_line(s.years[lo:hi], s.reciprocals[lo:hi])
+        years, recip = s.arrays[:2] if hi - lo > SMALL_FIT_MAX else (s.years, s.reciprocals)
+        return fit_line(years[lo:hi], recip[lo:hi])
     bx, by, px, py, pxx, pxy, pyy = s.prefix_moments
     moments = _sums_exact(bx, by, hi - lo, px[hi] - px[lo], py[hi] - py[lo],
                           pxx[hi] - pxx[lo], pxy[hi] - pxy[lo], pyy[hi] - pyy[lo])

@@ -16,13 +16,7 @@ from typing import NamedTuple
 
 from . import __version__
 from .errors import HypergrowthError
-from .fitting import (
-    HyperbolicFit,
-    YearsTooCloseError,
-    fit_hyperbolic,
-    percent_deviation,
-    singularity,
-)
+from .fitting import HyperbolicFit, fit_hyperbolic, percent_deviation, singularity
 from .regimes import (
     DEFAULT_KAPPA,
     DEFAULT_SEGMENT_BOUNDARIES,
@@ -137,7 +131,7 @@ def _section(test, *args, **kwargs) -> dict:
     Values too extreme for float arithmetic still abort the report."""
     try:
         return _plain(test(*args, **kwargs))
-    except (HypergrowthError, YearsTooCloseError) as exc:
+    except HypergrowthError as exc:
         return {"skipped": str(exc)}
 
 
@@ -168,9 +162,13 @@ def _deviation_section(fit: HyperbolicFit, s: GrowthSeries, probe_years) -> list
 PLOT_SAMPLES = 256
 
 
-def gdp_plot_table(
-    fit: HyperbolicFit, s: GrowthSeries, n_samples: int = PLOT_SAMPLES
-) -> list[tuple[str, float, float]]:
+def _grid(t0: float, t_end: float) -> list[float]:
+    """PLOT_SAMPLES evenly spaced years from t0 to t_end; none unless t_end > t0."""
+    step = (t_end - t0) / (PLOT_SAMPLES - 1)
+    return [t0 + i * step for i in range(PLOT_SAMPLES)] if t_end > t0 else []
+
+
+def gdp_plot_table(fit: HyperbolicFit, s: GrowthSeries) -> list[tuple[str, float, float]]:
     """Rows (tag, year, value) for the semilog GDP display.
 
     Observed points plus the model curve sampled on an even grid from
@@ -178,18 +176,11 @@ def gdp_plot_table(
     """
     rows: list[tuple[str, float, float]] = list(zip(repeat("observed"), s.years, s.values))
     t_end = min(singularity(fit) - 1.0, s.years[-1])
-    t0 = fit.fit_window.t0
-    if t_end > t0:
-        step = (t_end - t0) / (n_samples - 1)
-        for i in range(n_samples):
-            t = t0 + i * step
-            rows.append(("model", t, 1.0 / fit.line_value(t)))
+    rows += [("model", t, 1.0 / fit.line_value(t)) for t in _grid(fit.fit_window.t0, t_end)]
     return rows
 
 
-def reciprocal_plot_table(
-    fit: HyperbolicFit, s: GrowthSeries, n_samples: int = PLOT_SAMPLES
-) -> list[tuple[str, float, float]]:
+def reciprocal_plot_table(fit: HyperbolicFit, s: GrowthSeries) -> list[tuple[str, float, float]]:
     """Rows (tag, year, value) for the reciprocal (1/GDP) display.
 
     Observed reciprocals plus fitted-line samples over the full data
@@ -198,15 +189,10 @@ def reciprocal_plot_table(
     rows: list[tuple[str, float, float]] = list(
         zip(repeat("observed"), s.years, s.reciprocals)
     )
-    t0 = s.years[0]
-    t_end = min(s.years[-1], singularity(fit))
-    if t_end > t0:
-        step = (t_end - t0) / (n_samples - 1)
-        for i in range(n_samples):
-            t = t0 + i * step
-            line = fit.line_value(t)
-            if line >= 0.0:
-                rows.append(("fit", t, line))
+    for t in _grid(s.years[0], min(s.years[-1], singularity(fit))):
+        line = fit.line_value(t)
+        if line >= 0.0:
+            rows.append(("fit", t, line))
     return rows
 
 

@@ -74,9 +74,6 @@ class Window(Frozen):
         if not t0 < t1:
             raise WindowOrderError(f"window requires t0 < t1, got [{t0}, {t1}]")
 
-    def contains(self, year: float) -> bool:
-        return self.t0 <= year <= self.t1
-
 
 class GrowthSeries(Frozen):
     """GDP-like series: values in billions of 1990 Geary-Khamis dollars.
@@ -219,8 +216,15 @@ def new_series(points: Iterable[Sequence[float]], label: str) -> GrowthSeries:
 
 
 def reciprocal(s: GrowthSeries) -> GrowthSeries:
-    """Pointwise reciprocal (units 1/billions); years unchanged, values positive."""
-    return _columns(s.years, s.reciprocals, s.label)
+    """Pointwise reciprocal (units 1/billions); years unchanged, values positive.
+
+    Raises NonPositiveValueError, as ``from_columns`` does, for a reciprocal
+    so small that its own reciprocal overflows (a value near the float maximum).
+    """
+    recips = s.reciprocals  # finite and positive, so only this check can fail
+    if 1.0 / min(recips) < math.inf:
+        return _columns(s.years, recips, s.label)
+    return from_columns(s.years, recips, s.label)  # raises, naming the value and its year
 
 
 def index_range(

@@ -32,11 +32,11 @@ class ModelSpec(Frozen):
     scale (0 for noiseless), and seed fixes the random stream.
     """
 
-    __slots__ = _fields = ("kind", "params", "sample_years", "sigma", "seed", "label")
+    __slots__ = _fields = ("kind", "params", "sample_years", "sigma", "seed")
 
     def __init__(self, kind: str, params: dict[str, float], sample_years: tuple[float, ...],
-                 sigma: float = 0.0, seed: int = 0, label: str = "") -> None:
-        self._assign(kind, params, sample_years, sigma, seed, label)
+                 sigma: float = 0.0, seed: int = 0) -> None:
+        self._assign(kind, params, sample_years, sigma, seed)
         if self.kind not in KINDS:
             raise ModelSpecError(f"unknown model kind {self.kind!r}")
         for name in _REQUIRED_PARAMS[self.kind]:
@@ -80,7 +80,8 @@ def _clean_value(spec: ModelSpec, t: float) -> float:
 
 
 def generate(spec: ModelSpec) -> GrowthSeries:
-    """Evaluate the model at the sample years; deterministic given seed.
+    """The series ``synthetic-<kind>`` of the model at the sample years;
+    deterministic given seed.
 
     Raises ModelSpecError when the model overflows at a sample year.
     """
@@ -95,5 +96,4 @@ def generate(spec: ModelSpec) -> GrowthSeries:
         rng = np.random.default_rng(spec.seed)
         factors = np.exp(rng.normal(0.0, spec.sigma, size=len(values)))
         values = [v * f for v, f in zip(values, factors)]
-    label = spec.label or f"synthetic-{spec.kind}"
-    return from_columns(years, values, label=label)
+    return from_columns(years, values, label=f"synthetic-{spec.kind}")

@@ -165,6 +165,20 @@ class TestGolden:
         want = json.loads((GOLDEN_DIR / "analyze_long.json").read_text(encoding="utf-8"))
         assert_matches_golden(json.loads(out.read_text(encoding="utf-8")), want)
 
+    @pytest.mark.parametrize("prefix, args", [
+        ("plot_W30", ["europe_gdp_wide.csv", "--preset", "W30"]),
+        ("plot_long", ["long_hyperbolic.csv", "--long"]),
+    ])
+    def test_plot_tables_match_golden(self, runner, tmp_path, prefix, args):
+        # the tables hold no path, and their values come from float arithmetic
+        # alone, so they compare byte for byte
+        result = run(runner, "plotdata", str(GOLDEN_DIR.parent / args[0]), *args[1:],
+                     "--out-prefix", str(tmp_path / prefix))
+        assert result.exit_code == 0, result.output
+        for table in ("gdp", "reciprocal"):
+            name = f"{prefix}_{table}.csv"
+            assert (tmp_path / name).read_bytes() == (GOLDEN_DIR / name).read_bytes(), name
+
 
 class TestExitCodes:
     def test_parse_error_is_2(self, runner, tmp_path):
@@ -400,6 +414,41 @@ class TestSimulate:
         report = json.loads(out.read_text())
         assert report["stagnation"]["verdict"] == "stagnation-consistent"
 
+    @pytest.mark.parametrize("kind, params", [
+        ("hyperbolic", {"a": W12_A, "k": W12_K}),
+        ("exponential", {"s0": 2.5, "r": 0.003}),
+        ("logistic", {"cap": 100.0, "s0": 1.0, "r": 0.01}),
+        ("stagnation", {"mean": 10.0, "amplitude": 2.0, "period": 50.0}),
+    ])
+    def test_each_kind_writes_the_generated_series(self, runner, kind, params):
+        from hypergrowth.synthetic import ModelSpec, generate
+
+        years = (1.0, 500.0, 1000.0, 1500.0, 1820.0, 1900.0)
+        flags = [item for name, value in params.items() for item in (f"--{name}", repr(value))]
+        result = run(runner, "simulate", "--kind", kind, *flags, "--sigma", "0.05",
+                     "--seed", "3", "--years", ",".join(map(repr, years)))
+        assert result.exit_code == 0, result.output
+        s = generate(ModelSpec(kind, params, years, sigma=0.05, seed=3))
+        assert result.output == "year,value\n" + "".join(f"{y!r},{v!r}\n" for y, v in s.points)
+
+    def test_help_names_each_model_flag(self, runner, monkeypatch):
+        monkeypatch.setenv("COLUMNS", "80")
+        result = run(runner, "simulate", "--help")
+        assert result.exit_code == 0
+        assert ("[--a FLOAT] [--k FLOAT] [--s0 FLOAT] [--r FLOAT] [--cap FLOAT] [--mean FLOAT] "
+                "[--amplitude FLOAT] [--period FLOAT]") in " ".join(result.output.split())
+        assert [line for line in result.output.splitlines() if line.startswith("  --")
+                and " FLOAT " in line] == [
+            "  --a FLOAT             hyperbolic intercept",
+            "  --k FLOAT             hyperbolic slope",
+            "  --s0 FLOAT            exponential/logistic start value",
+            "  --r FLOAT             growth rate",
+            "  --cap FLOAT           logistic ceiling",
+            "  --mean FLOAT          stagnation mean level",
+            "  --amplitude FLOAT     stagnation oscillation amplitude",
+            "  --period FLOAT        stagnation oscillation period, years",
+        ]
+
     def test_same_seed_byte_identical(self, runner, tmp_path):
         args = ["simulate", "--kind", "hyperbolic", "--a", "1.0", "--k", "0.001",
                 "--years", "0,200,400,600", "--sigma", "0.1", "--seed", "7"]
@@ -601,7 +650,7 @@ class TestContract:
                      ["plotdata", path, "--long", "--out-prefix", str(tmp_path / "p")]):
             result = run(runner, *args, "--window", "-1:1")
             assert_one_error_line(result, 2)
-            assert result.output == ("error: series 'long': years too close together "
+            assert result.output == ("error: years too close together "
                                      "for float arithmetic (0 to 6e-227)\n")
 
     def test_regime_window_with_years_too_close_is_skipped(self, runner, tmp_path):
@@ -620,10 +669,11 @@ class TestContract:
         }
         assert report["fit"]["n_points"] == 6
         assert "direction" in report["diversion"] and "found" in report["takeoff"]
-        # the same years as the fit window are still a failure of the fit itself
+        # the same years as the fit window are still a failure of the fit itself,
+        # reported with the text of the skipped section
         result = run(runner, "analyze", path, "--long", "--window", "-1:1")
         assert_one_error_line(result, 2)
-        assert "years too close together for float arithmetic (0 to 1e-226)" in result.output
+        assert result.output == f"error: {report['stagnation']['skipped']}\n"
 
     @pytest.mark.parametrize("spec", ["0:1e12:1", "-1e308:1e308:1", "0:inf:1", "0:1:nan"])
     def test_range_years_refused_before_building(self, runner, spec):

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from hypergrowth import errors
 from hypergrowth import fitting as fitting_module
 from hypergrowth.errors import (
     AtSingularityError,
@@ -73,8 +74,15 @@ class TestFitLine:
 
     def test_distinct_years_whose_squares_underflow_are_an_arithmetic_error(self):
         # centred squares of years this close underflow to 0, so sxx == 0
-        with pytest.raises(ArithmeticError, match=r"years too close together .*\(0 to 6e-227\)"):
+        with pytest.raises(YearsTooCloseError,
+                           match=r"years too close together .*\(0 to 6e-227\)"):
             fit_line([0.0, 9.3e-247, 6.0e-227], [1.0, 2.0, 3.0])
+
+    def test_years_too_close_is_a_data_error(self):
+        # exit 2 like the other data errors, and a report section can skip it
+        assert YearsTooCloseError is errors.YearsTooCloseError
+        assert issubclass(YearsTooCloseError, errors.DataError)
+        assert not issubclass(YearsTooCloseError, ArithmeticError)
 
     @pytest.mark.parametrize("n", [3, SMALL_FIT_MAX, SMALL_FIT_MAX + 1])
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
@@ -157,7 +165,7 @@ class TestFitHyperbolic:
         w = Window(1000, 1900)
         f = fit_hyperbolic(s, w)
         diag = goodness(f, s)
-        raw_in_window = [raw for y, raw, _, _ in diag.rows if w.contains(y)]
+        raw_in_window = [raw for y, raw, _, _ in diag.rows if w.t0 <= y <= w.t1]
         assert sum(raw_in_window) == pytest.approx(0.0, abs=1e-10)
 
 
@@ -256,7 +264,7 @@ class TestGoodness:
         w = Window(1500, 1900)
         f = fit_hyperbolic(s, w)
         diag = goodness(f, s)
-        in_window = [rho for y, _, rho, _ in diag.rows if w.contains(y)]
+        in_window = [rho for y, _, rho, _ in diag.rows if w.t0 <= y <= w.t1]
         late = [rho for y, _, rho, _ in diag.rows if y >= 1906]
         assert max(abs(r) for r in in_window) < 3.0
         assert late and all(r > 3.0 for r in late)

@@ -1,5 +1,6 @@
 import math
 import pickle
+import sys
 
 import pytest
 from hypothesis import given
@@ -267,6 +268,33 @@ def test_points_construct_a_series_over_columns():
     s = new_series([(3, 4), (1, 2)], "x")
     assert s.years == (1.0, 3.0) and s.values == (2.0, 4.0)
     assert reciprocal(s).points == ((1.0, 0.5), (3.0, 0.25))
+
+
+def test_reciprocal_refuses_a_value_near_the_float_maximum():
+    # 1/max is subnormal, and its own reciprocal overflows
+    s = from_columns([1, 2, 3], [sys.float_info.max, 1e300, 1e200], "x")
+    assert s.reciprocals[0] == 5.562684646268003e-309
+    with pytest.raises(NonPositiveValueError,
+                       match=r"'x': value 5\.562684646268003e-309 at year 1 has an infinite"):
+        reciprocal(s)
+
+
+# values up to the float maximum, whose reciprocals are subnormal
+HUGE_VALUE = st.one_of(GOOD_VALUE, st.floats(1e307, sys.float_info.max))
+
+
+@given(st.lists(st.tuples(GOOD_YEAR, HUGE_VALUE), min_size=2, max_size=12,
+                unique_by=lambda p: float(p[0])))
+def test_reciprocal_is_the_validated_series_of_the_reciprocals(points):
+    s = new_series(points, "r")
+    try:
+        want = from_columns(s.years, s.reciprocals, s.label)
+    except NonPositiveValueError as exc:
+        with pytest.raises(NonPositiveValueError) as caught:
+            reciprocal(s)
+        assert str(caught.value) == str(exc)
+        return
+    assert reciprocal(s) == want
 
 
 def long_series(n=200):
