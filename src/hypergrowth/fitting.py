@@ -42,7 +42,7 @@ from .errors import (
     YearNotObservedError,
     YearsTooCloseError,
 )
-from .series import GrowthSeries, Window, index_range
+from .series import GrowthSeries, Window, index_range, new_record
 
 # Exactly collinear input leaves float noise in the residuals. A fit whose
 # rmse is at most this fraction of the RMS of the fitted values is snapped
@@ -209,7 +209,9 @@ def _line_from_moments(n, slope, intercept, ybar, sxx, ssr, sst, xbar) -> LineFi
         se_slope = None
         se_intercept = None
 
-    return LineFit(slope, intercept, rmse, r2, se_slope, se_intercept, ybar, math.sqrt(sst / n))
+    # slope, intercept, rmse, r2, se_slope, se_intercept, mean, rmse_constant
+    return new_record(LineFit, (slope, intercept, rmse, r2, se_slope, se_intercept, ybar,
+                                 math.sqrt(sst / n)))
 
 
 def fit_line(years, values, center: float = 0.0) -> LineFit:
@@ -308,8 +310,8 @@ def fit_hyperbolic(s: GrowthSeries, w: Window) -> HyperbolicFit:
             f"on [{w.t0:g}, {w.t1:g}]"
         )
     # a, k, fit_window, n_points, rmse_reciprocal, r2_reciprocal, se_a, se_k
-    return HyperbolicFit(line.intercept, -line.slope, w, hi - lo, line.rmse, line.r2,
-                         line.se_intercept, line.se_slope)
+    return new_record(HyperbolicFit, (line.intercept, -line.slope, w, hi - lo, line.rmse,
+                                      line.r2, line.se_intercept, line.se_slope))
 
 
 def model_value(f: HyperbolicFit, t: float) -> float:

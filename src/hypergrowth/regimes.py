@@ -40,7 +40,7 @@ from .fitting import (
     residual_rows,
     singularity,
 )
-from .series import GrowthSeries, Window, index_range
+from .series import GrowthSeries, Window, index_range, new_record
 
 DEFAULT_KAPPA = 3.0
 DEFAULT_TAKEOFF_WINDOW = Window(1760.0, 1840.0)
@@ -139,10 +139,10 @@ def detect_diversion(
     until = f.fit_window.t1 if last is None else last
     # diversion_year, direction, bypass_years, threshold_kappa, evaluable_until
     if above is not None:
-        return DiversionReport(above, "slower", singularity(f) - above, kappa, until)
+        return new_record(DiversionReport, (above, "slower", singularity(f) - above, kappa, until))
     if below is not None:
-        return DiversionReport(below, "faster", singularity(f) - below, kappa, until)
-    return DiversionReport(None, "none", None, kappa, until)
+        return new_record(DiversionReport, (below, "faster", singularity(f) - below, kappa, until))
+    return new_record(DiversionReport, (None, "none", None, kappa, until))
 
 
 def takeoff_scan(
@@ -172,7 +172,8 @@ def takeoff_scan(
         )
     onset = _persistent_onsets(reversed(rows), kappa)[2]
     # window, found, onset_year, max_negative_normalized_residual
-    return TakeoffReport(w, onset is not None, onset, min([rho for _, _, rho, _ in rows]))
+    return new_record(TakeoffReport, (w, onset is not None, onset,
+                                      min([rho for _, _, rho, _ in rows])))
 
 
 def _sign_counts(residuals) -> tuple[int, int, int]:

@@ -25,6 +25,10 @@ from .errors import (
 )
 
 
+# builds a NamedTuple record in C; Record(...) calls the __new__ NamedTuple writes in Python
+new_record = tuple.__new__
+
+
 class Frozen:
     """Immutable value: eq (same class only), hash, repr and pickling over ``_fields``.
 

@@ -400,6 +400,14 @@ def long_texts(draw):
     rows = [[str(t), repr(draw(st.floats(1e-3, 1e6)))] for t in years]
     for _ in range(draw(st.integers(0, 2)) if rows else 0):
         draw(st.sampled_from(rows))[draw(st.integers(0, 1))] = draw(CELLS)
+    quoting = draw(st.sampled_from(["none", "none", "all", "some", "comma", "doubled"]))
+    for row in rows:
+        if quoting != "none" and (quoting != "some" or draw(st.booleans())):
+            row[:] = [f'"{cell}"' for cell in row]
+    if rows and quoting in ("comma", "doubled"):  # a quoted cell holding a , or a ""
+        row = draw(st.sampled_from(rows))
+        i = draw(st.integers(0, 1))
+        row[i] = row[i][:-1] + (",5" if quoting == "comma" else '""') + '"'
     lines = [",".join(row) for row in rows]
     for _ in range(draw(st.integers(0, 2))):  # blank lines and lines of 1-3 cells
         lines.insert(draw(st.integers(0, len(lines))), draw(st.one_of(
@@ -449,6 +457,13 @@ class TestFastPathsMatchTheLoops:
         "1,0.5\n" + BIG_CELL + ",5\n",
         "1,0.5\n",
         "",
+        '"1","0.5"\r\n\r\n"1000","0.75"\r\n',  # fully quoted
+        '"1","0.5"\n1000,0.75\n',              # partly quoted
+        '"1,5","0.5"\n"1000","0.75"\n',        # a comma in quotes
+        '"1""","0.5"\n"1000","0.75"\n',        # a doubled quote
+        '"",""\n"1","0.5"\n"1000","0.75"\n',   # empty quoted cells: a blank row
+        '","",""\n"1","0.5"\n',                # one cell ,"," in quotes
+        '"1","0.5"\n"\n',                      # a lone quote
     ])
     def test_long_pinned(self, body):
         text = "year,value\n" + body

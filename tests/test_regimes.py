@@ -251,7 +251,8 @@ def scan_inputs(draw):
     elif shape == "constant":
         values = [draw(st.floats(0.1, 1e4))] * n
     elif shape == "line":  # an exact hyperbola: reciprocals on a decreasing line
-        values = [hyper(t, a=0.5, k=1e-4) for t in years]
+        # measured from the last year, so the line stays positive on years past 5000
+        values = [hyper(t - years[-1], a=0.5, k=1e-4) for t in years]
     elif shape == "rising":  # reciprocals on an increasing line: slope >= 0
         values = [1.0 / (1.0 + 1e-4 * (t - start)) for t in years]
     else:
