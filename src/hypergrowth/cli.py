@@ -6,9 +6,10 @@ plot-ready tables (semilog GDP and reciprocal displays), ``simulate``
 generates synthetic series for round-trip checks.
 
 Exit codes: 0 ok, 2 input parsing or command-line usage, 3 fitting,
-4 window/preset selection, 5 internal. The commands let library errors
-propagate; ``main`` alone turns one into its ``error:`` line and exits
-with the error family's ``exit_code`` (see ``hypergrowth.errors``). Every
+4 window/preset selection, 5 internal. The CLI's own checks (usage,
+files, window and year flags) raise the library's error families too,
+and ``main`` alone turns any of them into its ``error:`` line and exits
+with the family's ``exit_code`` (see ``hypergrowth.errors``). Every
 failure prints a one-line diagnostic naming the offending input element;
 stack traces never reach the user.
 """
@@ -76,7 +77,7 @@ def _write(path, text: str) -> None:
     try:
         pathlib.Path(path).write_text(text, encoding="utf-8")
     except OSError as exc:
-        _fail(DataError.exit_code, f"cannot write {path}: {exc.strerror or exc}")
+        raise DataError(f"cannot write {path}: {exc.strerror or exc}") from None
 
 
 def _out_of_range(label: str) -> DataError:
@@ -92,8 +93,7 @@ def _parse_window(spec: str, flag: str) -> Window:
             return Window(*bounds)
     except ValueError:  # also WindowOrderError, for T0 >= T1
         pass
-    _fail(WindowError.exit_code,
-          f"{flag} must look like T0:T1 with finite T0 < T1, got {spec!r}")
+    raise WindowError(f"{flag} must look like T0:T1 with finite T0 < T1, got {spec!r}")
 
 
 def _spell_window(w: Window) -> str:
@@ -110,8 +110,7 @@ def _parse_year_list(spec: str, flag: str) -> tuple[float, ...]:
     except ValueError:
         years = ()
     if not years or not all(map(math.isfinite, years)):
-        _fail(WindowError.exit_code,
-              f"{flag} must list one or more finite years, got {spec!r}")
+        raise WindowError(f"{flag} must list one or more finite years, got {spec!r}")
     return years
 
 
@@ -120,11 +119,11 @@ def _read(path: str) -> tuple[bytes, str]:
     try:
         raw = pathlib.Path(path).read_bytes()
     except OSError as exc:
-        _fail(DataError.exit_code, f"cannot read {path}: {exc.strerror or exc}")
+        raise DataError(f"cannot read {path}: {exc.strerror or exc}") from None
     try:
         return raw, raw.decode("utf-8-sig")
     except UnicodeDecodeError:
-        _fail(DataError.exit_code, f"{path} is not UTF-8 text")
+        raise DataError(f"{path} is not UTF-8 text") from None
 
 
 def _load_series(
@@ -168,7 +167,7 @@ def analyze(
 ) -> None:
     """Fit INPUT_CSV and run diversion, takeoff, stagnation and segment tests."""
     if not 0.0 < kappa < math.inf:
-        _fail(WindowError.exit_code, f"--kappa must be a finite number > 0, got {kappa!r}")
+        raise WindowError(f"--kappa must be a finite number > 0, got {kappa!r}")
     fit_window = _parse_window(window_spec, "--window")
     takeoff_w = _parse_window(takeoff_window, "--takeoff-window")
     stagnation_w = _parse_window(stagnation_window, "--stagnation-window")
@@ -241,16 +240,18 @@ def simulate(kind, years, sigma, seed, output, **params) -> None:
         try:
             start, stop, step = (float(x) for x in years.split(":"))
         except ValueError:
-            _fail(DataError.exit_code, f"--years range must be START:STOP:STEP, got {years!r}")
+            raise DataError(f"--years range must be START:STOP:STEP, got {years!r}") from None
         if not (
             0.0 < step < math.inf
             and -math.inf < start < stop
             and (stop - start) / step < MAX_SAMPLE_YEARS
         ):
-            _fail(DataError.exit_code, "--years range needs finite STOP > START, STEP > 0 "
-                  f"and fewer than {MAX_SAMPLE_YEARS} steps")
-        count = int((stop - start + 1e-9) // step) + 1
-        sample_years = tuple(round(start + i * step, 9) for i in range(count))
+            raise DataError("--years range needs finite STOP > START, STEP > 0 "
+                            f"and fewer than {MAX_SAMPLE_YEARS} steps")
+        from decimal import Decimal  # exact steps: no year past STOP, none repeated
+        start, stop, step = map(Decimal, years.split(":"))
+        count = int((stop - start) // step) + 1
+        sample_years = tuple(float(start + i * step) for i in range(count))
     else:
         sample_years = _parse_year_list(years, "--years")
 
@@ -279,7 +280,7 @@ class _Parser(argparse.ArgumentParser):
         self._negative_number_matcher = re.compile(r"^-(\d|\.\d|inf|nan)", re.I)
 
     def error(self, message: str) -> None:
-        _fail(DataError.exit_code, " ".join(message.split()))  # an argument may hold a newline
+        raise DataError(" ".join(message.split()))  # an argument may hold a newline
 
 
 @functools.cache  # parsing leaves the parser unchanged, so one serves every call
@@ -350,20 +351,20 @@ def _parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None, standalone_mode: bool = True) -> None:
     """Run one command line; a failure prints one ``error:`` line, raises SystemExit."""
     # standalone_mode is ignored: callers written for the earlier entry point pass it
-    args = vars(_parser().parse_args(argv))
-    # usage errors, refused before any other check: a flag is never dropped silently
-    if args.get("long_format"):
-        flags = [f"--{name.replace('_', '-')}" for name in ("preset", "members", "preset_config")
-                 if args[name] is not None]
-        if flags:
-            _fail(DataError.exit_code,
-                  f"--long reads a year,value file; it takes no {' or '.join(flags)}")
-    elif args.get("label") is not None:
-        _fail(DataError.exit_code, "--label names the series of a --long file; it needs --long")
-    for flag, what in (("preset", "a preset name"), ("label", "a series name")):
-        if args.get(flag) == "":
-            _fail(DataError.exit_code, f"--{flag} needs {what}, got ''")
     try:
+        args = vars(_parser().parse_args(argv))
+        # usage errors, refused before any other check: a flag is never dropped silently
+        if args.get("long_format"):
+            flags = [f"--{name.replace('_', '-')}"
+                     for name in ("preset", "members", "preset_config") if args[name] is not None]
+            if flags:
+                raise DataError(
+                    f"--long reads a year,value file; it takes no {' or '.join(flags)}")
+        elif args.get("label") is not None:
+            raise DataError("--label names the series of a --long file; it needs --long")
+        for flag, what in (("preset", "a preset name"), ("label", "a series name")):
+            if args.get(flag) == "":
+                raise DataError(f"--{flag} needs {what}, got ''")
         args.pop("run")(**args)
         sys.stdout.flush()  # buffered output meets a closed pipe here, not at exit
     except HypergrowthError as exc:
@@ -371,7 +372,8 @@ def main(argv: list[str] | None = None, standalone_mode: bool = True) -> None:
     except BrokenPipeError:
         # the reader has gone: point stdout at devnull, so the flush at exit is silent
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
-        _fail(DataError.exit_code, "cannot write standard output: broken pipe")
+        exc = DataError("cannot write standard output: broken pipe")
+        _fail(exc.exit_code, str(exc))
 
 
 if __name__ == "__main__":

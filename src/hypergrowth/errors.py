@@ -4,8 +4,8 @@ Everything derives from HypergrowthError, so callers can catch the whole
 library in one clause. Each family carries its CLI exit code as the class
 attribute ``exit_code``: data and parse problems and bad model parameters
 2, fitting problems 3, window and preset problems 4, anything else 5. The
-CLI also exits with DataError's code for usage errors and unreadable or
-unwritable files, and with WindowError's for malformed window and year flags.
+CLI's own checks raise the same families: DataError for usage errors and
+unreadable or unwritable files, WindowError for malformed window and year flags.
 """
 
 from __future__ import annotations

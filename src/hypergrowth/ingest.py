@@ -13,7 +13,7 @@ import csv
 import io
 import math
 from itertools import compress, repeat
-from operator import contains
+from operator import add, contains
 from typing import NamedTuple
 
 from .errors import (
@@ -55,10 +55,10 @@ class Dataset(NamedTuple):
 
 
 class RegionPreset(Frozen):
-    """Named recipe for building one regional series.
+    """Named recipe for building one regional series: the rows to sum.
 
-    mode "sum-members" sums the listed rows over years where every
-    member has a value; "direct-row" takes a single row as-is.
+    mode "sum-members" takes one or more rows, "direct-row" exactly one;
+    ``aggregate`` sums both alike, so mode only checks the label count.
     """
 
     __slots__ = _fields = ("name", "member_labels", "mode")
@@ -175,8 +175,9 @@ def _cells_one_by_one(label: str, years: list[float], cells: list[str]) -> dict[
 def aggregate(d: Dataset, p: RegionPreset) -> GrowthSeries:
     """Build the regional GrowthSeries for a preset, in billions.
 
-    For sum-members mode a year is emitted only when every member has a
-    value for it (partial sums would understate early sparse years).
+    The series sums the member rows, in member order, over the years
+    where every member has a value (partial sums would understate early
+    sparse years); a one-member preset reads its row as it stands.
     Raises UnknownMemberError for missing rows and IncompletePresetError
     (a TooFewPointsError) when fewer than 2 complete years remain.
     """
@@ -184,23 +185,16 @@ def aggregate(d: Dataset, p: RegionPreset) -> GrowthSeries:
         if label not in d.rows:
             raise UnknownMemberError(f"preset {p.name!r}: row {label!r} not in dataset")
 
-    member_cells = [d.rows[label] for label in p.member_labels]
-    if p.mode == "direct-row":
-        years = sorted(member_cells[0])
-        values = [member_cells[0][y] / MILLIONS_PER_BILLION for y in years]
-    else:
-        complete = set(member_cells[0])
-        for cells in member_cells[1:]:
-            complete &= set(cells)
-        years = sorted(complete)
-        values = [
-            sum(cells[y] for cells in member_cells) / MILLIONS_PER_BILLION for y in years
-        ]
-
+    first, *rest = [d.rows[label] for label in p.member_labels]
+    years = sorted(set(first).intersection(*rest))
     if len(years) < 2:
         raise IncompletePresetError(
             f"preset {p.name!r}: only {len(years)} complete year(s) in dataset"
         )
+    totals = list(map(first.__getitem__, years))
+    for cells in rest:  # in member order: the order fixes the float rounding
+        totals = list(map(add, totals, map(cells.__getitem__, years)))
+    values = list(map(MILLIONS_PER_BILLION.__rtruediv__, totals))
     return from_columns(years, values, label=p.name)
 
 

@@ -10,6 +10,7 @@ draw comes from an explicit seeded generator stored in the ModelSpec.
 from __future__ import annotations
 
 import math
+import operator
 
 from . import KINDS
 from .errors import AtSingularityError, ModelSpecError
@@ -29,7 +30,7 @@ class ModelSpec(Frozen):
     params holds the model constants for the chosen kind:
     hyperbolic(a, k), exponential(s0, r), logistic(cap, s0, r),
     stagnation(mean, amplitude, period). sigma is the lognormal noise
-    scale (0 for noiseless), and seed fixes the random stream.
+    scale (0 for noiseless), and seed (an integer >= 0) fixes the stream.
     """
 
     __slots__ = _fields = ("kind", "params", "sample_years", "sigma", "seed")
@@ -55,6 +56,8 @@ class ModelSpec(Frozen):
                 )
         if not 0.0 <= self.sigma < math.inf:
             raise ModelSpecError(f"sigma={self.sigma!r} must be finite and >= 0")
+        if not (hasattr(self.seed, "__index__") and operator.index(self.seed) >= 0):
+            raise ModelSpecError(f"seed={self.seed!r} must be an integer >= 0")
         if len(self.sample_years) < 2:
             raise ModelSpecError("need at least 2 sample years")
 

@@ -113,6 +113,28 @@ class TestAnalyze:
         stagnation = json.loads(out.read_text())["stagnation"]
         assert stagnation["rmse_hyperbolic_model"] <= stagnation["rmse_constant_model"]
 
+    def test_exact_segment_break_has_an_infinite_z(self, runner, tmp_path):
+        # reciprocals on a line of slope 5e-5 up to 1750 and 1e-4 after it: each
+        # segment fits exactly (se 0) with its own slope, so the break is certain
+        path = write_long(tmp_path, [
+            (t, 1 / (0.2 - 5e-5 * min(t, 1750) - 1e-4 * max(t - 1750, 0)))
+            for t in range(1500, 1901, 25)
+        ])
+        reports = {}
+        for fmt in ("json", "kv"):
+            out = tmp_path / f"report.{fmt}"
+            result = run(runner, "analyze", path, "--long", "--boundaries", "1750",
+                         "--format", fmt, "-o", str(out))
+            assert result.exit_code == 0, result.output
+            reports[fmt] = out.read_text()
+        segments = json.loads(reports["json"])["segments"]
+        assert [s["se"] for s in segments["segments"]] == [0.0, 0.0]
+        assert segments["z_scores"] == [{"left": 0, "right": 1, "z": "inf"}]
+        assert segments["verdict"] == "segmented"
+        kv = reports["kv"].splitlines()
+        assert 'segments.z_scores[0].z="inf"' in kv
+        assert 'segments.verdict="segmented"' in kv
+
 
 REPO_ROOT = pathlib.Path(__file__).parents[1]
 GOLDEN_DIR = REPO_ROOT / "tests" / "data" / "golden"
@@ -354,6 +376,30 @@ class TestExitCodes:
         assert_one_error_line(result, code)
         assert result.output == f"error: {error}\n"
 
+    @pytest.mark.parametrize("helper, args, error, message", [
+        ("_parse_window", ["1900:1500", "--window"], errors.WindowError,
+         "--window must look like T0:T1 with finite T0 < T1, got '1900:1500'"),
+        ("_parse_window", ["1500", "--takeoff-window"], errors.WindowError,
+         "--takeoff-window must look like T0:T1 with finite T0 < T1, got '1500'"),
+        ("_parse_year_list", ["1,x", "--boundaries"], errors.WindowError,
+         "--boundaries must list one or more finite years, got '1,x'"),
+        ("_parse_year_list", [" , ", "--probe-years"], errors.WindowError,
+         "--probe-years must list one or more finite years, got ' , '"),
+        ("_read", ["{tmp}/nope.csv"], errors.DataError,
+         "cannot read {tmp}/nope.csv: No such file or directory"),
+        ("_read", ["{tmp}/latin1.csv"], errors.DataError, "{tmp}/latin1.csv is not UTF-8 text"),
+        ("_write", ["{tmp}/no/x.json", "text"], errors.DataError,
+         "cannot write {tmp}/no/x.json: No such file or directory"),
+    ])
+    def test_cli_checks_raise_their_error_family(self, tmp_path, helper, args, error,
+                                                 message):
+        # main alone turns an error into its exit code; a helper never exits itself
+        (tmp_path / "latin1.csv").write_bytes(b"\xe9")
+        with pytest.raises(error) as caught:
+            getattr(cli, helper)(*(arg.format(tmp=tmp_path) for arg in args))
+        assert type(caught.value) is error
+        assert str(caught.value) == message.format(tmp=tmp_path)
+
 
 class TestPlotdata:
     def test_writes_both_tables(self, runner, europe_csv_path, tmp_path):
@@ -476,6 +522,14 @@ def assert_one_error_line(result, code):
     assert "Traceback" not in result.output
 
 
+def range_years(runner, spec):
+    """The years ``simulate --years SPEC`` writes, as printed."""
+    result = run(runner, "simulate", "--kind", "stagnation", "--mean", "2",
+                 "--amplitude", "0.5", "--period", "100", "--years", spec)
+    assert result.exit_code == 0, result.output
+    return [line.split(",")[0] for line in result.output.splitlines()[1:]]
+
+
 def write_long(tmp_path, rows):
     path = tmp_path / "long.csv"
     path.write_text("year,value\n" + "".join(f"{y},{v}\n" for y, v in rows))
@@ -532,11 +586,33 @@ class TestContract:
         assert_one_error_line(result, 2)
 
     def test_range_years_do_not_accumulate_rounding(self, runner):
-        result = run(runner, "simulate", "--kind", "stagnation", "--mean", "2",
-                     "--amplitude", "0.5", "--period", "100", "--years", "0:2000:0.1")
-        assert result.exit_code == 0, result.output
-        years = [line.split(",")[0] for line in result.output.splitlines()[1:]]
-        assert years == [repr(round(i * 0.1, 9)) for i in range(20001)]
+        assert range_years(runner, "0:2000:0.1") == [repr(round(i * 0.1, 9))
+                                                      for i in range(20001)]
+        # START + i * STEP in decimal, rounded once to a float, gives the same
+        # years as the float sum rounded to 9 decimals on ranges of such steps
+        for spec in ["1500:1900:40", "1000:2000:10", "1:1900:5", "0:0.3:0.1",
+                     "-1000:1000:0.7", "1820.5:1900:0.01"]:
+            start, stop, step = map(float, spec.split(":"))
+            count = int((stop - start + 1e-9) // step) + 1
+            assert range_years(runner, spec) == [repr(round(start + i * step, 9))
+                                                 for i in range(count)], spec
+
+    @pytest.mark.parametrize("spec, years", [
+        ("0:2e-9:5e-10", ["0.0", "5e-10", "1e-09", "1.5e-09", "2e-09"]),
+        ("1:1.000000001:2.5e-10",
+         ["1.0", "1.00000000025", "1.0000000005", "1.00000000075", "1.000000001"]),
+        ("0:1e-9:3e-10", ["0.0", "3e-10", "6e-10", "9e-10"]),
+    ])
+    def test_range_years_with_small_steps_stop_at_stop(self, runner, spec, years):
+        # steps finer than 9 decimals: no year past STOP, none repeated
+        assert range_years(runner, spec) == years
+
+    @pytest.mark.parametrize("sigma", [[], ["--sigma", "0.1"]])
+    def test_simulate_negative_seed_is_2(self, runner, sigma):
+        result = run(runner, "simulate", "--kind", "hyperbolic", "--a", "0.1", "--k", "1e-5",
+                     "--years", "1,2,3", "--seed", "-1", *sigma)
+        assert_one_error_line(result, 2)
+        assert result.output == "error: seed=-1 must be an integer >= 0\n"
 
     @pytest.mark.parametrize("sigma", ["nan", "inf", "-0.1"])
     def test_simulate_sigma_must_be_finite_nonnegative(self, runner, sigma):

@@ -153,6 +153,28 @@ class TestAggregate:
                 assert v == pytest.approx(expected, rel=1e-12)
 
 
+    @given(st.lists(
+        st.dictionaries(st.sampled_from([1.0, 1000.0, 1500.0, 1600.0, 1700.0, 1820.0]),
+                        st.floats(min_value=1e-6, max_value=1e15), min_size=1),
+        min_size=1, max_size=8,
+    ))
+    def test_sum_is_the_reference_sum_bit_for_bit(self, members):
+        # every preset, one row or many, is the left-to-right float sum of its
+        # members over their common years, divided by 1000 last
+        labels = tuple(f"M{i}" for i in range(len(members)))
+        d = Dataset(rows=dict(zip(labels, members)), year_header=())
+        p = RegionPreset("R", labels, "direct-row" if len(labels) == 1 else "sum-members")
+        years = sorted(y for y in members[0] if all(y in c for c in members))
+        if len(years) < 2:
+            with pytest.raises(TooFewPointsError):
+                aggregate(d, p)
+            return
+        want = from_columns(years, [sum(c[y] for c in members) / 1000 for y in years],
+                            label="R")
+        got = aggregate(d, p)
+        assert (got.years, got.values) == (want.years, want.values)
+
+
 class TestPresetCatalog:
     def test_builtin_presets(self):
         catalog = {p.name: p for p in preset_catalog()}

@@ -69,6 +69,18 @@ class TestGenerate:
         with pytest.raises(ModelSpecError):
             ModelSpec("hyperbolic", {"a": 1.0, "k": 0.001}, (0, 100), sigma=sigma)
 
+    @pytest.mark.parametrize("seed", [-1, 1.0, 2.5, "3", None])
+    def test_seed_must_be_a_nonnegative_integer(self, seed):
+        with pytest.raises(ModelSpecError):
+            ModelSpec("hyperbolic", {"a": 1.0, "k": 0.001}, (0, 100), sigma=0.1, seed=seed)
+
+    def test_numpy_integer_seed_draws_the_same_stream(self):
+        np = pytest.importorskip("numpy")
+        spec = dict(kind="hyperbolic", params={"a": 1.0, "k": 0.001},
+                    sample_years=(0, 200, 400, 600), sigma=0.1)
+        assert (generate(ModelSpec(**spec, seed=np.int64(7))).points
+                == generate(ModelSpec(**spec, seed=7)).points)
+
 
 class TestRoundTrip:
     def test_fit_recovers_generator_parameters(self):

@@ -146,6 +146,10 @@ def test_series_equal_exactly_when_fields_equal(a, b, warm):
      ModelSpecError, "stagnation model: amplitude must satisfy 0 <= amplitude < mean"),
     (lambda: ModelSpec("hyperbolic", {"a": 1.0, "k": 1}, (0, 1), sigma=-0.1), ModelSpecError,
      "sigma=-0.1 must be finite and >= 0"),
+    (lambda: ModelSpec("hyperbolic", {"a": 1.0, "k": 1}, (0, 1), seed=-1), ModelSpecError,
+     "seed=-1 must be an integer >= 0"),
+    (lambda: ModelSpec("hyperbolic", {"a": 1.0, "k": 1}, (0, 1), seed=1.0), ModelSpecError,
+     "seed=1.0 must be an integer >= 0"),
     (lambda: ModelSpec("hyperbolic", {"a": 1.0, "k": 1}, (0,)), ModelSpecError,
      "need at least 2 sample years"),
 ])
