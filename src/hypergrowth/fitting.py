@@ -288,7 +288,8 @@ class HyperbolicFit(NamedTuple):
 
 class FitDiagnostics(NamedTuple):
     """Per-year residual table for an accepted fit: the ``residual_rows``
-    of every observed year, the rows the diversion and takeoff scans read."""
+    of every observed year, with the residuals the diversion and takeoff
+    scans read (``_scan_back``)."""
 
     rows: tuple[tuple[float, float, float, float], ...]
 
@@ -343,24 +344,64 @@ def percent_deviation(f: HyperbolicFit, s: GrowthSeries, t: float) -> float:
     return 100.0 * (observed - model) / model
 
 
-def residual_rows(f: HyperbolicFit, years, values):
-    """(year, raw, normalized, relative GDP deviation) at each year where the
-    fitted line is positive, in the given order.
+def residual_rows(f: HyperbolicFit, s: GrowthSeries):
+    """(year, raw, normalized, relative GDP deviation) at each year of ``s``
+    where the fitted line is positive, in year order.
 
-    The raw residual is observed minus fitted in reciprocal space. The
-    normalized one divides it by the in-window rmse, or by
-    ABSOLUTE_RESIDUAL_TOLERANCE for an exact fit (rmse 0). The relative
-    GDP deviation is (v - 1/line) / (1/line) = v*line - 1.
+    The raw residual is observed minus fitted in reciprocal space, from the
+    kept reciprocals. The normalized one divides it by the in-window rmse,
+    or by ABSOLUTE_RESIDUAL_TOLERANCE for an exact fit (rmse 0). The
+    relative GDP deviation is (v - 1/line) / (1/line) = v*line - 1.
     """
     a, k = f.a, f.k
     scale = f.rmse_reciprocal or ABSOLUTE_RESIDUAL_TOLERANCE
-    for y, v in zip(years, values):
+    for y, r, v in zip(s.years, s.reciprocals, s.values):
         line = a - k * y
         if line > 0.0:
-            raw = 1.0 / v - line
+            raw = r - line
             yield y, raw, raw / scale, -raw * v
+
+
+def _scan_back(f: HyperbolicFit, s: GrowthSeries, lo: int, hi: int, kappa: float,
+               whole: bool) -> tuple:
+    """``(last, above, below, least)`` of the years ``s.years[lo:hi]``, read
+    from the last index down, with the normalized residuals of ``residual_rows``.
+
+    ``last`` is the last year where the line is positive, the last evaluable
+    one. ``above`` and ``below`` are the earliest years of the runs of
+    normalized residuals above kappa and below -kappa that last to ``last``,
+    and ``least`` is the least normalized residual read (``min``'s pick of
+    a tie). Without an evaluable year they are None, None, None and inf.
+    Reading stops at the first year that breaks both runs unless ``whole``.
+    """
+    a, k = f.a, f.k
+    scale = f.rmse_reciprocal or ABSOLUTE_RESIDUAL_TOLERANCE
+    years, recip = s.years, s.reciprocals
+    last = above = below = None
+    up = down = True
+    least = math.inf
+    for i in range(hi - 1, lo - 1, -1):
+        y = years[i]
+        line = a - k * y
+        if line > 0.0:
+            rho = (recip[i] - line) / scale
+            if last is None:
+                last = y
+            if rho <= least:  # read backwards, a tie moves to the earlier year
+                least = rho
+            if up:
+                up = rho > kappa
+                if up:
+                    above = y
+            if down:
+                down = rho < -kappa
+                if down:
+                    below = y
+            if not (up or down or whole):
+                break
+    return last, above, below, least
 
 
 def goodness(f: HyperbolicFit, s: GrowthSeries) -> FitDiagnostics:
     """Residual diagnostics at every observed year with a positive line."""
-    return FitDiagnostics(tuple(residual_rows(f, s.years, s.values)))
+    return FitDiagnostics(tuple(residual_rows(f, s)))

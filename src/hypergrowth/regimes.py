@@ -24,7 +24,6 @@ from __future__ import annotations
 import math
 import operator
 from bisect import bisect_right
-from itertools import islice
 from typing import NamedTuple
 
 from .errors import (
@@ -36,8 +35,8 @@ from .fitting import (
     SMALL_FIT_MAX,
     HyperbolicFit,
     LineFit,
+    _scan_back,
     fit_range,
-    residual_rows,
     singularity,
 )
 from .series import GrowthSeries, Window, index_range, new_record
@@ -92,27 +91,6 @@ class SegmentReport(NamedTuple):
     verdict: str  # "single-line-consistent" | "segmented"
 
 
-def _persistent_onsets(rows, kappa: float) -> tuple:
-    """(first year, onset above kappa, onset below -kappa) of ``residual_rows``
-    read from the last year back. An onset is the earliest year of a run that
-    lasts to the end, None without one; reading stops at the first year that
-    breaks both runs."""
-    last = above = below = None
-    up = down = True
-    for y, _, rho, _ in rows:
-        if last is None:
-            last = y
-        up = up and rho > kappa
-        down = down and rho < -kappa
-        if not (up or down):
-            break
-        if up:
-            above = y
-        if down:
-            below = y
-    return last, above, below
-
-
 def detect_diversion(
     f: HyperbolicFit, s: GrowthSeries, kappa: float = DEFAULT_KAPPA
 ) -> DiversionReport:
@@ -132,10 +110,7 @@ def detect_diversion(
         raise NoPointsAfterWindowError(
             f"series {s.label!r}: no observed years after {f.fit_window.t1:g}"
         )
-    backwards = islice(reversed(years), len(years) - lo)
-    last, above, below = _persistent_onsets(
-        residual_rows(f, backwards, reversed(s.values)), kappa
-    )
+    last, above, below, _ = _scan_back(f, s, lo, len(years), kappa, whole=False)
     until = f.fit_window.t1 if last is None else last
     # diversion_year, direction, bypass_years, threshold_kappa, evaluable_until
     if above is not None:
@@ -164,16 +139,14 @@ def takeoff_scan(
         raise NoPointsInWindowError(
             f"series {s.label!r}: no observed years in [{w.t0:g}, {w.t1:g}]"
         )
-    rows = list(residual_rows(f, s.years[lo:hi], s.values[lo:hi]))
-    if not rows:
+    last, _, onset, least = _scan_back(f, s, lo, hi, kappa, whole=True)
+    if last is None:
         raise NoPointsInWindowError(
             f"series {s.label!r}: fitted line not positive anywhere in "
             f"[{w.t0:g}, {w.t1:g}]"
         )
-    onset = _persistent_onsets(reversed(rows), kappa)[2]
     # window, found, onset_year, max_negative_normalized_residual
-    return new_record(TakeoffReport, (w, onset is not None, onset,
-                                      min([rho for _, _, rho, _ in rows])))
+    return new_record(TakeoffReport, (w, onset is not None, onset, least))
 
 
 def _sign_counts(residuals) -> tuple[int, int, int]:

@@ -539,3 +539,37 @@ def test_scans_match_the_row_based_reference(case):
             == outcome(reference_takeoff, f, s, takeoff, kappa))
     # the rows a user reads are the rows the verdicts come from
     assert goodness(f, s).rows == tuple(reference_rows(f, s.years, s.values))
+
+
+@pytest.mark.parametrize("name", ["W12", "W30", "EE"])
+def test_scans_match_the_row_based_reference_on_every_preset_window(regional_series, name):
+    s = regional_series[name]
+    years = s.years
+    for i in range(len(years)):
+        for j in range(i + 2, len(years)):
+            w = Window(years[i], years[j])
+            try:
+                f = fit_hyperbolic(s, w)
+            except NonDecreasingLineError:
+                continue
+            for kappa in (3.0, 2.5, 0.5):
+                assert (outcome(detect_diversion, f, s, kappa)
+                        == outcome(reference_diversion, f, s, kappa))
+                assert (outcome(takeoff_scan, f, s, DEFAULT_TAKEOFF_WINDOW, kappa)
+                        == outcome(reference_takeoff, f, s, DEFAULT_TAKEOFF_WINDOW, kappa))
+
+
+def test_infinite_normalized_residuals_match_the_row_based_reference():
+    # an exact line on 1500-1700 (scale 1e-9), then reciprocals of 1e300
+    s = new_series([(1500, 1.0), (1600, 1.1111111111111112), (1700, 1.25),
+                    (1820, 1e-300), (1830, 1e-300), (1840, 1e-300)], "ovf")
+    f = fit_hyperbolic(s, Window(1500, 1700))
+    assert f.rmse_reciprocal == 0.0
+    tko = takeoff_scan(f, s)
+    assert (tko.found, tko.onset_year, tko.max_negative_normalized_residual) == (
+        False, None, math.inf)
+    div = detect_diversion(f, s)
+    assert (div.direction, div.diversion_year, div.evaluable_until) == ("slower", 1820, 1840)
+    assert outcome(takeoff_scan, f, s, DEFAULT_TAKEOFF_WINDOW, 3.0) == outcome(
+        reference_takeoff, f, s, DEFAULT_TAKEOFF_WINDOW, 3.0)
+    assert outcome(detect_diversion, f, s, 3.0) == outcome(reference_diversion, f, s, 3.0)
