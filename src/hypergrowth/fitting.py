@@ -253,7 +253,7 @@ def fit_range(s: GrowthSeries, lo: int, hi: int) -> LineFit:
     (``s.arrays``, built on the first such call), a shorter one as tuple
     slices. In every case the result is ``fit_line`` on the range's points.
     """
-    if len(s) > SMALL_FIT_MAX or hi - lo < 2:
+    if len(s.years) > SMALL_FIT_MAX or hi - lo < 2:
         years, recip = s.arrays[:2] if hi - lo > SMALL_FIT_MAX else (s.years, s.reciprocals)
         return fit_line(years[lo:hi], recip[lo:hi])
     bx, by, px, py, pxx, pxy, pyy = s.prefix_moments
@@ -288,8 +288,9 @@ class HyperbolicFit(NamedTuple):
 
 class FitDiagnostics(NamedTuple):
     """Per-year residual table for an accepted fit: the ``residual_rows``
-    of every observed year, with the residuals the diversion and takeoff
-    scans read (``_scan_back``)."""
+    of every observed year. The diversion and takeoff scans (``_scan_back``)
+    read the values and divide each one they read, so their residuals
+    are these rows' bits."""
 
     rows: tuple[tuple[float, float, float, float], ...]
 
@@ -304,15 +305,15 @@ def fit_hyperbolic(s: GrowthSeries, w: Window) -> HyperbolicFit:
     this window).
     """
     lo, hi = index_range(s, w.t0, w.t1, need=3, error=FitTooFewPointsError)
-    line = fit_range(s, lo, hi)
-    if line.slope >= 0.0:
+    slope, intercept, rmse, r2, se_slope, se_intercept, _, _ = fit_range(s, lo, hi)
+    if slope >= 0.0:
         raise NonDecreasingLineError(
-            f"series {s.label!r}: reciprocal slope {line.slope:.3e} is not negative "
+            f"series {s.label!r}: reciprocal slope {slope:.3e} is not negative "
             f"on [{w.t0:g}, {w.t1:g}]"
         )
     # a, k, fit_window, n_points, rmse_reciprocal, r2_reciprocal, se_a, se_k
-    return new_record(HyperbolicFit, (line.intercept, -line.slope, w, hi - lo, line.rmse,
-                                      line.r2, line.se_intercept, line.se_slope))
+    return new_record(HyperbolicFit, (intercept, -slope, w, hi - lo, rmse, r2, se_intercept,
+                                      se_slope))
 
 
 def model_value(f: HyperbolicFit, t: float) -> float:
@@ -366,6 +367,8 @@ def _scan_back(f: HyperbolicFit, s: GrowthSeries, lo: int, hi: int, kappa: float
                whole: bool) -> tuple:
     """``(last, above, below, least)`` of the years ``s.years[lo:hi]``, read
     from the last index down, with the normalized residuals of ``residual_rows``.
+    Each value read is divided here, the same IEEE division as
+    ``s.reciprocals``, so a scan never builds the series' reciprocal column.
 
     ``last`` is the last year where the line is positive, the last evaluable
     one. ``above`` and ``below`` are the earliest years of the runs of
@@ -376,7 +379,7 @@ def _scan_back(f: HyperbolicFit, s: GrowthSeries, lo: int, hi: int, kappa: float
     """
     a, k = f.a, f.k
     scale = f.rmse_reciprocal or ABSOLUTE_RESIDUAL_TOLERANCE
-    years, recip = s.years, s.reciprocals
+    years, values = s.years, s.values
     last = above = below = None
     up = down = True
     least = math.inf
@@ -384,7 +387,7 @@ def _scan_back(f: HyperbolicFit, s: GrowthSeries, lo: int, hi: int, kappa: float
         y = years[i]
         line = a - k * y
         if line > 0.0:
-            rho = (recip[i] - line) / scale
+            rho = (1.0 / values[i] - line) / scale
             if last is None:
                 last = y
             if rho <= least:  # read backwards, a tie moves to the earlier year

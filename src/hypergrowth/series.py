@@ -32,8 +32,9 @@ new_record = tuple.__new__
 class Frozen:
     """Immutable value: eq (same class only), hash, repr and pickling over ``_fields``.
 
-    The constructor sets the fields once, through ``_assign`` or
-    ``object.__setattr__``; later assignment raises.
+    The constructor sets the fields once, through ``_assign``,
+    ``object.__setattr__`` or (``Window``) the slots' own setters; later
+    assignment raises.
     """
 
     __slots__ = ()
@@ -73,10 +74,16 @@ class Window(Frozen):
     __slots__ = _fields = ("t0", "t1")
 
     def __init__(self, t0: float, t1: float) -> None:
-        object.__setattr__(self, "t0", t0)
-        object.__setattr__(self, "t1", t1)
+        _set_t0(self, t0)
+        _set_t1(self, t1)
         if not t0 < t1:
             raise WindowOrderError(f"window requires t0 < t1, got [{t0}, {t1}]")
+
+
+# A sweep builds one Window per fit window: the slots' own setters skip the
+# name lookup of each object.__setattr__ call
+_set_t0 = Window.__dict__["t0"].__set__
+_set_t1 = Window.__dict__["t1"].__set__
 
 
 class GrowthSeries(Frozen):

@@ -573,3 +573,23 @@ def test_infinite_normalized_residuals_match_the_row_based_reference():
     assert outcome(takeoff_scan, f, s, DEFAULT_TAKEOFF_WINDOW, 3.0) == outcome(
         reference_takeoff, f, s, DEFAULT_TAKEOFF_WINDOW, 3.0)
     assert outcome(detect_diversion, f, s, 3.0) == outcome(reference_diversion, f, s, 3.0)
+
+
+@pytest.mark.parametrize("t1", [1300.0, 1800.0])  # fits of at most and of more than 64 points
+def test_scans_read_the_values_without_building_the_reciprocal_column(t1):
+    # 100 points, the last ones past the blow-up; from 1850 on, GDP leaves the line upwards
+    rng = random.Random(7)
+    years = [1000.0 + 10.0 * i for i in range(100)]
+    k = 1e-4
+    a = k * 1960.0
+    points = [(t, (1.0 / (a - k * t) if a - k * t > 0.0 else rng.uniform(0.1, 10.0))
+               * math.exp(0.01 * rng.gauss(0.0, 1.0)) * (2.0 if t >= 1850.0 else 1.0))
+              for t in years]
+    f = fit_hyperbolic(new_series(points, "s"), Window(1000.0, t1))
+    s = new_series(points, "s")
+    takeoff = Window(1500.0, 1990.0)
+    for kappa in (3.0, 0.5):
+        assert outcome(detect_diversion, f, s, kappa) == outcome(reference_diversion, f, s, kappa)
+        assert (outcome(takeoff_scan, f, s, takeoff, kappa)
+                == outcome(reference_takeoff, f, s, takeoff, kappa))
+    assert "reciprocals" not in vars(s)
