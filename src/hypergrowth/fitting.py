@@ -9,14 +9,18 @@ crosses zero.
 Years around 1900 combined with slopes around 1e-5 make the raw normal
 equations poorly conditioned, so the regression is computed from the
 centred moments (means, sums of squares and cross products about the
-means). Two kernels compute those moments and the line, and one finisher
-adds the fit statistics:
+means). Two kernels compute those moments and the line, and each hands
+them to the one finisher, ``_line_from_moments``, which adds the fit
+statistics:
 
 * a fit of at most SMALL_FIT_MAX = 64 points reads exact integer sums of
-  its points (``_sums_exact``), and each moment is correctly rounded. A
-  series of at most 64 points keeps their running sums
-  (``GrowthSeries.prefix_moments``, about five Python ints per point), so
-  each of its windows costs O(1); any other such fit sums its own points;
+  its points (``_sums_exact``), and each moment is correctly rounded: an
+  exact integer divided by n, then scaled by ``math.ldexp``, or divided
+  by the scaled divisor where ``_ldexp_exact`` finds that a moment could
+  leave the normal float range. A series of at most 64 points keeps their
+  running sums (``GrowthSeries.prefix_moments``, about five Python ints
+  per point), so each of its windows costs O(1); any other such fit sums
+  its own points;
 * a fit of more than 64 points sums in numpy, imported on first use
   (``_sums_numpy``). A window of more than 64 points of a series slices
   views of the float64 columns the series keeps (``GrowthSeries.arrays``),
@@ -24,14 +28,16 @@ adds the fit statistics:
 
 So a fit of at most 64 points depends only on its points. Windowed fits
 of a series (``fit_hyperbolic``, each segment of ``segment_consistency``,
-the line of ``stagnation_test``) go through ``fit_range``; ``fit_line``
-takes raw sequences.
+the line of ``stagnation_test``) go through ``fit_range``, whose plain
+fields ``fit_hyperbolic`` reads into its own record; ``fit_line`` takes
+raw sequences.
 """
 
 from __future__ import annotations
 
 import math
 from itertools import accumulate
+from math import ldexp, sqrt
 from operator import mul
 from typing import NamedTuple
 
@@ -48,6 +54,7 @@ from .series import GrowthSeries, Window, index_range, new_record
 # rmse is at most this fraction of the RMS of the fitted values is snapped
 # to the genuine perfect fit, so the rmse-0 conventions apply.
 COLLINEAR_RTOL = 1e-13
+_COLLINEAR_RTOL2 = COLLINEAR_RTOL**2
 
 # Residual scale when a fit's rmse is exactly 0: a normalized residual is
 # then the raw one per this much, so the regime scans' kappa comparison
@@ -100,53 +107,88 @@ def _scaled_columns(years, values):
     return bx, by, (xs, ys, map(mul, xs, xs), map(mul, xs, ys), map(mul, ys, ys))
 
 
+def _ldexp_exact(bx, by, qxx, qyy) -> bool:
+    """Whether ``_sums_exact`` may divide by n and scale by ``ldexp`` for
+    every range of at most SMALL_FIT_MAX points whose sums of squared
+    integers are at most qxx and qyy (a table's totals, or a fit's own sums).
+
+    So it must be that no quotient reaches 2**1023 (each is at most
+    max(qxx, qyy)) and no nonzero moment falls below 2**-1022: a quotient
+    is at least 2**-6, the residual sum of squares' 1/(n * cxx) >
+    2**-(12 + qxx.bit_length()), and the scales go down to 2**-2bx and
+    2**-2by.
+    """
+    lx = qxx.bit_length()
+    return max(lx, qyy.bit_length()) <= 1023 and max(bx, by) <= 508 and 2 * by + lx <= 1010
+
+
 def prefix_moments(years, values) -> tuple:
     """Exact running sums of the years and values, for O(1) line fits of any range.
 
-    ``(bx, by, X, Y, XX, XY, YY)``: every year times ``2**bx`` and every
-    value times ``2**by`` is an integer, and each column holds the running
-    sums of those integers, of their squares and of their products,
-    starting from 0 before the first point. The sums over ``years[lo:hi]``
-    are ``X[hi] - X[lo]`` and so on, with no rounding. A nan or infinite
-    entry raises OverflowError.
+    ``(bx, by, scaled, X, Y, XX, XY, YY)``: every year times ``2**bx`` and
+    every value times ``2**by`` is an integer, and each column holds the
+    running sums of those integers, of their squares and of their
+    products, starting from 0 before the first point. The sums over
+    ``years[lo:hi]`` are ``X[hi] - X[lo]`` and so on, with no rounding.
+    ``scaled`` is ``_ldexp_exact`` of the totals, which bound the squares
+    of every range. A nan or infinite entry raises OverflowError.
     """
     bx, by, columns = _scaled_columns(years, values)
-    return (bx, by, *[tuple(accumulate(c, initial=0)) for c in columns])
+    x, y, xx, xy, yy = [tuple(accumulate(c, initial=0)) for c in columns]
+    return bx, by, _ldexp_exact(bx, by, xx[-1], yy[-1]), x, y, xx, xy, yy
 
 
-def _sums_exact(bx, by, n, sx, sy, qxx, qxy, qyy):
-    """``(slope, intercept, ybar, sxx, ssr, sst, xbar)`` of n points from
-    their exact sums: sx, sy, qxx, qxy and qyy sum the integers x * 2**bx
-    and y * 2**by of the years and values, their squares and products.
+def _sums_exact(bx, by, scaled, n, sx, sy, qxx, qxy, qyy):
+    """The finished line (``_line_from_moments``) of n points from their
+    exact sums, or None when their centred years square to 0 (equal years,
+    or distinct years too close for float arithmetic): the caller raises.
+    sx, sy, qxx, qxy and qyy sum the integers x * 2**bx and y * 2**by of
+    the years and values, their squares and products.
 
     n times the centred sums (n*Sxx - Sx**2 and the like) are exact
     integers, and each moment is one int true division, which rounds once,
-    correctly; the powers of two scale the divisor, so nothing is rounded
-    twice. The slope and intercept are float arithmetic on the moments.
+    correctly: with ``scaled`` (``_ldexp_exact``), by n (n * cxx for the
+    residual sum of squares) and then an exact ``ldexp``; otherwise by the
+    scaled divisor, which also rounds a subnormal moment correctly and
+    raises OverflowError past the float range. The slope and intercept
+    are float arithmetic on the moments.
     """
     cxx = n * qxx - sx * sx
     cxy = n * qxy - sx * sy
     cyy = n * qyy - sy * sy
-    try:
-        sxx = cxx / (n << (2 * bx))
-        sst = cyy / (n << (2 * by))
-    except OverflowError:  # "integer division result too large for a float"
-        raise OverflowError(_TOO_EXTREME) from None
-    if not math.isfinite(sxx + sst):
-        raise OverflowError(_TOO_EXTREME)
-    if not sxx:  # equal years, or centred squares that underflow: the caller raises
-        return (0.0,) * 7
-    xbar = sx / (n << bx)
-    ybar = sy / (n << by)
-    slope = (cxy / (n << (bx + by))) / sxx
-    # the residual sum of squares of the exact OLS line is Sst - Sxy**2/Sxx
-    ssr = (cyy * cxx - cxy * cxy) / ((n * cxx) << (2 * by))
-    return slope, ybar - slope * xbar, ybar, sxx, ssr, sst, xbar
+    if scaled:
+        if not cxx:
+            return None
+        eyy = -2 * by
+        sxx = ldexp(cxx / n, -2 * bx)
+        sst = ldexp(cyy / n, eyy)
+        xbar = ldexp(sx / n, -bx)
+        ybar = ldexp(sy / n, -by)
+        sxy = ldexp(cxy / n, -bx - by)
+        # the residual sum of squares of the exact OLS line is Sst - Sxy**2/Sxx
+        ssr = ldexp((cyy * cxx - cxy * cxy) / (n * cxx), eyy)
+    else:
+        try:
+            sxx = cxx / (n << (2 * bx))
+            sst = cyy / (n << (2 * by))
+        except OverflowError:  # "integer division result too large for a float"
+            raise OverflowError(_TOO_EXTREME) from None
+        if not math.isfinite(sxx + sst):
+            raise OverflowError(_TOO_EXTREME)
+        if not sxx:  # equal years, or centred squares that underflow
+            return None
+        xbar = sx / (n << bx)
+        ybar = sy / (n << by)
+        sxy = cxy / (n << (bx + by))
+        ssr = (cyy * cxx - cxy * cxy) / ((n * cxx) << (2 * by))
+    slope = sxy / sxx
+    return _line_from_moments(n, slope, ybar - slope * xbar, ybar, sxx, ssr, sst, xbar)
 
 
 def _sums_numpy(years, values, center):
-    """The line and centred sums of a large fit, vectorised, in the order of
-    ``_sums_exact``; float overflow, an infinity or a nan raises.
+    """The finished line of a large fit, with its moments summed in numpy,
+    or None when the centred years square to 0; float overflow, an
+    infinity or a nan raises.
 
     ndarrays (such as views of ``GrowthSeries.arrays``) are read as they
     are; any other sequence is converted once. The residual sum of squares
@@ -170,12 +212,13 @@ def _sums_numpy(years, values, center):
         sst = float(np.sum(dy**2))
         if not math.isfinite(sxx + sst):  # a nan raises nothing on its way here
             raise OverflowError(_TOO_EXTREME)
-        sxy = float(np.sum(dx * dy))
-        slope = sxy / sxx if sxx else 0.0
+        if not sxx:
+            return None
+        slope = float(np.sum(dx * dy)) / sxx
         ssr = min(float(np.sum((dy - slope * dx) ** 2)), sst)
         # the intercept in centred coordinates, de-centred
         intercept = (ybar - slope * xbar) - slope * center
-        return slope, intercept, ybar, sxx, ssr, sst, float(x.mean())
+        return _line_from_moments(n, slope, intercept, ybar, sxx, ssr, sst, float(x.mean()))
 
 
 def _no_spread(years):
@@ -188,30 +231,31 @@ def _no_spread(years):
     raise FitTooFewPointsError("line fit needs at least 2 distinct years")
 
 
-def _line_from_moments(n, slope, intercept, ybar, sxx, ssr, sst, xbar) -> LineFit:
-    """The line with its fit statistics and standard errors, from a kernel's output.
+def _line_from_moments(n, slope, intercept, ybar, sxx, ssr, sst, xbar) -> tuple:
+    """The fields of the ``LineFit`` of a kernel's line and moments, in order.
 
     ``ybar`` and ``xbar`` are the means of the values and the years; sxx
-    must be positive.
+    must be positive. The fields come as a plain tuple: ``fit_line`` and
+    ``fit_range`` make it the record, and ``fit_hyperbolic`` reads it into
+    its own.
     """
     # sst/n + ybar^2 is the mean square of y, so no extra pass is needed
-    if ssr <= COLLINEAR_RTOL**2 * (sst + n * ybar * ybar):
+    if ssr <= _COLLINEAR_RTOL2 * (sst + n * ybar * ybar):
         ssr = 0.0
-    rmse = math.sqrt(ssr / n)
+    rmse = sqrt(ssr / n)
     r2 = 1.0 if sst == 0.0 else 1.0 - ssr / sst
 
     if n > 2:
         s2 = ssr / (n - 2)
-        se_slope = math.sqrt(s2 / sxx)
+        se_slope = sqrt(s2 / sxx)
         # variance of the intercept at t = 0
-        se_intercept = math.sqrt(s2 * (1.0 / n + xbar**2 / sxx))
+        se_intercept = sqrt(s2 * (1.0 / n + xbar**2 / sxx))
     else:
         se_slope = None
         se_intercept = None
 
     # slope, intercept, rmse, r2, se_slope, se_intercept, mean, rmse_constant
-    return new_record(LineFit, (slope, intercept, rmse, r2, se_slope, se_intercept, ybar,
-                                 math.sqrt(sst / n)))
+    return slope, intercept, rmse, r2, se_slope, se_intercept, ybar, sqrt(sst / n)
 
 
 def fit_line(years, values, center: float = 0.0) -> LineFit:
@@ -235,12 +279,30 @@ def fit_line(years, values, center: float = 0.0) -> LineFit:
         raise FitTooFewPointsError(f"line fit needs at least 2 points, got {n}")
     if n <= SMALL_FIT_MAX:
         bx, by, columns = _scaled_columns(years, values)
-        moments = _sums_exact(bx, by, n, *map(sum, columns))
+        sx, sy, qxx, qxy, qyy = map(sum, columns)
+        line = _sums_exact(bx, by, _ldexp_exact(bx, by, qxx, qyy), n, sx, sy, qxx, qxy, qyy)
     else:
-        moments = _sums_numpy(years, values, center)
-    if moments[3] == 0.0:
+        line = _sums_numpy(years, values, center)
+    if line is None:
         _no_spread(years)
-    return _line_from_moments(n, *moments)
+    return new_record(LineFit, line)
+
+
+def _range_line(s: GrowthSeries, lo: int, hi: int) -> tuple:
+    """The ``LineFit`` fields of ``fit_range``: a plain tuple from the kept
+    table, the ``fit_line`` record otherwise."""
+    if len(s.years) > SMALL_FIT_MAX or hi - lo < 2:
+        if hi - lo > SMALL_FIT_MAX:
+            years, recip = s.arrays[:2]
+            return fit_line(years[lo:hi], recip[lo:hi])
+        # the same IEEE division as s.reciprocals, without building that column
+        return fit_line(s.years[lo:hi], [1.0 / v for v in s.values[lo:hi]])
+    bx, by, scaled, px, py, pxx, pxy, pyy = s.prefix_moments
+    line = _sums_exact(bx, by, scaled, hi - lo, px[hi] - px[lo], py[hi] - py[lo],
+                       pxx[hi] - pxx[lo], pxy[hi] - pxy[lo], pyy[hi] - pyy[lo])
+    if line is None:
+        _no_spread(s.years[lo:hi])
+    return line
 
 
 def fit_range(s: GrowthSeries, lo: int, hi: int) -> LineFit:
@@ -250,18 +312,12 @@ def fit_range(s: GrowthSeries, lo: int, hi: int) -> LineFit:
     on the first call and fits every range of at least 2 points from them
     in O(1). Any other range goes to ``fit_line``: a range of more than
     SMALL_FIT_MAX points as views of the float64 columns the series keeps
-    (``s.arrays``, built on the first such call), a shorter one as tuple
-    slices. In every case the result is ``fit_line`` on the range's points.
+    (``s.arrays``, built on the first such call), a shorter one as a slice
+    of the years and the reciprocals of its own values, so it builds no
+    column of the whole series. In every case the result is ``fit_line``
+    on the range's points.
     """
-    if len(s.years) > SMALL_FIT_MAX or hi - lo < 2:
-        years, recip = s.arrays[:2] if hi - lo > SMALL_FIT_MAX else (s.years, s.reciprocals)
-        return fit_line(years[lo:hi], recip[lo:hi])
-    bx, by, px, py, pxx, pxy, pyy = s.prefix_moments
-    moments = _sums_exact(bx, by, hi - lo, px[hi] - px[lo], py[hi] - py[lo],
-                          pxx[hi] - pxx[lo], pxy[hi] - pxy[lo], pyy[hi] - pyy[lo])
-    if moments[3] == 0.0:
-        _no_spread(s.years[lo:hi])
-    return _line_from_moments(hi - lo, *moments)
+    return new_record(LineFit, _range_line(s, lo, hi))
 
 
 class HyperbolicFit(NamedTuple):
@@ -304,8 +360,8 @@ def fit_hyperbolic(s: GrowthSeries, w: Window) -> HyperbolicFit:
     fitted slope is >= 0 (the series is not hyperbolic-growth-like on
     this window).
     """
-    lo, hi = index_range(s, w.t0, w.t1, need=3, error=FitTooFewPointsError)
-    slope, intercept, rmse, r2, se_slope, se_intercept, _, _ = fit_range(s, lo, hi)
+    lo, hi = index_range(s, w.t0, w.t1, 3, FitTooFewPointsError)
+    slope, intercept, rmse, r2, se_slope, se_intercept, _, _ = _range_line(s, lo, hi)
     if slope >= 0.0:
         raise NonDecreasingLineError(
             f"series {s.label!r}: reciprocal slope {slope:.3e} is not negative "

@@ -219,16 +219,19 @@ def stagnation_test(
     The line comes from ``fit_range``, and the constant model is its
     ``mean`` and ``rmse_constant``, so the line's rmse never exceeds it.
     A window of at most SMALL_FIT_MAX points scans slices of the columns
-    in pure Python; a larger one scans views of ``s.arrays`` in numpy.
+    in pure Python, dividing its own values; a larger one scans views of
+    ``s.arrays`` in numpy.
     """
     lo, hi = index_range(s, w.t0, w.t1, need=4)
     n = hi - lo
     line = fit_range(s, lo, hi)
     if n <= SMALL_FIT_MAX:
-        scan, columns = _scan_small, (s.years, s.reciprocals, s.values)
+        values = s.values[lo:hi]
+        # the same IEEE division as s.reciprocals, without building that column
+        counts = _scan_small(s.years[lo:hi], [1.0 / v for v in values], values, line)
     else:
-        scan, columns = _scan_numpy, s.arrays
-    n_pos, n_neg, changes, increases = scan(*[c[lo:hi] for c in columns], line)
+        counts = _scan_numpy(*[c[lo:hi] for c in s.arrays], line)
+    n_pos, n_neg, changes, increases = counts
     rmse_hyperbolic = line.rmse if line.slope < 0.0 else line.rmse_constant
     if line.slope < 0.0 and line.rmse == 0.0:  # an exact line: residuals are float noise
         n_pos = n_neg = changes = 0

@@ -135,6 +135,20 @@ class TestAnalyze:
         assert 'segments.z_scores[0].z="inf"' in kv
         assert 'segments.verdict="segmented"' in kv
 
+    @pytest.mark.parametrize("values, fit_a", [
+        # reciprocals 1e100 to 1e-90: their scaled squares overflow a float
+        ("1e-100,1e-50,1,1e50,1e90", "3.599999999999999e+100"),
+        # reciprocals near 1e-155: the centred sum of their squares is subnormal
+        ("1e155,1.1e155,1.3e155,1.6e155,2e155", "2.943618881118881e-155"),
+    ])
+    def test_extreme_values_fit_to_their_correctly_rounded_line(self, runner, tmp_path,
+                                                                values, fit_a):
+        path = write_long(tmp_path, zip(range(1500, 1901, 100), values.split(",")))
+        out = tmp_path / "report.kv"
+        result = run(runner, "analyze", path, "--long", "--format", "kv", "-o", str(out))
+        assert result.exit_code == 0, result.output
+        assert f"fit.a={fit_a}" in out.read_text().splitlines()
+
 
 REPO_ROOT = pathlib.Path(__file__).parents[1]
 GOLDEN_DIR = REPO_ROOT / "tests" / "data" / "golden"

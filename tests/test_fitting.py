@@ -1,10 +1,11 @@
 import math
+import random
 from itertools import accumulate
 from operator import mul
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from hypergrowth import errors
@@ -19,7 +20,9 @@ from hypergrowth.fitting import (
     ABSOLUTE_RESIDUAL_TOLERANCE,
     COLLINEAR_RTOL,
     SMALL_FIT_MAX,
+    LineFit,
     YearsTooCloseError,
+    _line_from_moments,
     _sums_exact,
     fit_hyperbolic,
     fit_line,
@@ -326,18 +329,25 @@ def test_small_series_window_fits_match_exact_ols(s):
     for lo in range(len(s) - 2):
         for hi in range(lo + 3, len(s) + 1):
             n, sx, sy, qxx, qxy, qyy, cxx, cxy, cyy = exact_sums(*sums, lo, hi)
-            # the exact moments: xbar, ybar, Sxx, Sst and ssr = Sst - Sxy**2/Sxx
+            # the exact moments, correctly rounded: xbar, ybar, Sxx, Sst and
+            # ssr = Sst - Sxy**2/Sxx
             xbar, ybar = sx / (n << bx), sy / (n << by)
             sxx, sst = cxx / (n << 2 * bx), cyy / (n << 2 * by)
             rss = cyy * cxx - cxy * cxy  # ssr is rss / (n * cxx * 4**by)
-            got = _sums_exact(bx, by, n, sx, sy, qxx, qxy, qyy)
-            # each moment of the exact kernel is the exact one, correctly rounded,
-            assert got[2:] == (ybar, sxx, rss / ((n * cxx) << 2 * by), sst, xbar)
-            # and the line is float arithmetic on the rounded moments
+            ssr = rss / ((n * cxx) << 2 * by)
+            # the line is float arithmetic on the rounded moments, and the one
+            # finisher adds the statistics: the exact kernel hands it these
+            # moments, by either of its divisions
             slope_f = (cxy / (n << (bx + by))) / sxx
-            assert got[:2] == (slope_f, ybar - slope_f * xbar)
-            # a raw fit of the same points sums its own points to the same bits
+            want = LineFit(*_line_from_moments(n, slope_f, ybar - slope_f * xbar, ybar,
+                                               sxx, ssr, sst, xbar))
+            for scaled in {fitting_module._ldexp_exact(bx, by, qxx, qyy), False}:
+                got = _sums_exact(bx, by, scaled, n, sx, sy, qxx, qxy, qyy)
+                assert repr(LineFit(*got)) == repr(want)
+            # the window fit is that line, and a raw fit of the same points
+            # sums its own points to the same bits
             line = fit_range(s, lo, hi)
+            assert repr(line) == repr(want)
             assert repr(fit_line(years[lo:hi], recip[lo:hi])) == repr(line)
             # the constant model is the line's mean and rmse about it
             assert line.mean == ybar
@@ -386,6 +396,127 @@ def test_long_series_small_window_fits_depend_only_on_their_points(s):
                     fit_hyperbolic(window(s, w), w)
                 continue
             assert repr(fit_hyperbolic(window(s, w), w)) == repr(f)
+
+
+# The exact kernel divides by n and scales by ldexp when ``_ldexp_exact`` says
+# every quotient stays a normal float, and by the scaled divisor otherwise.
+# Either way each moment is what one int true division by the scaled divisor
+# gives: rounded once, correctly, even below 2**-1022, and an OverflowError
+# beyond the float range.
+
+TOO_EXTREME = "line fit: values too extreme for float arithmetic"
+
+
+def divided_line(years, values):
+    """The ``LineFit`` fields of the exact OLS line of the points, each moment
+    one int true division by its scaled divisor, or None when the centred
+    years square to 0; a moment beyond the float range raises OverflowError."""
+    (bx, xs), (by, ys) = exact_scaled(years), exact_scaled(values)
+    columns = (xs, ys, map(mul, xs, xs), map(mul, xs, ys), map(mul, ys, ys))
+    n, sx, sy, _, _, _, cxx, cxy, cyy = exact_sums(*map(exact_prefix, columns), 0, len(xs))
+    try:
+        sxx, sst = cxx / (n << 2 * bx), cyy / (n << 2 * by)
+    except OverflowError:
+        raise OverflowError(TOO_EXTREME) from None
+    if not math.isfinite(sxx + sst):
+        raise OverflowError(TOO_EXTREME)
+    if not sxx:
+        return None
+    xbar, ybar = sx / (n << bx), sy / (n << by)
+    slope = (cxy / (n << (bx + by))) / sxx
+    ssr = (cyy * cxx - cxy * cxy) / ((n * cxx) << 2 * by)
+    return tuple(_line_from_moments(n, slope, ybar - slope * xbar, ybar, sxx, ssr, sst, xbar))
+
+
+def assert_divided_line(fit, years, values):
+    """``fit()`` is ``divided_line`` of the points to the bit, or raises what it raises."""
+    try:
+        want = divided_line(years, values)
+    except ArithmeticError as exc:
+        with pytest.raises(type(exc)) as got:
+            fit()
+        assert str(got.value) == str(exc)
+        return
+    if want is None:
+        with pytest.raises((FitTooFewPointsError, YearsTooCloseError)):
+            fit()
+    else:
+        assert repr(tuple(fit())) == repr(want)
+
+
+@st.composite
+def binary_column(draw, n, finest=1100, signed=True):
+    """n floats m * 2**(e - b), m of up to 53 bits: b in 0..finest sets the
+    finest power of two of the column and e in 0..550 the spread above it, so
+    the column scales to integers of up to 603 bits, whose squares sum past
+    2**1100."""
+    b = draw(st.integers(0, finest))
+    top = draw(st.integers(0, 550))
+    signs = st.sampled_from([1, -1]) if signed else st.just(1)
+    return [draw(signs) * math.ldexp(draw(st.integers(1, 2**53 - 1)), draw(st.integers(0, top)) - b)
+            for _ in range(n)]
+
+
+@settings(max_examples=100, deadline=None)
+@given(data=st.data(), n=st.integers(2, SMALL_FIT_MAX))
+def test_exact_kernel_matches_one_division_by_the_scaled_divisor(data, n):
+    years, values = data.draw(binary_column(n)), data.draw(binary_column(n))
+    assert_divided_line(lambda: fit_line(years, values), years, values)
+    # a series decides once, from the totals of its table, for all its ranges;
+    # values from 2**-1000 keep their reciprocals finite
+    values = data.draw(binary_column(len(set(years)), finest=1000, signed=False))
+    assume(len(values) >= 2)
+    s = new_series(zip(sorted(set(years)), values), "x")
+    lo = data.draw(st.integers(0, len(s) - 2))
+    hi = data.draw(st.integers(lo + 2, len(s)))
+    assert_divided_line(lambda: fit_range(s, lo, hi), s.years[lo:hi], s.reciprocals[lo:hi])
+
+
+EDGE_YEARS = (1500, 1600, 1700, 1800, 1900)
+
+
+@pytest.mark.parametrize("values, a", [
+    # reciprocals from 1e100 to 1e-90: squared, the scaled integers overflow a float
+    ((1e-100, 1e-50, 1, 1e50, 1e90), 3.599999999999999e+100),
+    # reciprocals near 1e-155, by = 568: Sst is about 1.7e-311, a subnormal
+    ((1e155, 1.1e155, 1.3e155, 1.6e155, 2e155), 2.943618881118881e-155),
+])
+def test_extreme_series_fit_as_one_division_by_the_scaled_divisor(values, a):
+    s = new_series(zip(EDGE_YEARS, values), "edge")
+    assert fit_hyperbolic(s, Window(1500, 1900)).a == a
+    assert_divided_line(lambda: fit_range(s, 0, len(s)), s.years, s.reciprocals)
+
+
+@pytest.mark.parametrize("values, scaled", [
+    ((1e-100, 1e-50, 1, 1e50, 1e90), False),
+    ((1e155, 1.1e155, 1.3e155, 1.6e155, 2e155), False),
+    ((1e3, 1.1e3, 1.3e3, 1.6e3, 2e3), True),
+])
+def test_tables_divide_by_n_only_where_every_ldexp_is_exact(values, scaled):
+    assert new_series(zip(EDGE_YEARS, values), "edge").prefix_moments[2] is scaled
+
+
+def noisy_w12_points():
+    rng = random.Random(5)
+    years = (1500, 1600, 1700, 1820, 1850, 1870, 1880, 1890, 1900, 1905, 1910, 1913)
+    return [(t, math.exp(rng.gauss(0.0, 0.05)) / (0.1147 - 5.961e-5 * t)) for t in years]
+
+
+@settings(max_examples=40, deadline=None)
+@given(m=st.integers(-480, 490))
+@example(m=429)  # the last scale whose table divides by n
+@example(m=430)  # the first whose table divides by the scaled divisor
+def test_power_of_two_scaling_of_the_values_scales_the_fit_exactly(m):
+    # values times 2**m: reciprocals times 2**-m, exactly; every moment stays normal
+    points = noisy_w12_points()
+    w = Window(1500, 1913)
+    f = fit_hyperbolic(new_series(points, "x"), w)
+    s = new_series([(t, math.ldexp(v, m)) for t, v in points], "x")
+    g = fit_hyperbolic(s, w)
+    assert s.prefix_moments[2] == (m < 430)
+    for name in ("a", "k", "rmse_reciprocal", "se_a", "se_k"):
+        assert getattr(g, name) == math.ldexp(getattr(f, name), -m)
+    assert g.r2_reciprocal == f.r2_reciprocal
 
 
 class TestPrefixMoments:

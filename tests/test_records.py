@@ -1,4 +1,4 @@
-"""The records built once per window (``LineFit``, ``HyperbolicFit``,
+"""The records built once per fit or window (``LineFit``, ``HyperbolicFit``,
 ``DiversionReport``, ``TakeoffReport``) are built with ``tuple.__new__``,
 which checks no arity and no field names: every such record must hold
 exactly its fields, each in its place, rebuild through its class and
@@ -104,7 +104,8 @@ def test_window_report_fields_are_in_their_places(regional_series, t0, t1, direc
         fit = fitting.fit_hyperbolic(s, w)
         diversion = regimes.detect_diversion(fit, s, kappa=2.5)
         takeoff = regimes.takeoff_scan(fit, s, w, kappa=2.5)
-    assert [type(r) for r in built] == [LineFit, HyperbolicFit, DiversionReport, TakeoffReport]
+    # the window's line goes into its fit as plain fields: no LineFit per window
+    assert [type(r) for r in built] == [HyperbolicFit, DiversionReport, TakeoffReport]
 
     lo, hi = index_range(s, w.t0, w.t1)
     line = fit_range(s, lo, hi)
