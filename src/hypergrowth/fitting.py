@@ -22,15 +22,20 @@ statistics:
   per point), so each of its windows costs O(1); any other such fit sums
   its own points;
 * a fit of more than 64 points sums in numpy, imported on first use
-  (``_sums_numpy``). A window of more than 64 points of a series slices
-  views of the float64 columns the series keeps (``GrowthSeries.arrays``),
-  so no window converts the series again.
+  (``_sums_numpy``).
 
 So a fit of at most 64 points depends only on its points. Windowed fits
 of a series (``fit_hyperbolic``, each segment of ``segment_consistency``,
 the line of ``stagnation_test``) go through ``fit_range``, whose plain
 fields ``fit_hyperbolic`` reads into its own record; ``fit_line`` takes
 raw sequences.
+
+A series has one 1/value column, ``GrowthSeries.reciprocals``, computed
+on first use and kept, with a float64 twin of the same bits in
+``GrowthSeries.arrays``. Every range fit, regime scan and residual reads
+it: ``range_columns`` hands out the kept columns of a range, as tuple
+slices up to 64 points and as views of ``arrays`` above, so no range
+converts the series again.
 """
 
 from __future__ import annotations
@@ -288,15 +293,21 @@ def fit_line(years, values, center: float = 0.0) -> LineFit:
     return new_record(LineFit, line)
 
 
+def range_columns(s: GrowthSeries, lo: int, hi: int) -> tuple:
+    """The kept columns ``(years, reciprocals, values)`` of ``s`` over
+    ``[lo:hi]``: tuple slices up to SMALL_FIT_MAX points, views of
+    ``s.arrays`` above."""
+    if hi - lo <= SMALL_FIT_MAX:
+        return s.years[lo:hi], s.reciprocals[lo:hi], s.values[lo:hi]
+    return tuple([column[lo:hi] for column in s.arrays])
+
+
 def _range_line(s: GrowthSeries, lo: int, hi: int) -> tuple:
     """The ``LineFit`` fields of ``fit_range``: a plain tuple from the kept
     table, the ``fit_line`` record otherwise."""
     if len(s.years) > SMALL_FIT_MAX or hi - lo < 2:
-        if hi - lo > SMALL_FIT_MAX:
-            years, recip = s.arrays[:2]
-            return fit_line(years[lo:hi], recip[lo:hi])
-        # the same IEEE division as s.reciprocals, without building that column
-        return fit_line(s.years[lo:hi], [1.0 / v for v in s.values[lo:hi]])
+        years, recip, _ = range_columns(s, lo, hi)
+        return fit_line(years, recip)
     bx, by, scaled, px, py, pxx, pxy, pyy = s.prefix_moments
     line = _sums_exact(bx, by, scaled, hi - lo, px[hi] - px[lo], py[hi] - py[lo],
                        pxx[hi] - pxx[lo], pxy[hi] - pxy[lo], pyy[hi] - pyy[lo])
@@ -310,12 +321,8 @@ def fit_range(s: GrowthSeries, lo: int, hi: int) -> LineFit:
 
     A series of at most SMALL_FIT_MAX points builds its exact prefix sums
     on the first call and fits every range of at least 2 points from them
-    in O(1). Any other range goes to ``fit_line``: a range of more than
-    SMALL_FIT_MAX points as views of the float64 columns the series keeps
-    (``s.arrays``, built on the first such call), a shorter one as a slice
-    of the years and the reciprocals of its own values, so it builds no
-    column of the whole series. In every case the result is ``fit_line``
-    on the range's points.
+    in O(1). Any other range goes to ``fit_line`` on its ``range_columns``.
+    In every case the result is ``fit_line`` on the range's points.
     """
     return new_record(LineFit, _range_line(s, lo, hi))
 
@@ -345,8 +352,7 @@ class HyperbolicFit(NamedTuple):
 class FitDiagnostics(NamedTuple):
     """Per-year residual table for an accepted fit: the ``residual_rows``
     of every observed year. The diversion and takeoff scans (``_scan_back``)
-    read the values and divide each one they read, so their residuals
-    are these rows' bits."""
+    compute the same normalized residual, so theirs are these rows' bits."""
 
     rows: tuple[tuple[float, float, float, float], ...]
 
@@ -423,8 +429,6 @@ def _scan_back(f: HyperbolicFit, s: GrowthSeries, lo: int, hi: int, kappa: float
                whole: bool) -> tuple:
     """``(last, above, below, least)`` of the years ``s.years[lo:hi]``, read
     from the last index down, with the normalized residuals of ``residual_rows``.
-    Each value read is divided here, the same IEEE division as
-    ``s.reciprocals``, so a scan never builds the series' reciprocal column.
 
     ``last`` is the last year where the line is positive, the last evaluable
     one. ``above`` and ``below`` are the earliest years of the runs of
@@ -435,7 +439,7 @@ def _scan_back(f: HyperbolicFit, s: GrowthSeries, lo: int, hi: int, kappa: float
     """
     a, k = f.a, f.k
     scale = f.rmse_reciprocal or ABSOLUTE_RESIDUAL_TOLERANCE
-    years, values = s.years, s.values
+    years, recips = s.years, s.reciprocals
     last = above = below = None
     up = down = True
     least = math.inf
@@ -443,7 +447,7 @@ def _scan_back(f: HyperbolicFit, s: GrowthSeries, lo: int, hi: int, kappa: float
         y = years[i]
         line = a - k * y
         if line > 0.0:
-            rho = (1.0 / values[i] - line) / scale
+            rho = (recips[i] - line) / scale
             if last is None:
                 last = y
             if rho <= least:  # read backwards, a tie moves to the earlier year

@@ -37,6 +37,7 @@ from .fitting import (
     LineFit,
     _scan_back,
     fit_range,
+    range_columns,
     singularity,
 )
 from .series import GrowthSeries, Window, index_range, new_record
@@ -185,8 +186,8 @@ def _scan_small(years, recip, values, line):
 
 
 def _scan_numpy(years, recip, values, line):
-    """The scans of ``_scan_small`` on float64 arrays (views of
-    ``GrowthSeries.arrays``), vectorised; float overflow raises."""
+    """The scans of ``_scan_small`` on float64 arrays (the views
+    ``range_columns`` returns), vectorised; float overflow raises."""
     import numpy as np
 
     with np.errstate(over="raise", divide="raise", invalid="raise"):
@@ -218,20 +219,14 @@ def stagnation_test(
 
     The line comes from ``fit_range``, and the constant model is its
     ``mean`` and ``rmse_constant``, so the line's rmse never exceeds it.
-    A window of at most SMALL_FIT_MAX points scans slices of the columns
-    in pure Python, dividing its own values; a larger one scans views of
-    ``s.arrays`` in numpy.
+    The scans read the window's ``range_columns``: in pure Python up to
+    SMALL_FIT_MAX points, in numpy above.
     """
     lo, hi = index_range(s, w.t0, w.t1, need=4)
     n = hi - lo
     line = fit_range(s, lo, hi)
-    if n <= SMALL_FIT_MAX:
-        values = s.values[lo:hi]
-        # the same IEEE division as s.reciprocals, without building that column
-        counts = _scan_small(s.years[lo:hi], [1.0 / v for v in values], values, line)
-    else:
-        counts = _scan_numpy(*[c[lo:hi] for c in s.arrays], line)
-    n_pos, n_neg, changes, increases = counts
+    scan = _scan_small if n <= SMALL_FIT_MAX else _scan_numpy
+    n_pos, n_neg, changes, increases = scan(*range_columns(s, lo, hi), line)
     rmse_hyperbolic = line.rmse if line.slope < 0.0 else line.rmse_constant
     if line.slope < 0.0 and line.rmse == 0.0:  # an exact line: residuals are float noise
         n_pos = n_neg = changes = 0

@@ -95,7 +95,7 @@ class GrowthSeries(Frozen):
     one view for each size class of fit: ``prefix_moments`` (exact
     running sums) for a series of at most ``fitting.SMALL_FIT_MAX``
     points, and ``arrays`` (read-only float64 columns) for the numpy
-    kernels of longer ones. Eq, hash, repr and pickling are over
+    kernels of longer ranges. Eq, hash, repr and pickling are over
     ``(years, values, label)``, so a pickled copy keeps no derived view.
 
     The class takes no constructor arguments: ``from_columns`` and
@@ -130,10 +130,8 @@ class GrowthSeries(Frozen):
     @cached_property
     def arrays(self) -> tuple:
         """Read-only float64 columns ``(years, reciprocals, values)``, for the
-        numpy kernels of ranges of more than ``fitting.SMALL_FIT_MAX`` points.
-
-        The reciprocal column is the same IEEE division as ``reciprocals``,
-        so it holds the same bits; numpy is imported on first use.
+        numpy kernels of ranges of more than ``fitting.SMALL_FIT_MAX`` points;
+        numpy is imported on first use.
         """
         import numpy as np
 

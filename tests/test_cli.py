@@ -724,6 +724,19 @@ class TestContract:
                 assert "values too extreme for float arithmetic" in result.output
         assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
 
+    def test_plotted_model_overflowing_is_2(self, runner, tmp_path):
+        # the fit succeeds (k about 1.7e-309), but the plotted GDP model reaches
+        # infinity one year before the blow-up; the report has no such table
+        path = write_long(tmp_path, [(1500, "1e306"), (1600, "1.2e306"), (1700, "1.5e306"),
+                                     (1800, "2e306"), (1900, "3e306"), (2200, 1)])
+        result = run(runner, "plotdata", path, "--long", "--window", "1500:1900",
+                     "--out-prefix", str(tmp_path / "p"))
+        assert_one_error_line(result, 2)
+        assert result.output == (
+            "error: series 'long': values too extreme for float arithmetic\n")
+        assert not list(tmp_path.glob("p_*.csv"))
+        assert run(runner, "analyze", path, "--long", "--window", "1500:1900").exit_code == 0
+
     def test_subnormal_value_with_an_infinite_reciprocal_is_2(self, runner, tmp_path):
         path = write_long(tmp_path, [(1500, "5e-324"), (1600, 1), (1700, 2), (1800, 3)])
         for args in (["analyze", path, "--long"],
@@ -765,12 +778,16 @@ class TestContract:
         assert_one_error_line(result, 2)
         assert result.output == f"error: {report['stagnation']['skipped']}\n"
 
-    @pytest.mark.parametrize("spec", ["0:1e12:1", "-1e308:1e308:1", "0:inf:1", "0:1:nan"])
+    @pytest.mark.parametrize("spec", ["0:1e12:1", "-1e308:1e308:1", "0:inf:1", "0:1:nan",
+                                      "1:x:1", "1:2"])
     def test_range_years_refused_before_building(self, runner, spec):
         # the first two would take hours to build; the cap answers at once
         result = run(runner, "simulate", "--kind", "stagnation", "--mean", "2",
                      "--amplitude", "0.5", "--period", "100", "--years", spec)
         assert_one_error_line(result, 2)
+        if spec in ("1:x:1", "1:2"):  # not three numbers
+            assert result.output == (
+                f"error: --years range must be START:STOP:STEP, got {spec!r}\n")
 
 
 def run_probe(script, payload):

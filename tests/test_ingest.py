@@ -206,6 +206,9 @@ class TestPresetCatalog:
         assert overrides == {"W30": ("Total Western Europe",), "X2": ("A", "B")}
         with pytest.raises(ParseError):
             parse_preset_overrides("not a mapping\n")
+        for line in ("=France", "W12=", "W12= , "):
+            with pytest.raises(ParseError, match=r"^preset override line 1: empty name or labels"):
+                parse_preset_overrides(line + "\n")
 
     def test_repeated_override_names_both_lines(self):
         with pytest.raises(ParseError, match=r"line 4: 'EE' is already set on line 1"):
@@ -490,6 +493,23 @@ class TestFastPathsMatchTheLoops:
     def test_long_pinned(self, body):
         text = "year,value\n" + body
         assert outcome(parse_long_csv, text, "s") == outcome(reference_long, text, "s")
+
+    @pytest.mark.parametrize("text, rows", [
+        # a whitespace-only cell in a valid row parses as if blank
+        ("Region,1500,1600,1700\nX,1, ,3\n", {"X": {1500.0: 1.0, 1700.0: 3.0}}),
+        # finite cells whose sum overflows: parsed one by one, all three kept
+        ("Region,1500,1600,1700\nX,1e308,1e308,5\n",
+         {"X": {1500.0: 1e308, 1600.0: 1e308, 1700.0: 5.0}}),
+        ("Region\nX\n", None),  # a one-column header
+    ])
+    def test_wide_pinned(self, text, rows):
+        parsed = outcome(parse_wide_csv, text)
+        assert parsed == outcome(reference_wide, text)
+        if rows is None:
+            assert parsed == (
+                ParseError, "header must contain a label column and at least one year")
+        else:
+            assert parsed.rows == rows
 
     def test_misaligned_commas_name_their_line(self):
         with pytest.raises(ParseError, match=r"^line 3: expected numeric year,value$"):
