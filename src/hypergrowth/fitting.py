@@ -13,22 +13,25 @@ means). Two kernels compute those moments and the line, and each hands
 them to the one finisher, ``_line_from_moments``, which adds the fit
 statistics:
 
-* a fit of at most SMALL_FIT_MAX = 64 points reads exact integer sums of
-  its points (``_sums_exact``), and each moment is correctly rounded: an
-  exact integer divided by n, then scaled by ``math.ldexp``, or divided
-  by the scaled divisor where ``_ldexp_exact`` finds that a moment could
-  leave the normal float range. A series of at most 64 points keeps their
-  running sums (``GrowthSeries.prefix_moments``, about five Python ints
-  per point), so each of its windows costs O(1); any other such fit sums
-  its own points;
+* a fit of at most SMALL_FIT_MAX = 64 points reads the exact integer sums
+  of its points from a table of running sums (``prefix_moments``) in
+  ``_sums_exact``, and each moment is correctly rounded: an exact integer
+  divided by n, then scaled by ``math.ldexp``, or divided by the scaled
+  divisor where ``_ldexp_exact`` finds that a moment could leave the
+  normal float range. A series of at most 64 points keeps its table
+  (``GrowthSeries.prefix_moments``, about five Python ints per point), so
+  each of its windows costs O(1); ``fit_line`` builds the table of its
+  own points and reads it whole;
 * a fit of more than 64 points sums in numpy, imported on first use
   (``_sums_numpy``).
 
-So a fit of at most 64 points depends only on its points. Windowed fits
-of a series (``fit_hyperbolic``, each segment of ``segment_consistency``,
-the line of ``stagnation_test``) go through ``fit_range``, whose plain
-fields ``fit_hyperbolic`` reads into its own record; ``fit_line`` takes
-raw sequences.
+Each kernel returns a finished line or raises: centred years that square
+to 0 raise ``_no_spread``'s error inside it. Every fit of at most 64
+points runs the same code on exact sums, so it depends only on its
+points. Windowed fits of a series (``fit_hyperbolic``, each segment of
+``segment_consistency``, the line of ``stagnation_test``) go through
+``fit_range``, whose plain fields ``fit_hyperbolic`` reads into its own
+record; ``fit_line`` takes raw sequences.
 
 A series has one 1/value column, ``GrowthSeries.reciprocals``, computed
 on first use and kept, with a float64 twin of the same bits in
@@ -105,13 +108,6 @@ def _scaled(column) -> tuple[int, list[int]]:
     return b, [p << (b + 1 - q.bit_length()) for p, q in ratios]
 
 
-def _scaled_columns(years, values):
-    """``(bx, by, (xs, ys, xx, xy, yy))``: ``_scaled`` columns and their products."""
-    bx, xs = _scaled(years)
-    by, ys = _scaled(values)
-    return bx, by, (xs, ys, map(mul, xs, xs), map(mul, xs, ys), map(mul, ys, ys))
-
-
 def _ldexp_exact(bx, by, qxx, qyy) -> bool:
     """Whether ``_sums_exact`` may divide by n and scale by ``ldexp`` for
     every range of at most SMALL_FIT_MAX points whose sums of squared
@@ -136,34 +132,51 @@ def prefix_moments(years, values) -> tuple:
     products, starting from 0 before the first point. The sums over
     ``years[lo:hi]`` are ``X[hi] - X[lo]`` and so on, with no rounding.
     ``scaled`` is ``_ldexp_exact`` of the totals, which bound the squares
-    of every range. A nan or infinite entry raises OverflowError.
+    of every range. A nan or infinite entry raises OverflowError. This is
+    the one place that scales columns to integers: ``_sums_exact`` reads
+    every fit of at most SMALL_FIT_MAX points from such a table.
     """
-    bx, by, columns = _scaled_columns(years, values)
-    x, y, xx, xy, yy = [tuple(accumulate(c, initial=0)) for c in columns]
+    bx, xs = _scaled(years)
+    by, ys = _scaled(values)
+    x, y, xx, xy, yy = [tuple(accumulate(c, initial=0)) for c in
+                        (xs, ys, map(mul, xs, xs), map(mul, xs, ys), map(mul, ys, ys))]
     return bx, by, _ldexp_exact(bx, by, xx[-1], yy[-1]), x, y, xx, xy, yy
 
 
-def _sums_exact(bx, by, scaled, n, sx, sy, qxx, qxy, qyy):
-    """The finished line (``_line_from_moments``) of n points from their
-    exact sums, or None when their centred years square to 0 (equal years,
-    or distinct years too close for float arithmetic): the caller raises.
-    sx, sy, qxx, qxy and qyy sum the integers x * 2**bx and y * 2**by of
-    the years and values, their squares and products.
+def _no_spread(years):
+    """Raise the error for a fit whose centred years square to 0."""
+    first, last = min(years), max(years)
+    if first < last:  # distinct years whose centred squares underflow
+        raise YearsTooCloseError(
+            f"years too close together for float arithmetic ({first:g} to {last:g})"
+        )
+    raise FitTooFewPointsError("line fit needs at least 2 distinct years")
+
+
+def _sums_exact(table, years, lo, hi) -> tuple:
+    """The finished line (``_line_from_moments``) of the points lo..hi-1 of
+    a ``prefix_moments`` table, from their exact sums. Centred years that
+    square to 0 (equal years, or distinct years too close for float
+    arithmetic) raise ``_no_spread`` of ``years[lo:hi]``.
 
     n times the centred sums (n*Sxx - Sx**2 and the like) are exact
     integers, and each moment is one int true division, which rounds once,
-    correctly: with ``scaled`` (``_ldexp_exact``), by n (n * cxx for the
-    residual sum of squares) and then an exact ``ldexp``; otherwise by the
-    scaled divisor, which also rounds a subnormal moment correctly and
-    raises OverflowError past the float range. The slope and intercept
+    correctly: with the table's ``scaled`` (``_ldexp_exact``), by n (n * cxx
+    for the residual sum of squares) and then an exact ``ldexp``; otherwise
+    by the scaled divisor, which also rounds a subnormal moment correctly
+    and raises OverflowError past the float range. The slope and intercept
     are float arithmetic on the moments.
     """
-    cxx = n * qxx - sx * sx
-    cxy = n * qxy - sx * sy
-    cyy = n * qyy - sy * sy
+    bx, by, scaled, px, py, pxx, pxy, pyy = table
+    n = hi - lo
+    sx = px[hi] - px[lo]
+    sy = py[hi] - py[lo]
+    cxx = n * (pxx[hi] - pxx[lo]) - sx * sx
+    cxy = n * (pxy[hi] - pxy[lo]) - sx * sy
+    cyy = n * (pyy[hi] - pyy[lo]) - sy * sy
     if scaled:
         if not cxx:
-            return None
+            _no_spread(years[lo:hi])
         eyy = -2 * by
         sxx = ldexp(cxx / n, -2 * bx)
         sst = ldexp(cyy / n, eyy)
@@ -181,7 +194,7 @@ def _sums_exact(bx, by, scaled, n, sx, sy, qxx, qxy, qyy):
         if not math.isfinite(sxx + sst):
             raise OverflowError(_TOO_EXTREME)
         if not sxx:  # equal years, or centred squares that underflow
-            return None
+            _no_spread(years[lo:hi])
         xbar = sx / (n << bx)
         ybar = sy / (n << by)
         sxy = cxy / (n << (bx + by))
@@ -190,10 +203,10 @@ def _sums_exact(bx, by, scaled, n, sx, sy, qxx, qxy, qyy):
     return _line_from_moments(n, slope, ybar - slope * xbar, ybar, sxx, ssr, sst, xbar)
 
 
-def _sums_numpy(years, values, center):
-    """The finished line of a large fit, with its moments summed in numpy,
-    or None when the centred years square to 0; float overflow, an
-    infinity or a nan raises.
+def _sums_numpy(years, values, center) -> tuple:
+    """The finished line of a large fit, with its moments summed in numpy.
+    Centred years that square to 0 raise ``_no_spread``; float overflow,
+    an infinity or a nan raises an ArithmeticError.
 
     ndarrays (such as views of ``GrowthSeries.arrays``) are read as they
     are; any other sequence is converted once. The residual sum of squares
@@ -218,22 +231,12 @@ def _sums_numpy(years, values, center):
         if not math.isfinite(sxx + sst):  # a nan raises nothing on its way here
             raise OverflowError(_TOO_EXTREME)
         if not sxx:
-            return None
+            _no_spread(years)
         slope = float(np.sum(dx * dy)) / sxx
         ssr = min(float(np.sum((dy - slope * dx) ** 2)), sst)
         # the intercept in centred coordinates, de-centred
         intercept = (ybar - slope * xbar) - slope * center
         return _line_from_moments(n, slope, intercept, ybar, sxx, ssr, sst, float(x.mean()))
-
-
-def _no_spread(years):
-    """Raise the error for a fit whose centred years square to 0."""
-    first, last = min(years), max(years)
-    if first < last:  # distinct years whose centred squares underflow
-        raise YearsTooCloseError(
-            f"years too close together for float arithmetic ({first:g} to {last:g})"
-        )
-    raise FitTooFewPointsError("line fit needs at least 2 distinct years")
 
 
 def _line_from_moments(n, slope, intercept, ybar, sxx, ssr, sst, xbar) -> tuple:
@@ -266,11 +269,13 @@ def _line_from_moments(n, slope, intercept, ybar, sxx, ssr, sst, xbar) -> tuple:
 def fit_line(years, values, center: float = 0.0) -> LineFit:
     """OLS line fit of the values on the years.
 
-    Fits of at most SMALL_FIT_MAX points read the exact integer sums of
-    their own points, so the result depends only on the points; larger
-    ones sum in numpy, imported on first use. Input too extreme for float
-    arithmetic, an infinity or a nan raises an ArithmeticError either way;
-    distinct years whose centred squares underflow raise YearsTooCloseError.
+    Fits of at most SMALL_FIT_MAX points build the ``prefix_moments`` table
+    of their own points and read it in ``_sums_exact``, the code of every
+    window fit of a series, so the result depends only on the points;
+    larger ones sum in numpy, imported on first use. Input too extreme for
+    float arithmetic, an infinity or a nan raises an ArithmeticError either
+    way; distinct years whose centred squares underflow raise
+    YearsTooCloseError.
 
     Args:
         years: regressor values (calendar years).
@@ -282,15 +287,9 @@ def fit_line(years, values, center: float = 0.0) -> LineFit:
     n = len(years)
     if n < 2:
         raise FitTooFewPointsError(f"line fit needs at least 2 points, got {n}")
-    if n <= SMALL_FIT_MAX:
-        bx, by, columns = _scaled_columns(years, values)
-        sx, sy, qxx, qxy, qyy = map(sum, columns)
-        line = _sums_exact(bx, by, _ldexp_exact(bx, by, qxx, qyy), n, sx, sy, qxx, qxy, qyy)
-    else:
-        line = _sums_numpy(years, values, center)
-    if line is None:
-        _no_spread(years)
-    return new_record(LineFit, line)
+    if n > SMALL_FIT_MAX:
+        return new_record(LineFit, _sums_numpy(years, values, center))
+    return new_record(LineFit, _sums_exact(prefix_moments(years, values), years, 0, n))
 
 
 def range_columns(s: GrowthSeries, lo: int, hi: int) -> tuple:
@@ -303,17 +302,13 @@ def range_columns(s: GrowthSeries, lo: int, hi: int) -> tuple:
 
 
 def _range_line(s: GrowthSeries, lo: int, hi: int) -> tuple:
-    """The ``LineFit`` fields of ``fit_range``: a plain tuple from the kept
-    table, the ``fit_line`` record otherwise."""
+    """The ``LineFit`` fields of ``fit_range``: a plain tuple read from the
+    series' kept table by ``_sums_exact``, the ``fit_line`` record of the
+    range's ``range_columns`` otherwise."""
     if len(s.years) > SMALL_FIT_MAX or hi - lo < 2:
         years, recip, _ = range_columns(s, lo, hi)
         return fit_line(years, recip)
-    bx, by, scaled, px, py, pxx, pxy, pyy = s.prefix_moments
-    line = _sums_exact(bx, by, scaled, hi - lo, px[hi] - px[lo], py[hi] - py[lo],
-                       pxx[hi] - pxx[lo], pxy[hi] - pxy[lo], pyy[hi] - pyy[lo])
-    if line is None:
-        _no_spread(s.years[lo:hi])
-    return line
+    return _sums_exact(s.prefix_moments, s.years, lo, hi)
 
 
 def fit_range(s: GrowthSeries, lo: int, hi: int) -> LineFit:

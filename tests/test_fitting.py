@@ -75,11 +75,19 @@ class TestFitLine:
         assert line.se_slope is None and line.se_intercept is None
         assert line.rmse == pytest.approx(0.0, abs=1e-15)
 
-    def test_distinct_years_whose_squares_underflow_are_an_arithmetic_error(self):
-        # centred squares of years this close underflow to 0, so sxx == 0
+    @pytest.mark.parametrize("n, last", [(3, "2e-230"), (SMALL_FIT_MAX + 1, "6.4e-229")],
+                             ids=["exact", "numpy"])
+    def test_distinct_years_whose_squares_underflow_are_an_arithmetic_error(self, n, last):
+        # centred squares of years this close underflow to 0, so sxx == 0:
+        # the exact kernel and the numpy one raise the same error
         with pytest.raises(YearsTooCloseError,
-                           match=r"years too close together .*\(0 to 6e-227\)"):
-            fit_line([0.0, 9.3e-247, 6.0e-227], [1.0, 2.0, 3.0])
+                           match=rf"years too close together .*\(0 to {last}\)"):
+            fit_line([i * 1e-230 for i in range(n)], [1.0 + i for i in range(n)])
+
+    @pytest.mark.parametrize("n", [0, 1])
+    def test_fewer_than_two_points_are_too_few(self, n):
+        with pytest.raises(FitTooFewPointsError, match=rf"at least 2 points, got {n}$"):
+            fit_line([1500.0] * n, [1.0] * n)
 
     def test_years_too_close_is_a_data_error(self):
         # exit 2 like the other data errors, and a report section can skip it
@@ -325,6 +333,8 @@ def test_small_series_window_fits_match_exact_ols(s):
     (bx, xs), (by, ys) = exact_scaled(years), exact_scaled(recip)
     sums = (exact_prefix(xs), exact_prefix(ys), exact_prefix(map(mul, xs, xs)),
             exact_prefix(map(mul, xs, ys)), exact_prefix(map(mul, ys, ys)))
+    tbx, tby, _, *columns = prefix_moments(years, recip)
+    _, _, pxx, _, pyy = columns
     snap_p, snap_q = (COLLINEAR_RTOL**2).as_integer_ratio()
     for lo in range(len(s) - 2):
         for hi in range(lo + 3, len(s) + 1):
@@ -336,16 +346,18 @@ def test_small_series_window_fits_match_exact_ols(s):
             rss = cyy * cxx - cxy * cxy  # ssr is rss / (n * cxx * 4**by)
             ssr = rss / ((n * cxx) << 2 * by)
             # the line is float arithmetic on the rounded moments, and the one
-            # finisher adds the statistics: the exact kernel hands it these
-            # moments, by either of its divisions
+            # finisher adds the statistics: the exact kernel reads these
+            # moments from the table, by either of its divisions; the window's
+            # own sums decide whether dividing by n is exact
             slope_f = (cxy / (n << (bx + by))) / sxx
             want = LineFit(*_line_from_moments(n, slope_f, ybar - slope_f * xbar, ybar,
                                                sxx, ssr, sst, xbar))
-            for scaled in {fitting_module._ldexp_exact(bx, by, qxx, qyy), False}:
-                got = _sums_exact(bx, by, scaled, n, sx, sy, qxx, qxy, qyy)
+            own = fitting_module._ldexp_exact(tbx, tby, pxx[hi] - pxx[lo], pyy[hi] - pyy[lo])
+            for scaled in (own, False):
+                got = _sums_exact((tbx, tby, scaled, *columns), years, lo, hi)
                 assert repr(LineFit(*got)) == repr(want)
             # the window fit is that line, and a raw fit of the same points
-            # sums its own points to the same bits
+            # reads a table of its own points to the same bits
             line = fit_range(s, lo, hi)
             assert repr(line) == repr(want)
             assert repr(fit_line(years[lo:hi], recip[lo:hi])) == repr(line)

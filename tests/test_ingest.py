@@ -263,6 +263,10 @@ class TestParseLongCsv:
         with pytest.raises(ParseError):
             parse_long_csv("1,0.5\n1000,0.75\n", label="sim")
 
+    def test_empty_input_has_no_header(self):
+        with pytest.raises(ParseError, match=r"^empty input: no header row$"):
+            parse_long_csv("", "x")
+
     @pytest.mark.parametrize("blank", ["", "   ", " , ", ",", "\t,  ,"])
     def test_blank_rows_skipped(self, blank):
         s = parse_long_csv(f"year,value\n{blank}\n1,0.5\n{blank}\n1000,0.75\n", "sim")
@@ -283,11 +287,14 @@ class TestParseLongCsv:
         s = parse_long_csv('year,value\r\n"1","0.5"\r\n\r\n1000, 0.75 \r\n', "sim")
         assert s.points == ((1.0, 0.5), (1000.0, 0.75))
 
-    @pytest.mark.parametrize("row", ["{big},5", "1900,{big}"])
-    def test_oversized_field_is_a_parse_error(self, row):
-        text = "year,value\n1,0.5\n" + row.format(big="1" * 200_000) + "\n1000,0.75\n"
-        with pytest.raises(ParseError, match=r"^line 3: field larger than field limit"):
-            parse_long_csv(text, "sim")
+    @pytest.mark.parametrize("text, line", [
+        pytest.param("year,value\n1,0.5\n{big},5\n1000,0.75\n", 3, id="{big},5"),
+        pytest.param("year,value\n1,0.5\n1900,{big}\n1000,0.75\n", 3, id="1900,{big}"),
+        pytest.param("year,{big}\n1,0.5\n", 1, id="header"),
+    ])
+    def test_oversized_field_is_a_parse_error(self, text, line):
+        with pytest.raises(ParseError, match=rf"^line {line}: field larger than field limit"):
+            parse_long_csv(text.format(big="1" * 200_000), "sim")
 
     def test_unsorted_rows_are_sorted(self):
         s = parse_long_csv("year,value\n1000,0.75\n1,0.5\n", "sim")
