@@ -45,7 +45,7 @@ from __future__ import annotations
 
 import math
 from itertools import accumulate
-from math import ldexp, sqrt
+from math import hypot, ldexp, sqrt
 from operator import mul
 from typing import NamedTuple
 
@@ -59,14 +59,15 @@ from .errors import (
 from .series import GrowthSeries, Window, index_range, new_record
 
 # Exactly collinear input leaves float noise in the residuals. A fit whose
-# rmse is at most this fraction of the RMS of the fitted values is snapped
-# to the genuine perfect fit, so the rmse-0 conventions apply.
+# rmse is at most this fraction of the RMS of its values is snapped to the
+# genuine perfect fit, so the rmse-0 conventions apply. This is the one rule
+# for an exact fit, and it holds in any unit of the values.
 COLLINEAR_RTOL = 1e-13
-_COLLINEAR_RTOL2 = COLLINEAR_RTOL**2
 
 # Residual scale when a fit's rmse is exactly 0: a normalized residual is
 # then the raw one per this much, so the regime scans' kappa comparison
-# degenerates to an absolute tolerance of this much per unit of kappa.
+# degenerates to an absolute tolerance of this much per unit of kappa. It is
+# the one constant with a unit: 1/billion, the unit of the reciprocals.
 ABSOLUTE_RESIDUAL_TOLERANCE = 1e-9
 
 # Fits of at most this many points sum exact integers in pure Python, larger
@@ -191,8 +192,6 @@ def _sums_exact(table, years, lo, hi) -> tuple:
             sst = cyy / (n << (2 * by))
         except OverflowError:  # "integer division result too large for a float"
             raise OverflowError(_TOO_EXTREME) from None
-        if not math.isfinite(sxx + sst):
-            raise OverflowError(_TOO_EXTREME)
         if not sxx:  # equal years, or centred squares that underflow
             _no_spread(years[lo:hi])
         xbar = sx / (n << bx)
@@ -228,7 +227,7 @@ def _sums_numpy(years, values, center) -> tuple:
         dy = y - ybar
         sxx = float(np.sum(dx**2))
         sst = float(np.sum(dy**2))
-        if not math.isfinite(sxx + sst):  # a nan raises nothing on its way here
+        if math.isnan(sxx + sst):  # a nan raises nothing on its way here
             raise OverflowError(_TOO_EXTREME)
         if not sxx:
             _no_spread(years)
@@ -247,10 +246,11 @@ def _line_from_moments(n, slope, intercept, ybar, sxx, ssr, sst, xbar) -> tuple:
     ``fit_range`` make it the record, and ``fit_hyperbolic`` reads it into
     its own.
     """
-    # sst/n + ybar^2 is the mean square of y, so no extra pass is needed
-    if ssr <= _COLLINEAR_RTOL2 * (sst + n * ybar * ybar):
-        ssr = 0.0
     rmse = sqrt(ssr / n)
+    rmse_constant = sqrt(sst / n)
+    # the collinear snap: hypot(rmse_constant, ybar) is the RMS of the values
+    if rmse <= COLLINEAR_RTOL * hypot(rmse_constant, ybar):
+        ssr = rmse = 0.0
     r2 = 1.0 if sst == 0.0 else 1.0 - ssr / sst
 
     if n > 2:
@@ -263,7 +263,7 @@ def _line_from_moments(n, slope, intercept, ybar, sxx, ssr, sst, xbar) -> tuple:
         se_intercept = None
 
     # slope, intercept, rmse, r2, se_slope, se_intercept, mean, rmse_constant
-    return slope, intercept, rmse, r2, se_slope, se_intercept, ybar, sqrt(sst / n)
+    return slope, intercept, rmse, r2, se_slope, se_intercept, ybar, rmse_constant
 
 
 def fit_line(years, values, center: float = 0.0) -> LineFit:

@@ -34,7 +34,6 @@ from .errors import (
 from .fitting import (
     SMALL_FIT_MAX,
     HyperbolicFit,
-    LineFit,
     _scan_back,
     fit_range,
     range_columns,
@@ -169,29 +168,19 @@ def _runs_z(n_pos: int, n_neg: int, changes: int) -> float:
     return (changes + 1 - mu) / math.sqrt(var)
 
 
-def _residual_line(line: LineFit) -> tuple[float, float]:
-    """Intercept and slope of the model the runs test takes residuals about:
-    the line when it decreases, else the constant mean."""
-    if line.slope < 0.0:
-        return line.intercept, line.slope
-    return line.mean, 0.0  # r - (mean + 0.0 * y) is exactly r - mean
-
-
-def _scan_small(years, recip, values, line):
-    """Stagnation scans in pure Python about a given line: (positive and
+def _scan_small(years, recip, values, a, b):
+    """Stagnation scans in pure Python about the line a + b*t: (positive and
     negative residuals, sign changes, GDP increases)."""
-    a, b = _residual_line(line)
     n_pos, n_neg, changes = _sign_counts([r - (a + b * y) for y, r in zip(years, recip)])
     return n_pos, n_neg, changes, sum(map(operator.lt, values, values[1:]))
 
 
-def _scan_numpy(years, recip, values, line):
+def _scan_numpy(years, recip, values, a, b):
     """The scans of ``_scan_small`` on float64 arrays (the views
     ``range_columns`` returns), vectorised; float overflow raises."""
     import numpy as np
 
     with np.errstate(over="raise", divide="raise", invalid="raise"):
-        a, b = _residual_line(line)
         e = recip - (a + b * years)
         pos = e[e != 0.0] > 0.0
         n_pos = int(np.count_nonzero(pos))
@@ -219,16 +208,21 @@ def stagnation_test(
 
     The line comes from ``fit_range``, and the constant model is its
     ``mean`` and ``rmse_constant``, so the line's rmse never exceeds it.
-    The scans read the window's ``range_columns``: in pure Python up to
-    SMALL_FIT_MAX points, in numpy above.
+    The runs test takes the residuals about the model picked once: the
+    line when it decreases, else the mean. The scans read the window's
+    ``range_columns``: in pure Python up to SMALL_FIT_MAX points, in numpy
+    above. A model with rmse 0 (the collinear snap) has no residual signs.
     """
     lo, hi = index_range(s, w.t0, w.t1, need=4)
     n = hi - lo
     line = fit_range(s, lo, hi)
+    if line.slope < 0.0:
+        a, b, rmse_hyperbolic = line.intercept, line.slope, line.rmse
+    else:  # r - (mean + 0.0 * y) is exactly r - mean
+        a, b, rmse_hyperbolic = line.mean, 0.0, line.rmse_constant
     scan = _scan_small if n <= SMALL_FIT_MAX else _scan_numpy
-    n_pos, n_neg, changes, increases = scan(*range_columns(s, lo, hi), line)
-    rmse_hyperbolic = line.rmse if line.slope < 0.0 else line.rmse_constant
-    if line.slope < 0.0 and line.rmse == 0.0:  # an exact line: residuals are float noise
+    n_pos, n_neg, changes, increases = scan(*range_columns(s, lo, hi), a, b)
+    if rmse_hyperbolic == 0.0:  # an exact model: residuals are float noise
         n_pos = n_neg = changes = 0
     monotone_fraction = increases / (n - 1)
 
@@ -258,8 +252,11 @@ def segment_consistency(
     The window is split once at each distinct boundary inside it into
     half-open segments (the last one closed), each with its own line fit.
     Adjacent segments with at least 3 points on both sides are compared with
-    z = |k_i - k_j| / sqrt(se_i^2 + se_j^2). The verdict is
-    single-line-consistent when every defined z stays below 1.96.
+    z = |k_i - k_j| / sqrt(se_i^2 + se_j^2). When both fit exactly (se 0,
+    by ``fitting``'s collinear snap), the same snap decides on the fit over
+    both segments: z is 0 when it is exact too, else inf. So the verdict
+    does not depend on the unit of the values. It is single-line-consistent
+    when every defined z stays below 1.96.
     """
     cuts = sorted({b for b in boundaries if w.t0 < b < w.t1})
     edges = [w.t0, *cuts, w.t1]
@@ -284,14 +281,13 @@ def segment_consistency(
         a, b = segments[i], segments[i + 1]
         if a.n < 3 or b.n < 3:
             continue
-        delta = abs(a.k - b.k)
         denom = math.sqrt(a.se**2 + b.se**2)  # segments of 3+ points have an se
         if denom == 0.0:
-            # exact per-segment fits: identical slopes are consistent,
-            # different slopes are an unambiguous break
-            z = 0.0 if delta <= 1e-12 * max(1.0, abs(a.k), abs(b.k)) else math.inf
+            # exact per-segment fits: one exact line over both is consistent,
+            # anything else an unambiguous break
+            z = 0.0 if fit_range(s, starts[i], starts[i + 2]).rmse == 0.0 else math.inf
         else:
-            z = delta / denom
+            z = abs(a.k - b.k) / denom
         z_scores.append((i, i + 1, z))
 
     consistent = all(z < Z_CRITICAL for _, _, z in z_scores)

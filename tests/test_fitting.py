@@ -1,5 +1,6 @@
 import math
 import random
+from fractions import Fraction
 from itertools import accumulate
 from operator import mul
 
@@ -43,6 +44,26 @@ def hyperbola_series(a, k, years, label="hyp", scale=1.0):
 
 
 W12_LIKE_YEARS = (1500, 1600, 1700, 1820, 1870, 1900)
+
+
+def centred_squares(column):
+    """The sum of squares of the column about its mean, exact, then rounded once."""
+    column = [Fraction(v) for v in column]
+    mean = sum(column) / len(column)
+    return float(sum((v - mean) ** 2 for v in column))
+
+
+def exact_ols(years, values):
+    """(slope, intercept, rmse) of the OLS line, each correctly rounded but the
+    rmse, which is the square root of the correctly rounded mean square."""
+    xs, ys = [Fraction(t) for t in years], [Fraction(v) for v in values]
+    n = len(xs)
+    xbar, ybar = sum(xs) / n, sum(ys) / n
+    slope = (sum((x - xbar) * (y - ybar) for x, y in zip(xs, ys))
+             / sum((x - xbar) ** 2 for x in xs))
+    intercept = ybar - slope * xbar
+    ssr = sum((y - intercept - slope * x) ** 2 for x, y in zip(xs, ys))
+    return float(slope), float(intercept), math.sqrt(ssr / n)
 
 
 class TestFitLine:
@@ -107,6 +128,22 @@ class TestFitLine:
         else:  # numpy's errstate raises a FloatingPointError for an infinity
             with pytest.raises(ArithmeticError):
                 fit_line(*columns)
+
+    def test_sums_of_squares_past_the_float_range_fit_exactly(self):
+        # Sxx + Sst is past the float range, though each is a float: the exact
+        # kernel gives the correctly rounded OLS line, numpy's sums come close to it
+        years, values = [0.0, 0.9e154, 1.8e154], [1.2e154, 0.6e154, 0.4e154]
+        assert math.isinf(centred_squares(years) + centred_squares(values))
+        line = fit_line(years, values)
+        assert (line.slope, line.intercept, line.rmse) == exact_ols(years, values) == (
+            -0.4444444444444445, 1.1333333333333334e+154, 9.428090415820635e+152)
+        n = SMALL_FIT_MAX + 16
+        years = [3.8e153 * i / (n - 1) for i in range(n)]
+        values = [5e153 - t + (2e152 if i % 3 == 0 else -1e152) for i, t in enumerate(years)]
+        assert math.isinf(centred_squares(years) + centred_squares(values))
+        line = fit_line(years, values)
+        assert (line.slope, line.intercept, line.rmse) == pytest.approx(
+            exact_ols(years, values), rel=1e-12)
 
     @pytest.mark.parametrize("years", [[5.0, 5.0], [5.0] * (SMALL_FIT_MAX + 1)])
     def test_equal_years_are_too_few(self, years):
@@ -365,8 +402,8 @@ def test_small_series_window_fits_match_exact_ols(s):
             assert line.mean == ybar
             assert line.rmse_constant == math.sqrt(sst / n)
             assert line.rmse <= line.rmse_constant
-            # fit_line's collinear snap, ssr <= rtol**2 * (Sst + n * ybar**2),
-            # where Sst + n * ybar**2 is the sum of the squared values
+            # the collinear snap, rmse <= rtol * (the RMS of the values): in
+            # exact terms, ssr <= rtol**2 * (the sum of the squared values)
             if rss * snap_q <= snap_p * qyy * n * cxx:
                 rss = 0
             w = Window(years[lo], years[hi - 1])
@@ -430,8 +467,6 @@ def divided_line(years, values):
         sxx, sst = cxx / (n << 2 * bx), cyy / (n << 2 * by)
     except OverflowError:
         raise OverflowError(TOO_EXTREME) from None
-    if not math.isfinite(sxx + sst):
-        raise OverflowError(TOO_EXTREME)
     if not sxx:
         return None
     xbar, ybar = sx / (n << bx), sy / (n << by)
@@ -515,7 +550,9 @@ def noisy_w12_points():
 
 
 @settings(max_examples=40, deadline=None)
-@given(m=st.integers(-480, 490))
+@given(m=st.integers(-517, 490))
+@example(m=-517)  # the least that fits: its table divides by the scaled divisor
+@example(m=-516)  # the first scale whose table divides by n
 @example(m=429)  # the last scale whose table divides by n
 @example(m=430)  # the first whose table divides by the scaled divisor
 def test_power_of_two_scaling_of_the_values_scales_the_fit_exactly(m):
@@ -525,7 +562,7 @@ def test_power_of_two_scaling_of_the_values_scales_the_fit_exactly(m):
     f = fit_hyperbolic(new_series(points, "x"), w)
     s = new_series([(t, math.ldexp(v, m)) for t, v in points], "x")
     g = fit_hyperbolic(s, w)
-    assert s.prefix_moments[2] == (m < 430)
+    assert s.prefix_moments[2] == (-517 < m < 430)
     for name in ("a", "k", "rmse_reciprocal", "se_a", "se_k"):
         assert getattr(g, name) == math.ldexp(getattr(f, name), -m)
     assert g.r2_reciprocal == f.r2_reciprocal

@@ -264,7 +264,8 @@ def scan_inputs(draw):
 @given(s=scan_inputs())
 def test_scan_kernels_agree(s):
     line = fit_range(s, 0, len(s))
-    assert _scan_numpy(*s.arrays, line) == _scan_small(s.years, s.reciprocals, s.values, line)
+    for a, b in ((line.intercept, line.slope), (line.mean, 0.0)):
+        assert _scan_numpy(*s.arrays, a, b) == _scan_small(s.years, s.reciprocals, s.values, a, b)
 
 
 @settings(max_examples=60, deadline=None)
@@ -403,6 +404,18 @@ class TestSegmentConsistency:
         z1 = [z for _, _, z in segment_consistency(s).z_scores]
         z2 = [z for _, _, z in segment_consistency(scaled).z_scores]
         assert z1 == pytest.approx(z2, rel=1e-9)
+        # exact segments (se 0): the verdict holds in any unit of the values
+        years = range(1500, 1901, 25)
+        two_slope = [1 / (0.2 - 5e-5 * min(t, 1750) - 1e-4 * max(t - 1750, 0)) for t in years]
+        one_line = [1 / (0.2 - 5e-5 * t) for t in years]
+        for values, verdict, z in ((two_slope, "segmented", math.inf),
+                                   (one_line, "single-line-consistent", 0.0)):
+            for scale in (1.0, 1e8, 2.0**400):
+                exact = new_series([(t, v * scale) for t, v in zip(years, values)], "exact")
+                report = segment_consistency(exact, boundaries=(1750,))
+                assert [seg.se for seg in report.segments] == [0.0, 0.0]
+                assert report.z_scores == ((0, 1, z),)
+                assert report.verdict == verdict
 
 
 # --- the diversion and takeoff scans against the row-based code they replaced
@@ -612,5 +625,6 @@ def test_short_windows_of_a_long_series_read_the_kept_columns():
             fit_line(kept.years[lo:hi], kept.reciprocals[lo:hi]))
     lo, hi = index_range(s, stagnation_w.t0, stagnation_w.t1)
     line = fit_range(kept, lo, hi)
-    counts = _scan_small(kept.years[lo:hi], kept.reciprocals[lo:hi], kept.values[lo:hi], line)
+    counts = _scan_small(kept.years[lo:hi], kept.reciprocals[lo:hi], kept.values[lo:hi],
+                         line.intercept, line.slope)
     assert verdict.n_sign_changes == counts[2]
