@@ -1,71 +1,50 @@
-"""Hyperbolic growth fitting and regime tests for sparse GDP series."""
+"""Hyperbolic growth fitting and regime tests for sparse GDP series.
+
+Every public name that this file does not set itself is served from its
+home module, imported on the first use of one of its names, so that a
+command loads only the modules it runs.
+"""
 
 __version__ = "0.1.0"
 
-# synthetic's model kinds, kept here so the CLI lists them without loading synthetic
-KINDS = ("hyperbolic", "exponential", "logistic", "stagnation")
-
 from .errors import HypergrowthError
-from .fitting import (
-    FitDiagnostics,
-    HyperbolicFit,
-    fit_hyperbolic,
-    goodness,
-    model_value,
-    percent_deviation,
-    singularity,
-)
-from .ingest import Dataset, RegionPreset, aggregate, parse_wide_csv, preset_catalog
-from .regimes import (
-    DiversionReport,
-    SegmentReport,
-    StagnationVerdict,
-    TakeoffReport,
-    detect_diversion,
-    segment_consistency,
-    stagnation_test,
-    takeoff_scan,
-)
-from .series import GrowthSeries, Window, from_columns, new_series, reciprocal, window
+from .series import Window
 
-__all__ = [
-    "HypergrowthError",
-    "GrowthSeries",
-    "Window",
-    "from_columns",
-    "new_series",
-    "reciprocal",
-    "window",
-    "Dataset",
-    "RegionPreset",
-    "parse_wide_csv",
-    "aggregate",
-    "preset_catalog",
-    "HyperbolicFit",
-    "FitDiagnostics",
-    "fit_hyperbolic",
-    "model_value",
-    "singularity",
-    "percent_deviation",
-    "goodness",
-    "DiversionReport",
-    "TakeoffReport",
-    "StagnationVerdict",
-    "SegmentReport",
-    "detect_diversion",
-    "takeoff_scan",
-    "stagnation_test",
-    "segment_consistency",
-    "ModelSpec",
-    "generate",
-    "__version__",
-]
+# kept here, not in the modules that use them, so the CLI lists them without
+# loading those modules: synthetic's model kinds and the analysis defaults
+KINDS = ("hyperbolic", "exponential", "logistic", "stagnation")
+DEFAULT_FIT_WINDOW = Window(1500.0, 1900.0)
+DEFAULT_PROBE_YEARS = (1.0, 1000.0)
+DEFAULT_KAPPA = 3.0
+DEFAULT_TAKEOFF_WINDOW = Window(1760.0, 1840.0)
+DEFAULT_STAGNATION_WINDOW = Window(1.0, 1750.0)
+DEFAULT_SEGMENT_BOUNDARIES = (1750.0, 1870.0)
+DEFAULT_SEGMENT_WINDOW = DEFAULT_FIT_WINDOW
+
+# every other public name, by its home module
+_HOMES = {name: module for module, names in (
+    ("series", "GrowthSeries from_columns new_series reciprocal window"),
+    ("ingest", "Dataset RegionPreset parse_wide_csv aggregate preset_catalog"),
+    ("fitting", "HyperbolicFit FitDiagnostics fit_hyperbolic model_value singularity "
+                "percent_deviation goodness"),
+    ("regimes", "DiversionReport TakeoffReport StagnationVerdict SegmentReport "
+                "detect_diversion takeoff_scan stagnation_test segment_consistency"),
+    ("synthetic", "ModelSpec generate"),
+) for name in names.split()}
+
+__all__ = ["HypergrowthError", "Window", *_HOMES, "__version__"]
 
 
 def __getattr__(name: str):
-    """Serve the synthetic generators, importing them on first use."""
-    if name in ("ModelSpec", "generate"):
-        from . import synthetic
+    """Serve a public name from its home module, importing the module on first use."""
+    if name not in _HOMES:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    from importlib import import_module
 
-        return getattr(synthetic, name)
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = globals()[name] = getattr(import_module(f".{_HOMES[name]}", __name__), name)
+    return value
+
+
+def __dir__() -> list[str]:
+    """The package's names, with every public name not yet served."""
+    return sorted({*globals(), *__all__})

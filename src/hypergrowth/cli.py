@@ -3,7 +3,9 @@
 Three commands: ``analyze`` runs the full pipeline on a wide CSV and
 emits a machine report plus a human summary, ``plotdata`` emits two
 plot-ready tables (semilog GDP and reciprocal displays), ``simulate``
-generates synthetic series for round-trip checks.
+generates synthetic series for round-trip checks. Each command imports
+the modules it runs when it runs; the parser's defaults come from the
+package, so building it loads no analysis module.
 
 Exit codes: 0 ok, 2 input parsing or command-line usage, 3 fitting,
 4 window/preset selection, 5 internal. The CLI's own checks (usage,
@@ -24,7 +26,15 @@ import pathlib
 import re
 import sys
 
-from . import KINDS
+from . import (
+    DEFAULT_FIT_WINDOW,
+    DEFAULT_KAPPA,
+    DEFAULT_PROBE_YEARS,
+    DEFAULT_SEGMENT_BOUNDARIES,
+    DEFAULT_STAGNATION_WINDOW,
+    DEFAULT_TAKEOFF_WINDOW,
+    KINDS,
+)
 from .errors import (
     DataError,
     HypergrowthError,
@@ -32,29 +42,6 @@ from .errors import (
     PresetDefinitionError,
     UnknownPresetError,
     WindowError,
-)
-from .fitting import fit_hyperbolic
-from .ingest import (
-    aggregate,
-    parse_long_csv,
-    parse_preset_overrides,
-    parse_wide_csv,
-    preset_catalog,
-)
-from .regimes import (
-    DEFAULT_KAPPA,
-    DEFAULT_SEGMENT_BOUNDARIES,
-    DEFAULT_STAGNATION_WINDOW,
-    DEFAULT_TAKEOFF_WINDOW,
-)
-from .report import (
-    DEFAULT_FIT_WINDOW,
-    DEFAULT_PROBE_YEARS,
-    analyze_series,
-    file_digest,
-    gdp_plot_table,
-    human_summary,
-    reciprocal_plot_table,
 )
 from .series import GrowthSeries, Window
 
@@ -135,6 +122,10 @@ def _load_series(
     preset_config: str | None,
 ) -> tuple[GrowthSeries, bytes]:
     """Read the input file and build the selected series. Returns (series, raw bytes)."""
+    from .ingest import (
+        aggregate, parse_long_csv, parse_preset_overrides, parse_wide_csv, preset_catalog,
+    )
+
     raw, text = _read(input_path)
     if long_format:
         return parse_long_csv(text, label=label or pathlib.Path(input_path).stem), raw
@@ -166,6 +157,8 @@ def analyze(
     preset_config, fmt, output,
 ) -> None:
     """Fit INPUT_CSV and run diversion, takeoff, stagnation and segment tests."""
+    from .report import analyze_series, file_digest, human_summary
+
     if not 0.0 < kappa < math.inf:
         raise WindowError(f"--kappa must be a finite number > 0, got {kappa!r}")
     fit_window = _parse_window(window_spec, "--window")
@@ -207,6 +200,9 @@ def plotdata(
     preset_config, out_prefix,
 ) -> None:
     """Emit plot-ready tables for the semilog GDP and reciprocal displays."""
+    from .fitting import fit_hyperbolic
+    from .report import gdp_plot_table, reciprocal_plot_table
+
     fit_window = _parse_window(window_spec, "--window")
     series, _ = _load_series(
         input_path, preset, members, long_format, label, preset_config

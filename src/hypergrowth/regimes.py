@@ -26,6 +26,13 @@ import operator
 from bisect import bisect_right
 from typing import NamedTuple
 
+from . import (
+    DEFAULT_KAPPA,
+    DEFAULT_SEGMENT_BOUNDARIES,
+    DEFAULT_SEGMENT_WINDOW,
+    DEFAULT_STAGNATION_WINDOW,
+    DEFAULT_TAKEOFF_WINDOW,
+)
 from .errors import (
     NoPointsAfterWindowError,
     NoPointsInWindowError,
@@ -40,12 +47,6 @@ from .fitting import (
     singularity,
 )
 from .series import GrowthSeries, Window, index_range, new_record
-
-DEFAULT_KAPPA = 3.0
-DEFAULT_TAKEOFF_WINDOW = Window(1760.0, 1840.0)
-DEFAULT_STAGNATION_WINDOW = Window(1.0, 1750.0)
-DEFAULT_SEGMENT_BOUNDARIES = (1750.0, 1870.0)
-DEFAULT_SEGMENT_WINDOW = Window(1500.0, 1900.0)
 
 Z_CRITICAL = 1.96
 MONOTONE_THRESHOLD = 0.75

@@ -14,23 +14,19 @@ import math
 from itertools import repeat
 from typing import NamedTuple
 
-from . import __version__
-from .errors import HypergrowthError
-from .fitting import HyperbolicFit, fit_hyperbolic, percent_deviation, singularity
-from .regimes import (
+from . import (
+    DEFAULT_FIT_WINDOW,
     DEFAULT_KAPPA,
+    DEFAULT_PROBE_YEARS,
     DEFAULT_SEGMENT_BOUNDARIES,
     DEFAULT_STAGNATION_WINDOW,
     DEFAULT_TAKEOFF_WINDOW,
-    detect_diversion,
-    segment_consistency,
-    stagnation_test,
-    takeoff_scan,
+    __version__,
 )
+from .errors import HypergrowthError
+from .fitting import HyperbolicFit, fit_hyperbolic, percent_deviation, singularity
+from .regimes import detect_diversion, segment_consistency, stagnation_test, takeoff_scan
 from .series import GrowthSeries, Window
-
-DEFAULT_FIT_WINDOW = Window(1500.0, 1900.0)
-DEFAULT_PROBE_YEARS = (1.0, 1000.0)
 
 _STRICT_JSON = json.JSONEncoder(allow_nan=False)
 

@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import hypergrowth
-from hypergrowth import cli, errors
+from hypergrowth import cli, errors, report
 from hypergrowth.cli import _parser, main
 
 W12_A, W12_K = 1.147e-1, 5.961e-5
@@ -385,7 +385,7 @@ class TestExitCodes:
         def fail(*args, **kwargs):
             raise error
 
-        monkeypatch.setattr(cli, "analyze_series", fail)
+        monkeypatch.setattr(report, "analyze_series", fail)
         result = run(runner, "analyze", str(europe_csv_path))
         assert_one_error_line(result, code)
         assert result.output == f"error: {error}\n"
@@ -884,47 +884,95 @@ def test_repeated_main_calls_match_fresh_processes(europe_csv_path):
 
 
 IMPORT_PROBE = """
-import contextlib, io, json, sys
-from hypergrowth.cli import main
-watched = {"numpy", "click", "dataclasses", "inspect", "hashlib", "hypergrowth.synthetic"}
-loaded = [sorted(watched & set(sys.modules))]
-for args in json.loads(sys.argv[1]):
+import ast, contextlib, importlib, io, sys
+watched = {"numpy", "click", "dataclasses", "inspect", "hashlib", "json", "csv"}
+def loaded():
+    return sorted(m for m in sys.modules if m in watched or m.split(".")[0] == "hypergrowth")
+target, commands = ast.literal_eval(sys.argv[1])
+module = importlib.import_module(target)
+seen = [loaded()]
+for args in commands:
     with contextlib.redirect_stdout(io.StringIO()):
-        main(args, standalone_mode=False)
-    loaded.append(sorted(watched & set(sys.modules)))
-print(json.dumps(loaded))
+        module.main(args, standalone_mode=False)
+    seen.append(loaded())
+import json  # only now: json is watched
+print(json.dumps(seen))
 """
+
+PACKAGE = ["hypergrowth", "hypergrowth.errors", "hypergrowth.series"]
+CLI = sorted([*PACKAGE, "hypergrowth.cli"])
+ANALYSIS = sorted([*CLI, "csv", "json", "hypergrowth.fitting", "hypergrowth.ingest",
+                   "hypergrowth.regimes", "hypergrowth.report"])
 
 
 def test_commands_load_only_what_they_use(europe_csv_path, tmp_path):
     """Every fit of the bundled table has few points, so numpy stays unloaded; the
-    CLI uses argparse and no dataclasses; hashlib loads for analyze's input digest
-    and the synthetic generators for simulate, each on first use."""
+    CLI uses argparse and no dataclasses. Each command loads its modules on first
+    use: ingest, fitting, regimes and report for plotdata and analyze, hashlib
+    for analyze's input digest, and only the synthetic generators for simulate.
+    The package itself loads only what its constants need."""
     csv = str(europe_csv_path)
+    simulate = ["simulate", "--kind", "hyperbolic", "--a", str(W12_A), "--k", str(W12_K),
+                "--years", "1,1000,1500,1600,1700,1820,1870,1900", "--sigma", "0",
+                "-o", str(tmp_path / "sim.csv")]
     commands = [
         ["plotdata", csv, "--preset", "W30", "--out-prefix", str(tmp_path / "w30")],
         ["analyze", csv, "--preset", "W12"],
         ["analyze", csv, "--preset", "W30"],
         ["analyze", csv, "--preset", "EE", "--kappa", "2.5"],
-        ["simulate", "--kind", "hyperbolic", "--a", str(W12_A), "--k", str(W12_K),
-         "--years", "1,1000,1500,1600,1700,1820,1870,1900", "--sigma", "0",
-         "-o", str(tmp_path / "sim.csv")],
+        simulate,
     ]
-    digest, synthetic = ["hashlib"], ["hashlib", "hypergrowth.synthetic"]
-    assert run_probe(IMPORT_PROBE, commands) == [[], [], digest, digest, digest, synthetic]
+    digest = sorted([*ANALYSIS, "hashlib"])
+    assert run_probe(IMPORT_PROBE, ["hypergrowth.cli", commands]) == [
+        CLI, ANALYSIS, digest, digest, digest, sorted([*digest, "hypergrowth.synthetic"])]
+    assert run_probe(IMPORT_PROBE, ["hypergrowth.cli", [simulate]]) == [
+        CLI, sorted([*CLI, "hypergrowth.synthetic"])]
+    assert run_probe(IMPORT_PROBE, ["hypergrowth", []]) == [PACKAGE]
 
 
-def test_public_names_resolve():
-    """ModelSpec and generate are served from hypergrowth on first use."""
-    from hypergrowth import synthetic
+def test_public_names_resolve(monkeypatch):
+    """Each public name is its home module's own object. __getattr__ serves a name
+    on first use and stores it, so a second use does not reach it; dir lists every
+    name before its first use."""
+    for name in hypergrowth.__all__:
+        if name in hypergrowth._HOMES:
+            monkeypatch.delitem(vars(hypergrowth), name, raising=False)
+    assert set(hypergrowth.__all__) <= set(dir(hypergrowth))
+    for name in hypergrowth.__all__:
+        value = getattr(hypergrowth, name)
+        home = hypergrowth if name == "__version__" else sys.modules[value.__module__]
+        assert getattr(home, name) is value
+        assert vars(hypergrowth)[name] is value
+    with pytest.raises(AttributeError, match="no attribute 'nosuch'"):
+        hypergrowth.nosuch
 
-    assert hypergrowth.ModelSpec is synthetic.ModelSpec
-    assert hypergrowth.generate is synthetic.generate
+    def refuse(name):
+        raise AssertionError(f"{name} went through __getattr__ twice")
+
+    monkeypatch.setattr(hypergrowth, "__getattr__", refuse)
+    for name in hypergrowth.__all__:
+        getattr(hypergrowth, name)
     names = {}
     exec("from hypergrowth import *", names)
     assert set(hypergrowth.__all__) <= set(names)
-    with pytest.raises(AttributeError, match="no attribute 'nosuch'"):
-        hypergrowth.nosuch
+
+
+def test_defaults_have_one_home():
+    from hypergrowth import regimes
+
+    imported = {module.__name__: sorted(n for n in vars(module) if n.startswith("DEFAULT_"))
+                for module in (regimes, report)}
+    assert imported == {
+        "hypergrowth.regimes": ["DEFAULT_KAPPA", "DEFAULT_SEGMENT_BOUNDARIES",
+                                "DEFAULT_SEGMENT_WINDOW", "DEFAULT_STAGNATION_WINDOW",
+                                "DEFAULT_TAKEOFF_WINDOW"],
+        "hypergrowth.report": ["DEFAULT_FIT_WINDOW", "DEFAULT_KAPPA", "DEFAULT_PROBE_YEARS",
+                               "DEFAULT_SEGMENT_BOUNDARIES", "DEFAULT_STAGNATION_WINDOW",
+                               "DEFAULT_TAKEOFF_WINDOW"],
+    }
+    for module in (regimes, report):
+        for name in imported[module.__name__]:
+            assert getattr(module, name) is getattr(hypergrowth, name)
 
 
 def _reject_constant(token):
