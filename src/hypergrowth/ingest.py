@@ -91,18 +91,8 @@ def parse_wide_csv(text: str) -> Dataset:
     trailing cells out, but a non-blank cell past the last header year is
     a ParseError, as is a line the csv module cannot read.
     """
-    reader = csv.reader(io.StringIO(text))
-    try:
-        return _read_wide(reader)
-    except csv.Error as exc:
-        raise ParseError(f"line {reader.line_num}: {exc}") from None
-
-
-def _read_wide(reader) -> Dataset:
-    try:
-        header = next(reader)
-    except StopIteration:
-        raise ParseError("empty input: no header row") from None
+    records = _records(io.StringIO(text))
+    _, header = next(records)
     if len(header) < 2:
         raise ParseError("header must contain a label column and at least one year")
 
@@ -120,12 +110,12 @@ def _read_wide(reader) -> Dataset:
             raise ParseError(f"header years not strictly increasing at {y1:g}")
 
     rows: dict[str, dict[float, float]] = {}
-    for lineno, record in enumerate(reader, start=2):
+    for line, record in records:
         if not record or all(not c.strip() for c in record):
             continue  # ignore fully blank lines
         label = record[0].strip()
         if not label:
-            raise ParseError(f"line {lineno}: empty row label")
+            raise ParseError(f"line {line}: empty row label")
         if label in rows:
             raise DuplicateLabelError(f"duplicate row label {label!r}")
         if any(c.strip() for c in record[len(header):]):  # a value past the last year
@@ -170,6 +160,25 @@ def _cells_one_by_one(label: str, years: list[float], cells: list[str]) -> dict[
                 f"row {label!r}, year {year:g}: cell {raw!r} is not finite"
             )
     return row
+
+
+def _records(f):
+    """Yield ``(line, record)`` for each csv record of ``f``, where ``line`` is the
+    line of the file on which the record starts: a quoted cell may span lines.
+
+    A line the csv module cannot read is a ParseError naming that line, and so
+    is an input with no record at all: both formats start with a header.
+    """
+    reader = csv.reader(f)
+    line = 1
+    try:
+        for record in reader:
+            yield line, record
+            line = reader.line_num + 1
+    except csv.Error as exc:
+        raise ParseError(f"line {reader.line_num}: {exc}") from None
+    if line == 1:
+        raise ParseError("empty input: no header row")
 
 
 def aggregate(d: Dataset, p: RegionPreset) -> GrowthSeries:
@@ -262,32 +271,23 @@ def parse_long_csv(text: str, label: str) -> GrowthSeries:
     the line at fault.
     """
     f = io.StringIO(text)
-    reader = csv.reader(f)
-    try:
-        header = next(reader, None)
-        if header is None:
-            raise ParseError("empty input: no header row")
-        if len(header) < 2 or header[0].strip().lower() != "year":
-            raise ParseError("long format requires a 'year,value' header")
-    except csv.Error as exc:
-        raise ParseError(f"line {reader.line_num}: {exc}") from None
+    records = _records(f)
+    _, header = next(records)
+    if len(header) < 2 or header[0].strip().lower() != "year":
+        raise ParseError("long format requires a 'year,value' header")
     start = f.tell()
     series = _two_cell_lines(f.read(), label)
     if series is not None:
         return series
 
-    f.seek(start)
-    try:
-        records = list(reader)
-    except csv.Error as exc:
-        raise ParseError(f"line {reader.line_num}: {exc}") from None
+    f.seek(start)  # the csv reader resumes after the header
     years, values = [], []
-    for lineno, record in enumerate(records, start=2):
+    for line, record in records:
         try:
             year, value = float(record[0]), float(record[1])
         except (ValueError, IndexError):
             if any(c.strip() for c in record):
-                raise ParseError(f"line {lineno}: expected numeric year,value") from None
+                raise ParseError(f"line {line}: expected numeric year,value") from None
             continue
         years.append(year)
         values.append(value)

@@ -16,7 +16,8 @@ from . import KINDS
 from .errors import AtSingularityError, ModelSpecError
 from .series import Frozen, GrowthSeries, from_columns
 
-_REQUIRED_PARAMS = {
+# each kind's parameters: a spec gives every one of them, and no other
+_PARAMS = {
     "hyperbolic": ("a", "k"),
     "exponential": ("s0", "r"),
     "logistic": ("cap", "s0", "r"),
@@ -27,7 +28,7 @@ _REQUIRED_PARAMS = {
 class ModelSpec(Frozen):
     """Recipe for one synthetic GrowthSeries.
 
-    params holds the model constants for the chosen kind:
+    params holds the model constants of the chosen kind, and no other:
     hyperbolic(a, k), exponential(s0, r), logistic(cap, s0, r),
     stagnation(mean, amplitude, period). sigma is the lognormal noise
     scale (0 for noiseless), and seed (an integer >= 0) fixes the stream.
@@ -40,7 +41,10 @@ class ModelSpec(Frozen):
         self._assign(kind, params, sample_years, sigma, seed)
         if self.kind not in KINDS:
             raise ModelSpecError(f"unknown model kind {self.kind!r}")
-        for name in _REQUIRED_PARAMS[self.kind]:
+        for name in self.params:
+            if name not in _PARAMS[self.kind]:
+                raise ModelSpecError(f"{self.kind} model: takes no parameter {name!r}")
+        for name in _PARAMS[self.kind]:
             if name not in self.params:
                 raise ModelSpecError(f"{self.kind} model: missing parameter {name!r}")
             if name != "amplitude" and not self.params[name] > 0:
@@ -49,8 +53,7 @@ class ModelSpec(Frozen):
                     "must be positive"
                 )
         if self.kind == "stagnation":
-            amp = self.params["amplitude"]
-            if amp < 0 or amp >= self.params["mean"]:
+            if not 0 <= self.params["amplitude"] < self.params["mean"]:  # nan fails too
                 raise ModelSpecError(
                     "stagnation model: amplitude must satisfy 0 <= amplitude < mean"
                 )
@@ -86,17 +89,21 @@ def generate(spec: ModelSpec) -> GrowthSeries:
     """The series ``synthetic-<kind>`` of the model at the sample years;
     deterministic given seed.
 
-    Raises ModelSpecError when the model overflows at a sample year.
+    Raises ModelSpecError, naming the year, when the model's float arithmetic
+    fails at a sample year (an overflow, a division by zero, a math domain error).
     """
     years = sorted(spec.sample_years)
-    try:
-        values = [_clean_value(spec, t) for t in years]
-    except OverflowError:
-        raise ModelSpecError(f"{spec.kind} model overflows at a sample year") from None
+    values = []
+    for t in years:
+        try:
+            values.append(_clean_value(spec, t))
+        except (ArithmeticError, ValueError) as exc:
+            raise ModelSpecError(f"{spec.kind} model fails at sample year {t:g}: {exc}") from None
     if spec.sigma > 0.0:
         import numpy as np
 
         rng = np.random.default_rng(spec.seed)
-        factors = np.exp(rng.normal(0.0, spec.sigma, size=len(values)))
-        values = [v * f for v, f in zip(values, factors)]
+        with np.errstate(all="ignore"):  # from_columns refuses an infinite or zero value
+            factors = np.exp(rng.normal(0.0, spec.sigma, size=len(values)))
+            values = [v * f for v, f in zip(values, factors)]
     return from_columns(years, values, label=f"synthetic-{spec.kind}")

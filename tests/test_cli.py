@@ -7,7 +7,7 @@ import sys
 import warnings
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import hypergrowth
@@ -1078,3 +1078,58 @@ def test_cli_contract_holds_for_any_wide_input(tmp_path_factory, runner, table, 
     for result in results:
         if "listed more than once" in result.output:  # "A,A": named as the flag the user typed
             assert "error: --members: member 'A'" in result.output, result.output
+
+
+# a valid value of each model flag; each flag may also take one of EXTREMES
+MODEL_FLAGS = {"a": 0.1147, "k": 5.961e-5, "s0": 1.0, "r": 0.01, "cap": 100.0, "mean": 2.0,
+               "amplitude": 0.3, "period": 600.0}
+EXTREMES = (0.0, -1.0, 1e-320, 1e308, math.inf, math.nan)
+
+
+@st.composite
+def simulate_args(draw):
+    """A kind, any model flags (its own ones more often) with valid or extreme values,
+    noise up to sigma 1e300, and a few sample years, negative ones among them."""
+    from hypergrowth.synthetic import _PARAMS
+
+    kind = draw(st.sampled_from(hypergrowth.KINDS))
+    args = ["--kind", kind]
+    for name, valid in MODEL_FLAGS.items():
+        own = name in _PARAMS[kind]
+        if draw(st.sampled_from([own] * 7 + [not own])):
+            value = draw(st.one_of(st.just(valid), st.just(valid), st.sampled_from(EXTREMES)))
+            args += [f"--{name}", repr(value)]
+    years = draw(st.lists(st.one_of(st.integers(-3000, 3000), st.floats(-1e4, 1e4)),
+                          min_size=2, max_size=5))
+    sigma = draw(st.one_of(st.just(0.0), st.floats(0.0, 0.5), st.floats(0.0, 1e300)))
+    return [*args, "--sigma", repr(sigma), "--years", ",".join(map(repr, years))]
+
+
+@settings(max_examples=200, deadline=None)
+@given(args=simulate_args())
+# a math domain error (the sine of an infinite angle) and a division by zero
+@example(args=["--kind", "stagnation", "--mean", "1", "--amplitude", "0.5",
+               "--period", "1e-320", "--years", "1,2,3"])
+@example(args=["--kind", "logistic", "--cap", "0.5", "--s0", "1", "--r", "1",
+               "--years=-0.6931471805599453,1"])
+# noise that overflows: numpy's warning must not reach stderr
+@example(args=["--kind", "hyperbolic", "--a", "0.1", "--k", "1e-5", "--years", "1,2",
+               "--sigma", "1e300"])
+# flags of another kind must not be dropped silently
+@example(args=["--kind", "hyperbolic", "--a", "0.1", "--k", "1e-5", "--cap", "5", "--r", "3",
+               "--years", "1,2,3"])
+def test_cli_contract_holds_for_any_simulate_flags(runner, args):
+    from hypergrowth.synthetic import _PARAMS
+
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        result = runner(["simulate", *args])
+    assert result.exit_code in {0, 2, 3, 4, 5}, (result.output, result.exception)
+    if result.exit_code:
+        assert_one_error_line(result, result.exit_code)
+        return
+    flags = {arg[2:] for arg in args if arg[2:] in MODEL_FLAGS}
+    assert flags == set(_PARAMS[args[1]]), result.output
+    for line in result.output.splitlines()[1:]:
+        value = float(line.split(",")[1])
+        assert 0.0 < value < math.inf, result.output

@@ -92,6 +92,14 @@ class TestParseWideCsv:
         with pytest.raises(ParseError, match=rf"^line {line}: field larger than field limit"):
             parse_wide_csv(text)
 
+    @pytest.mark.parametrize("text, line", [
+        ('Region,1500,1600\n"A\nB",1,2\n,3,4\n', 4),  # after a cell over lines 2-3
+        ('Region,1500,1600\n"\n",1,2\n', 2),            # a label over lines 2-3
+    ])
+    def test_empty_label_names_the_line_its_row_starts_on(self, text, line):
+        with pytest.raises(ParseError, match=rf"^line {line}: empty row label$"):
+            parse_wide_csv(text)
+
 
 class TestAggregate:
     def test_single_complete_year_is_too_few(self):
@@ -279,6 +287,15 @@ class TestParseLongCsv:
         with pytest.raises(ParseError, match=r"^line 5: expected numeric year,value$"):
             parse_long_csv(text, "sim")
 
+    def test_a_row_after_a_multiline_cell_names_its_own_line(self):
+        with pytest.raises(ParseError, match=r"^line 5: expected numeric year,value$"):
+            parse_long_csv('year,value\n"1500\n",1\n1600,2\nfoo,bar\n', "sim")
+
+    def test_the_first_bad_line_is_named(self):
+        # a bad row before a line csv cannot read: named, as in a wide table
+        with pytest.raises(ParseError, match=r"^line 2: expected numeric year,value$"):
+            parse_long_csv(f"year,value\nfoo,bar\n{'1' * 200_000},5\n", "sim")
+
     def test_extra_columns_ignored(self):
         s = parse_long_csv("year,value,note\n1,0.5,first\n1000,0.75,,x\n", "sim")
         assert s.points == ((1.0, 0.5), (1000.0, 0.75))
@@ -308,6 +325,14 @@ class TestParseLongCsv:
 # reference parsers below are those loops alone; both must give the same
 # series or Dataset, or the same error class and message, on any text.
 
+def numbered(reader):
+    """Each record left in ``reader`` with the line of the text on which it starts."""
+    lineno = reader.line_num + 1
+    for record in reader:
+        yield lineno, record
+        lineno = reader.line_num + 1
+
+
 def reference_long(text, label):
     reader = csv.reader(io.StringIO(text))
     try:
@@ -316,19 +341,18 @@ def reference_long(text, label):
             raise ParseError("empty input: no header row")
         if len(header) < 2 or header[0].strip().lower() != "year":
             raise ParseError("long format requires a 'year,value' header")
-        records = list(reader)
+        years, values = [], []
+        for lineno, record in numbered(reader):
+            try:
+                year, value = float(record[0]), float(record[1])
+            except (ValueError, IndexError):
+                if any(c.strip() for c in record):
+                    raise ParseError(f"line {lineno}: expected numeric year,value") from None
+                continue
+            years.append(year)
+            values.append(value)
     except csv.Error as exc:
         raise ParseError(f"line {reader.line_num}: {exc}") from None
-    years, values = [], []
-    for lineno, record in enumerate(records, start=2):
-        try:
-            year, value = float(record[0]), float(record[1])
-        except (ValueError, IndexError):
-            if any(c.strip() for c in record):
-                raise ParseError(f"line {lineno}: expected numeric year,value") from None
-            continue
-        years.append(year)
-        values.append(value)
     return from_columns(years, values, label=label)
 
 
@@ -360,7 +384,7 @@ def _reference_read_wide(reader):
         if not y0 < y1:
             raise ParseError(f"header years not strictly increasing at {y1:g}")
     rows = {}
-    for lineno, record in enumerate(reader, start=2):
+    for lineno, record in numbered(reader):
         if not record or all(not c.strip() for c in record):
             continue
         label = record[0].strip()

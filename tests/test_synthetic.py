@@ -58,11 +58,25 @@ class TestGenerate:
             ("stagnation", {"mean": 2.0, "amplitude": 2.5, "period": 100.0}),
             ("exponential", {"s0": 1.0, "r": 0.0}),          # r must be positive
             ("nosuch", {}),
+            ("stagnation", {"mean": 2.0, "amplitude": math.nan, "period": 100.0}),
         ],
     )
     def test_invalid_specs_rejected(self, kind, params):
         with pytest.raises(ModelSpecError):
             ModelSpec(kind, params, (0, 100, 200))
+
+    @pytest.mark.parametrize("kind, params, years, message", [
+        ("stagnation", {"mean": 1.0, "amplitude": 0.5, "period": 1e-320}, (1, 2),
+         "stagnation model fails at sample year 1: math domain error"),  # sin(inf)
+        ("logistic", {"cap": 0.5, "s0": 1.0, "r": 1.0}, (-math.log(2), 1),
+         "logistic model fails at sample year -0.693147: float division by zero"),
+        ("exponential", {"s0": 1.0, "r": 1000.0}, (0, 1),
+         "exponential model fails at sample year 1: math range error"),
+    ])
+    def test_float_arithmetic_failure_names_the_year(self, kind, params, years, message):
+        with pytest.raises(ModelSpecError) as caught:
+            generate(ModelSpec(kind, params, years))
+        assert str(caught.value) == message
 
     @pytest.mark.parametrize("sigma", [-0.1, math.nan, math.inf])
     def test_sigma_must_be_finite_and_nonnegative(self, sigma):

@@ -140,6 +140,8 @@ def test_series_equal_exactly_when_fields_equal(a, b, warm):
     (lambda: ModelSpec("nosuch", {}, (0, 1)), ModelSpecError, "unknown model kind 'nosuch'"),
     (lambda: ModelSpec("hyperbolic", {"a": 1.0}, (0, 1)), ModelSpecError,
      "hyperbolic model: missing parameter 'k'"),
+    (lambda: ModelSpec("hyperbolic", {"a": 1.0, "k": 1, "cap": 5}, (0, 1)), ModelSpecError,
+     "hyperbolic model: takes no parameter 'cap'"),
     (lambda: ModelSpec("hyperbolic", {"a": -1.0, "k": 1}, (0, 1)), ModelSpecError,
      "hyperbolic model: parameter a=-1.0 must be positive"),
     (lambda: ModelSpec("stagnation", {"mean": 2.0, "amplitude": 2.5, "period": 100.0}, (0, 1)),
