@@ -236,11 +236,13 @@ def parse_preset_overrides(text: str) -> dict[str, tuple[str, ...]]:
     """Parse a plain key=value preset override file.
 
     Each non-blank, non-comment line is ``NAME=label[,label...]``; a
-    NAME given on two lines is a ParseError.
+    NAME given on two lines is a ParseError. Lines end only at LF or CRLF,
+    not at the other separators ``str.splitlines`` breaks at (such as U+2028),
+    so an error names the line as the file numbers it.
     """
     overrides: dict[str, tuple[str, ...]] = {}
     first_line: dict[str, int] = {}
-    for lineno, line in enumerate(text.splitlines(), start=1):
+    for lineno, line in enumerate(text.replace("\r\n", "\n").split("\n"), start=1):
         stripped = line.strip()
         if not stripped or stripped.startswith("#"):
             continue

@@ -59,10 +59,17 @@ class AnalysisReport(NamedTuple):
 
 
 def file_digest(raw: bytes) -> str:
-    """SHA-256 hex digest; hashlib loads on first use, so callers without a digest skip it."""
-    import hashlib
-
-    return hashlib.sha256(raw).hexdigest()
+    """SHA-256 hex digest, from the interpreter's builtin sha256 module when it has
+    one: hashlib would load OpenSSL, about 5 ms of a fresh process. Loaded on first
+    use, so callers without a digest skip it."""
+    try:
+        from _sha2 import sha256  # Python 3.12+
+    except ImportError:
+        try:
+            from _sha256 import sha256  # Python 3.11 and older
+        except ImportError:
+            from hashlib import sha256
+    return sha256(raw).hexdigest()
 
 
 def analyze_series(

@@ -4,13 +4,14 @@ Used to validate the fitter and the regime detectors: hyperbolic series
 must be recovered exactly, stagnation series must not be mistaken for
 growth, and exponential/logistic series act as discriminant controls.
 Noise is multiplicative lognormal so values stay positive, and every
-draw comes from an explicit seeded generator stored in the ModelSpec.
+draw comes from a ``random.Random`` seeded with the ModelSpec's seed.
 """
 
 from __future__ import annotations
 
 import math
 import operator
+import random
 
 from . import KINDS
 from .errors import AtSingularityError, ModelSpecError
@@ -30,8 +31,12 @@ class ModelSpec(Frozen):
 
     params holds the model constants of the chosen kind, and no other:
     hyperbolic(a, k), exponential(s0, r), logistic(cap, s0, r),
-    stagnation(mean, amplitude, period). sigma is the lognormal noise
-    scale (0 for noiseless), and seed (an integer >= 0) fixes the stream.
+    stagnation(mean, amplitude, period), each finite. sigma is the
+    lognormal noise scale (0 for noiseless), and seed (an integer >= 0)
+    fixes the stream. The standard library draws the noise, one
+    ``lognormvariate`` per year from ``random.Random(seed)``, whose
+    ``random()`` sequence Python keeps for an integer seed across versions;
+    numpy loads only for fits and scans of more than 64 points.
     """
 
     __slots__ = _fields = ("kind", "params", "sample_years", "sigma", "seed")
@@ -47,13 +52,17 @@ class ModelSpec(Frozen):
         for name in _PARAMS[self.kind]:
             if name not in self.params:
                 raise ModelSpecError(f"{self.kind} model: missing parameter {name!r}")
-            if name != "amplitude" and not self.params[name] > 0:
+            value = self.params[name]
+            if not -math.inf < value < math.inf:  # nan fails too
                 raise ModelSpecError(
-                    f"{self.kind} model: parameter {name}={self.params[name]!r} "
-                    "must be positive"
+                    f"{self.kind} model: parameter {name}={value!r} must be finite"
+                )
+            if name != "amplitude" and not value > 0:
+                raise ModelSpecError(
+                    f"{self.kind} model: parameter {name}={value!r} must be positive"
                 )
         if self.kind == "stagnation":
-            if not 0 <= self.params["amplitude"] < self.params["mean"]:  # nan fails too
+            if not 0 <= self.params["amplitude"] < self.params["mean"]:
                 raise ModelSpecError(
                     "stagnation model: amplitude must satisfy 0 <= amplitude < mean"
                 )
@@ -85,12 +94,27 @@ def _clean_value(spec: ModelSpec, t: float) -> float:
     return p["mean"] + p["amplitude"] * math.sin(2.0 * math.pi * t / p["period"])
 
 
+def _noise_factor(rng: random.Random, sigma: float, t: float) -> float:
+    """One lognormal factor exp(N(0, sigma)) for sample year t; a factor that
+    leaves float range (an overflowing exponent, or one that rounds to 0 or
+    to infinity) is a ModelSpecError naming --sigma and the year."""
+    try:
+        factor = rng.lognormvariate(0.0, sigma)
+    except OverflowError:
+        factor = math.inf
+    if not 0.0 < factor < math.inf:
+        raise ModelSpecError(f"--sigma {sigma!r}: the noise leaves float range "
+                             f"at sample year {t:g}")
+    return factor
+
+
 def generate(spec: ModelSpec) -> GrowthSeries:
     """The series ``synthetic-<kind>`` of the model at the sample years;
     deterministic given seed.
 
     Raises ModelSpecError, naming the year, when the model's float arithmetic
-    fails at a sample year (an overflow, a division by zero, a math domain error).
+    fails at a sample year (an overflow, a division by zero, a math domain error)
+    or when its noise factor leaves float range there.
     """
     years = sorted(spec.sample_years)
     values = []
@@ -100,10 +124,6 @@ def generate(spec: ModelSpec) -> GrowthSeries:
         except (ArithmeticError, ValueError) as exc:
             raise ModelSpecError(f"{spec.kind} model fails at sample year {t:g}: {exc}") from None
     if spec.sigma > 0.0:
-        import numpy as np
-
-        rng = np.random.default_rng(spec.seed)
-        with np.errstate(all="ignore"):  # from_columns refuses an infinite or zero value
-            factors = np.exp(rng.normal(0.0, spec.sigma, size=len(values)))
-            values = [v * f for v, f in zip(values, factors)]
+        rng = random.Random(operator.index(spec.seed))
+        values = [v * _noise_factor(rng, spec.sigma, t) for t, v in zip(years, values)]
     return from_columns(years, values, label=f"synthetic-{spec.kind}")

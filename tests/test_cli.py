@@ -628,6 +628,13 @@ class TestContract:
         assert_one_error_line(result, 2)
         assert result.output == "error: seed=-1 must be an integer >= 0\n"
 
+    def test_simulate_noise_leaving_float_range_names_sigma(self, runner):
+        result = run(runner, "simulate", "--kind", "hyperbolic", "--a", "0.1", "--k", "1e-5",
+                     "--years", "1,2,3", "--sigma", "1000", "--seed", "1")
+        assert_one_error_line(result, 2)
+        assert result.output == ("error: --sigma 1000.0: the noise leaves "
+                                 "float range at sample year 3\n")
+
     @pytest.mark.parametrize("sigma", ["nan", "inf", "-0.1"])
     def test_simulate_sigma_must_be_finite_nonnegative(self, runner, sigma):
         result = run(runner, "simulate", "--kind", "hyperbolic", "--a", "1",
@@ -885,7 +892,7 @@ def test_repeated_main_calls_match_fresh_processes(europe_csv_path):
 
 IMPORT_PROBE = """
 import ast, contextlib, importlib, io, sys
-watched = {"numpy", "click", "dataclasses", "inspect", "hashlib", "json", "csv"}
+watched = {"numpy", "click", "dataclasses", "inspect", "hashlib", "_hashlib", "json", "csv"}
 def loaded():
     return sorted(m for m in sys.modules if m in watched or m.split(".")[0] == "hypergrowth")
 target, commands = ast.literal_eval(sys.argv[1])
@@ -906,14 +913,15 @@ ANALYSIS = sorted([*CLI, "csv", "json", "hypergrowth.fitting", "hypergrowth.inge
 
 
 def test_commands_load_only_what_they_use(europe_csv_path, tmp_path):
-    """Every fit of the bundled table has few points, so numpy stays unloaded; the
-    CLI uses argparse and no dataclasses. Each command loads its modules on first
-    use: ingest, fitting, regimes and report for plotdata and analyze, hashlib
-    for analyze's input digest, and only the synthetic generators for simulate.
-    The package itself loads only what its constants need."""
+    """Every fit of the bundled table has few points, and the standard library
+    draws simulate's noise, so numpy stays unloaded; the CLI uses argparse and no
+    dataclasses. Each command loads its modules on first use: ingest, fitting,
+    regimes and report for plotdata and analyze, whose input digest loads no
+    hashlib (nor its OpenSSL module), and only the synthetic generators for
+    simulate. The package itself loads only what its constants need."""
     csv = str(europe_csv_path)
     simulate = ["simulate", "--kind", "hyperbolic", "--a", str(W12_A), "--k", str(W12_K),
-                "--years", "1,1000,1500,1600,1700,1820,1870,1900", "--sigma", "0",
+                "--years", "1,1000,1500,1600,1700,1820,1870,1900", "--sigma", "0.05",
                 "-o", str(tmp_path / "sim.csv")]
     commands = [
         ["plotdata", csv, "--preset", "W30", "--out-prefix", str(tmp_path / "w30")],
@@ -922,9 +930,8 @@ def test_commands_load_only_what_they_use(europe_csv_path, tmp_path):
         ["analyze", csv, "--preset", "EE", "--kappa", "2.5"],
         simulate,
     ]
-    digest = sorted([*ANALYSIS, "hashlib"])
     assert run_probe(IMPORT_PROBE, ["hypergrowth.cli", commands]) == [
-        CLI, ANALYSIS, digest, digest, digest, sorted([*digest, "hypergrowth.synthetic"])]
+        CLI, ANALYSIS, ANALYSIS, ANALYSIS, ANALYSIS, sorted([*ANALYSIS, "hypergrowth.synthetic"])]
     assert run_probe(IMPORT_PROBE, ["hypergrowth.cli", [simulate]]) == [
         CLI, sorted([*CLI, "hypergrowth.synthetic"])]
     assert run_probe(IMPORT_PROBE, ["hypergrowth", []]) == [PACKAGE]
@@ -1112,9 +1119,10 @@ def simulate_args(draw):
                "--period", "1e-320", "--years", "1,2,3"])
 @example(args=["--kind", "logistic", "--cap", "0.5", "--s0", "1", "--r", "1",
                "--years=-0.6931471805599453,1"])
-# noise that overflows: numpy's warning must not reach stderr
+# noise that leaves float range, and an infinite model parameter: each is named
 @example(args=["--kind", "hyperbolic", "--a", "0.1", "--k", "1e-5", "--years", "1,2",
                "--sigma", "1e300"])
+@example(args=["--kind", "hyperbolic", "--a", "inf", "--k", "1", "--years", "1,2"])
 # flags of another kind must not be dropped silently
 @example(args=["--kind", "hyperbolic", "--a", "0.1", "--k", "1e-5", "--cap", "5", "--r", "3",
                "--years", "1,2,3"])

@@ -222,6 +222,16 @@ class TestPresetCatalog:
         with pytest.raises(ParseError, match=r"line 4: 'EE' is already set on line 1"):
             parse_preset_overrides("EE=France\n# comment\nW30=A\n EE = Italy\n")
 
+    @pytest.mark.parametrize("text", [
+        "W12=Austria\u2028EE=Total Eastern Europe\nW12=France\n",
+        "W12=Austria\x0cEE=Total Eastern Europe\r\nW12=France\r\n",
+    ])
+    def test_override_lines_are_numbered_as_in_the_file(self, text):
+        # only a newline ends a line: U+2028 and a form feed stay inside it
+        with pytest.raises(ParseError,
+                           match=r"^preset override line 2: 'W12' is already set on line 1$"):
+            parse_preset_overrides(text)
+
     @pytest.mark.parametrize("labels", [("X", "Y", "X"), ("X", "X")])
     def test_repeated_member_is_refused(self, labels):
         # a repeated member would be summed twice

@@ -1,11 +1,15 @@
+import hashlib
 import json
 
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from hypergrowth.fitting import fit_hyperbolic, singularity
 from hypergrowth.report import (
     AnalysisReport,
     analyze_series,
+    file_digest,
     gdp_plot_table,
     human_summary,
     reciprocal_plot_table,
@@ -117,3 +121,14 @@ class TestJsonSafety:
             report.to_json()
         with pytest.raises(ValueError):
             report.to_kv()
+
+
+def test_file_digest_of_the_bundled_table_is_its_sha256(europe_csv_path):
+    raw = europe_csv_path.read_bytes()
+    assert file_digest(raw) == hashlib.sha256(raw).hexdigest()
+
+
+@given(raw=st.binary(max_size=4096))
+@example(raw=b"")
+def test_file_digest_is_sha256(raw):
+    assert file_digest(raw) == hashlib.sha256(raw).hexdigest()

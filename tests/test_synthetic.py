@@ -88,6 +88,52 @@ class TestGenerate:
         with pytest.raises(ModelSpecError):
             ModelSpec("hyperbolic", {"a": 1.0, "k": 0.001}, (0, 100), sigma=0.1, seed=seed)
 
+    def test_seeded_stream_is_pinned(self):
+        # one lognormvariate per sorted year from random.Random(seed)
+        spec = ModelSpec("hyperbolic", {"a": 1.0, "k": 0.001}, (0, 200, 400, 600),
+                         sigma=0.1, seed=7)
+        assert generate(spec).values == (
+            0.9650350809855109, 1.2853857407551783, 1.682919530657722, 2.1433035619919267)
+
+    def test_log_noise_has_mean_zero_and_sd_sigma(self):
+        # ln(noisy/clean) is N(0, sigma): over n draws its mean and SD fall within
+        # 3 standard errors of 0 and sigma (sigma/sqrt(n) and sigma/sqrt(2(n-1)))
+        n, sigma = 20_000, 0.05
+        base = dict(kind="hyperbolic", params={"a": 1.0, "k": 1e-5},
+                    sample_years=tuple(range(n)))
+        clean = generate(ModelSpec(**base)).values
+        noisy = generate(ModelSpec(**base, sigma=sigma, seed=1)).values
+        logs = [math.log(v / c) for v, c in zip(noisy, clean)]
+        mean = math.fsum(logs) / n
+        sd = math.sqrt(math.fsum((x - mean) ** 2 for x in logs) / (n - 1))
+        assert abs(mean) < 3 * sigma / math.sqrt(n)
+        assert abs(sd - sigma) < 3 * sigma / math.sqrt(2 * (n - 1))
+
+    @pytest.mark.parametrize("sigma, seed, year", [
+        (1000.0, 1, 3),   # the exponent overflows: OverflowError
+        (1000.0, 4, 3),   # the factor rounds to 0
+        (1e308, 2, 1),    # the exponent is infinite, so is the factor
+    ])
+    def test_noise_leaving_float_range_names_sigma_and_year(self, sigma, seed, year):
+        spec = ModelSpec("hyperbolic", {"a": 0.1, "k": 1e-5}, (1, 2, 3), sigma=sigma, seed=seed)
+        with pytest.raises(ModelSpecError) as caught:
+            generate(spec)
+        assert str(caught.value) == (
+            f"--sigma {sigma!r}: the noise leaves float range at sample year {year}")
+
+    @pytest.mark.parametrize("kind, params, message", [
+        ("hyperbolic", {"a": math.inf, "k": 1.0}, "parameter a=inf must be finite"),
+        ("exponential", {"s0": 1.0, "r": math.nan}, "parameter r=nan must be finite"),
+        ("stagnation", {"mean": math.inf, "amplitude": 0.5, "period": 100.0},
+         "parameter mean=inf must be finite"),
+        ("stagnation", {"mean": 2.0, "amplitude": 0.5, "period": math.inf},
+         "parameter period=inf must be finite"),
+    ])
+    def test_nonfinite_parameter_is_named(self, kind, params, message):
+        with pytest.raises(ModelSpecError) as caught:
+            ModelSpec(kind, params, (1, 2))
+        assert str(caught.value) == f"{kind} model: {message}"
+
     def test_numpy_integer_seed_draws_the_same_stream(self):
         np = pytest.importorskip("numpy")
         spec = dict(kind="hyperbolic", params={"a": 1.0, "k": 0.001},
