@@ -11,8 +11,15 @@ from .errors import HypergrowthError
 from .series import Window
 
 # kept here, not in the modules that use them, so the CLI lists them without
-# loading those modules: synthetic's model kinds and the analysis defaults
-KINDS = ("hyperbolic", "exponential", "logistic", "stagnation")
+# loading those modules: synthetic's model kinds, each with its parameters (a
+# ModelSpec gives every one of them and no other), and the analysis defaults
+KIND_PARAMS = {
+    "hyperbolic": ("a", "k"),
+    "exponential": ("s0", "r"),
+    "logistic": ("cap", "s0", "r"),
+    "stagnation": ("mean", "amplitude", "period"),
+}
+KINDS = tuple(KIND_PARAMS)
 DEFAULT_FIT_WINDOW = Window(1500.0, 1900.0)
 DEFAULT_PROBE_YEARS = (1.0, 1000.0)
 DEFAULT_KAPPA = 3.0

@@ -13,17 +13,9 @@ import math
 import operator
 import random
 
-from . import KINDS
+from . import KIND_PARAMS
 from .errors import AtSingularityError, ModelSpecError
 from .series import Frozen, GrowthSeries, from_columns
-
-# each kind's parameters: a spec gives every one of them, and no other
-_PARAMS = {
-    "hyperbolic": ("a", "k"),
-    "exponential": ("s0", "r"),
-    "logistic": ("cap", "s0", "r"),
-    "stagnation": ("mean", "amplitude", "period"),
-}
 
 
 class ModelSpec(Frozen):
@@ -44,12 +36,12 @@ class ModelSpec(Frozen):
     def __init__(self, kind: str, params: dict[str, float], sample_years: tuple[float, ...],
                  sigma: float = 0.0, seed: int = 0) -> None:
         self._assign(kind, params, sample_years, sigma, seed)
-        if self.kind not in KINDS:
+        if self.kind not in KIND_PARAMS:
             raise ModelSpecError(f"unknown model kind {self.kind!r}")
         for name in self.params:
-            if name not in _PARAMS[self.kind]:
+            if name not in KIND_PARAMS[self.kind]:
                 raise ModelSpecError(f"{self.kind} model: takes no parameter {name!r}")
-        for name in _PARAMS[self.kind]:
+        for name in KIND_PARAMS[self.kind]:
             if name not in self.params:
                 raise ModelSpecError(f"{self.kind} model: missing parameter {name!r}")
             value = self.params[name]

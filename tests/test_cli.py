@@ -207,23 +207,37 @@ class TestGolden:
     ])
     def test_plot_tables_match_golden(self, runner, tmp_path, prefix, args):
         # the tables hold no path, and their values come from float arithmetic
-        # alone, so they compare byte for byte
-        result = run(runner, "plotdata", str(GOLDEN_DIR.parent / args[0]), *args[1:],
-                     "--out-prefix", str(tmp_path / prefix))
-        assert result.exit_code == 0, result.output
-        for table in ("gdp", "reciprocal"):
-            name = f"{prefix}_{table}.csv"
-            assert (tmp_path / name).read_bytes() == (GOLDEN_DIR / name).read_bytes(), name
+        # alone, so they compare byte for byte; CRLF line ends and a trailing
+        # blank line in the input leave them unchanged
+        text = (GOLDEN_DIR.parent / args[0]).read_bytes()
+        for i, variant in enumerate([text, text.replace(b"\n", b"\r\n"), text + b"\n"]):
+            out = tmp_path / str(i)
+            out.mkdir()
+            (out / args[0]).write_bytes(variant)
+            result = run(runner, "plotdata", str(out / args[0]), *args[1:],
+                         "--out-prefix", str(out / prefix))
+            assert result.exit_code == 0, result.output
+            for table in ("gdp", "reciprocal"):
+                name = f"{prefix}_{table}.csv"
+                assert (out / name).read_bytes() == (GOLDEN_DIR / name).read_bytes(), (i, name)
 
 
 class TestExitCodes:
     def test_parse_error_is_2(self, runner, tmp_path):
+        # a bad cell of a wide table, an empty --long file, and a --long row after
+        # a quoted cell over two lines, named by the line on which it starts
         bad = tmp_path / "bad.csv"
-        bad.write_text("Region,1,1000\nX,10,n.a.\n")
-        result = run(runner, "analyze", str(bad), "--members", "X")
-        assert result.exit_code == 2
-        assert "error:" in result.output
-        assert "X" in result.output and "1000" in result.output
+        for text, flags, message in [
+            ("Region,1,1000\nX,10,n.a.\n", ["--members", "X"],
+             "row 'X', year 1000: cell 'n.a.' is not numeric"),
+            ("", ["--long"], "empty input: no header row"),
+            ('year,value\n"1500\n",1\n1600,2\nfoo,bar\n', ["--long"],
+             "line 5: expected numeric year,value"),
+        ]:
+            bad.write_text(text)
+            result = run(runner, "analyze", str(bad), *flags)
+            assert result.exit_code == 2
+            assert result.output == f"error: {message}\n"
 
     def test_missing_file_is_2(self, runner, tmp_path):
         result = run(runner, "analyze", str(tmp_path / "nope.csv"))
@@ -234,6 +248,7 @@ class TestExitCodes:
         short.write_text("Region,1,1000\nX,10,20\n")
         result = run(runner, "analyze", str(short), "--members", "X")
         assert result.exit_code == 3  # 0 in-window points -> too few to fit
+        assert result.output == "error: series 'custom': 0 point(s) in [1500, 1900], need 3\n"
 
     def test_unknown_preset_is_4(self, runner, europe_csv_path):
         result = run(runner, "analyze", str(europe_csv_path), "--preset", "NOPE")
@@ -516,12 +531,24 @@ class TestSimulate:
         b = run(runner, *args)
         assert a.exit_code == b.exit_code == 0
         assert a.output == b.output
+        # so do fresh processes, whatever their hash seed
+        for hash_seed in ("1", "2"):
+            proc = subprocess.run([sys.executable, "-m", "hypergrowth.cli", *args],
+                                  env=fresh_env(PYTHONHASHSEED=hash_seed),
+                                  capture_output=True, check=True)
+            assert proc.stdout == a.output.encode()
 
     def test_invalid_parameter_named(self, runner):
-        result = run(runner, "simulate", "--kind", "hyperbolic",
-                     "--a", "-1.0", "--k", "0.001", "--years", "0,100")
-        assert result.exit_code == 2
-        assert "a" in result.output
+        # a value the kind refuses, and flags of another kind
+        for flags, message in [
+            (["--a", "-1.0", "--k", "0.001", "--years", "0,100"],
+             "hyperbolic model: parameter a=-1.0 must be positive"),
+            (["--a", "0.1", "--k", "1e-5", "--cap", "5", "--r", "3", "--years", "1,2,3"],
+             "hyperbolic model: takes no parameter 'r'"),
+        ]:
+            result = run(runner, "simulate", "--kind", "hyperbolic", *flags)
+            assert result.exit_code == 2
+            assert result.output == f"error: {message}\n"
 
     def test_sample_beyond_singularity_is_fit_error(self, runner):
         result = run(runner, "simulate", "--kind", "hyperbolic",
@@ -595,9 +622,18 @@ class TestContract:
         assert_one_error_line(result, 2)
 
     def test_simulate_overflow_is_2(self, runner):
-        result = run(runner, "simulate", "--kind", "exponential",
-                     "--s0", "1", "--r", "1", "--years", "1,1000")
-        assert_one_error_line(result, 2)
+        # the model's float arithmetic fails at a year: an overflow, and a math
+        # domain error (the sine of an infinite angle)
+        for args, message in [
+            (["--kind", "exponential", "--s0", "1", "--r", "1", "--years", "1,1000"],
+             "exponential model fails at sample year 1000: math range error"),
+            (["--kind", "stagnation", "--mean", "1", "--amplitude", "0.5",
+              "--period", "1e-320", "--years", "1,2,3"],
+             "stagnation model fails at sample year 1: math domain error"),
+        ]:
+            result = run(runner, "simulate", *args)
+            assert result.exit_code == 2
+            assert result.output == f"error: {message}\n"
 
     def test_range_years_do_not_accumulate_rounding(self, runner):
         assert range_years(runner, "0:2000:0.1") == [repr(round(i * 0.1, 9))
@@ -797,13 +833,18 @@ class TestContract:
                 f"error: --years range must be START:STOP:STEP, got {spec!r}\n")
 
 
+def fresh_env(**extra):
+    """The environment for a fresh interpreter with the package importable, plus ``extra``."""
+    src = str(pathlib.Path(hypergrowth.__file__).parents[1])
+    return {**os.environ, **extra,
+            "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+
+
 def run_probe(script, payload):
     """Run ``script`` in a fresh interpreter with the package importable; parse its JSON."""
-    src = str(pathlib.Path(hypergrowth.__file__).parents[1])
-    env = {**os.environ, "COLUMNS": "100",
-           "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
     proc = subprocess.run([sys.executable, "-c", script, json.dumps(payload)],
-                          env=env, capture_output=True, text=True, check=True)
+                          env=fresh_env(COLUMNS="100"), capture_output=True, text=True,
+                          check=True)
     return json.loads(proc.stdout)
 
 
@@ -817,10 +858,8 @@ def test_closed_stdout_is_2(europe_csv_path, args, unbuffered):
     """A reader that goes away before any output (``| head``) gets exit 2 and one
     error: line, whether the write or the flush at exit meets the closed pipe."""
     args = [str(europe_csv_path) if a == "IN" else a for a in args]
-    src = str(pathlib.Path(hypergrowth.__file__).parents[1])
-    env = {**os.environ, "PYTHONUNBUFFERED": unbuffered,
-           "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
-    proc = subprocess.Popen([sys.executable, "-m", "hypergrowth.cli", *args], env=env,
+    proc = subprocess.Popen([sys.executable, "-m", "hypergrowth.cli", *args],
+                            env=fresh_env(PYTHONUNBUFFERED=unbuffered),
                             stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True)
     proc.stdout.close()
     err = proc.stderr.read()
@@ -843,17 +882,14 @@ def test_closed_stderr_keeps_the_exit_code(
     None), and whether the write or the flush at exit meets the closed stream."""
     args = [{"IN": str(europe_csv_path), "MISSING": str(tmp_path / "nope.csv")}.get(a, a)
             for a in args]
-    src = str(pathlib.Path(hypergrowth.__file__).parents[1])
-    env = {**os.environ, "PYTHONUNBUFFERED": unbuffered,
-           "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
     command = [sys.executable, "-m", "hypergrowth.cli", *args]
     if closed == "fd":
         command[1:3] = ["-c", "import os, sys; os.close(2); "
                               "from hypergrowth.cli import main; main(sys.argv[1:])"]
     elif closed == "at-start":
         command = ["sh", "-c", 'exec "$@" 2>&-', "sh", *command]
-    proc = subprocess.Popen(command, env=env, stdout=subprocess.PIPE,
-                            stderr=subprocess.PIPE, text=True)
+    proc = subprocess.Popen(command, env=fresh_env(PYTHONUNBUFFERED=unbuffered),
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True)
     proc.stderr.close()
     assert proc.stdout.read() == ""
     assert proc.wait(timeout=60) == code
@@ -1097,12 +1133,10 @@ EXTREMES = (0.0, -1.0, 1e-320, 1e308, math.inf, math.nan)
 def simulate_args(draw):
     """A kind, any model flags (its own ones more often) with valid or extreme values,
     noise up to sigma 1e300, and a few sample years, negative ones among them."""
-    from hypergrowth.synthetic import _PARAMS
-
     kind = draw(st.sampled_from(hypergrowth.KINDS))
     args = ["--kind", kind]
     for name, valid in MODEL_FLAGS.items():
-        own = name in _PARAMS[kind]
+        own = name in hypergrowth.KIND_PARAMS[kind]
         if draw(st.sampled_from([own] * 7 + [not own])):
             value = draw(st.one_of(st.just(valid), st.just(valid), st.sampled_from(EXTREMES)))
             args += [f"--{name}", repr(value)]
@@ -1127,8 +1161,6 @@ def simulate_args(draw):
 @example(args=["--kind", "hyperbolic", "--a", "0.1", "--k", "1e-5", "--cap", "5", "--r", "3",
                "--years", "1,2,3"])
 def test_cli_contract_holds_for_any_simulate_flags(runner, args):
-    from hypergrowth.synthetic import _PARAMS
-
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         result = runner(["simulate", *args])
@@ -1137,7 +1169,7 @@ def test_cli_contract_holds_for_any_simulate_flags(runner, args):
         assert_one_error_line(result, result.exit_code)
         return
     flags = {arg[2:] for arg in args if arg[2:] in MODEL_FLAGS}
-    assert flags == set(_PARAMS[args[1]]), result.output
+    assert flags == set(hypergrowth.KIND_PARAMS[args[1]]), result.output
     for line in result.output.splitlines()[1:]:
         value = float(line.split(",")[1])
         assert 0.0 < value < math.inf, result.output

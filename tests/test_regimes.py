@@ -572,10 +572,11 @@ def test_scans_match_the_row_based_reference_on_every_preset_window(regional_ser
                         == outcome(reference_takeoff, f, s, DEFAULT_TAKEOFF_WINDOW, kappa))
 
 
-def test_infinite_normalized_residuals_match_the_row_based_reference():
+def test_infinite_normalized_residuals_match_the_row_based_reference(runner, tmp_path):
     # an exact line on 1500-1700 (scale 1e-9), then reciprocals of 1e300
-    s = new_series([(1500, 1.0), (1600, 1.1111111111111112), (1700, 1.25),
-                    (1820, 1e-300), (1830, 1e-300), (1840, 1e-300)], "ovf")
+    points = [(1500, 1.0), (1600, 1.1111111111111112), (1700, 1.25),
+              (1820, 1e-300), (1830, 1e-300), (1840, 1e-300)]
+    s = new_series(points, "ovf")
     f = fit_hyperbolic(s, Window(1500, 1700))
     assert f.rmse_reciprocal == 0.0
     tko = takeoff_scan(f, s)
@@ -586,6 +587,13 @@ def test_infinite_normalized_residuals_match_the_row_based_reference():
     assert outcome(takeoff_scan, f, s, DEFAULT_TAKEOFF_WINDOW, 3.0) == outcome(
         reference_takeoff, f, s, DEFAULT_TAKEOFF_WINDOW, 3.0)
     assert outcome(detect_diversion, f, s, 3.0) == outcome(reference_diversion, f, s, 3.0)
+    # analyze on the same points: the takeoff's infinity ends in one error: line
+    # and no report
+    path = tmp_path / "ovf.csv"
+    path.write_text("year,value\n" + "".join(f"{t},{v!r}\n" for t, v in points))
+    result = runner(["analyze", str(path), "--long", "--window", "1500:1700"])
+    assert (result.exit_code, result.output) == (
+        2, "error: series 'ovf': values too extreme for float arithmetic\n")
 
 
 @pytest.mark.parametrize("t1", [1300.0, 1800.0])  # fits of at most and of more than 64 points
