@@ -35,10 +35,18 @@ record; ``fit_line`` takes raw sequences.
 
 A series has one 1/value column, ``GrowthSeries.reciprocals``, computed
 on first use and kept, with a float64 twin of the same bits in
-``GrowthSeries.arrays``. Every range fit, regime scan and residual reads
-it: ``range_columns`` hands out the kept columns of a range, as tuple
-slices up to 64 points and as views of ``arrays`` above, so no range
-converts the series again.
+``GrowthSeries.arrays``, which ``float_columns`` builds. Every range fit,
+regime scan and residual reads it: ``range_columns`` hands out the kept
+columns of a range, as tuple slices up to 64 points and as views of
+``arrays`` above, so no range converts the series again.
+
+The scans of the regime tests live here too, so this is the one module
+that imports numpy and the one that picks a kernel by range size.
+``scan_back`` reads the normalized residuals of a fitted line backwards
+for the diversion and takeoff scans, in pure Python at any size.
+``range_scans`` counts the residual signs and GDP increases of the
+stagnation test at the fits' cut: ``_scan_small`` up to 64 points,
+``_scan_numpy`` above.
 """
 
 from __future__ import annotations
@@ -46,7 +54,7 @@ from __future__ import annotations
 import math
 from itertools import accumulate
 from math import hypot, ldexp, sqrt
-from operator import mul
+from operator import lt, mul, ne
 from typing import NamedTuple
 
 from .errors import (
@@ -292,6 +300,23 @@ def fit_line(years, values, center: float = 0.0) -> LineFit:
     return new_record(LineFit, _sums_exact(prefix_moments(years, values), years, 0, n))
 
 
+def float_columns(years, values) -> tuple:
+    """Read-only float64 columns ``(years, 1/values, values)``, the
+    ``GrowthSeries.arrays`` that ranges of more than SMALL_FIT_MAX points
+    slice; numpy is imported on first use. The reciprocal column is numpy's
+    ``1.0 / values``, the same IEEE division as ``GrowthSeries.reciprocals``.
+    """
+    import numpy as np
+
+    n = len(years)
+    years = np.fromiter(years, float, n)
+    values = np.fromiter(values, float, n)
+    columns = (years, 1.0 / values, values)
+    for column in columns:
+        column.flags.writeable = False
+    return columns
+
+
 def range_columns(s: GrowthSeries, lo: int, hi: int) -> tuple:
     """The kept columns ``(years, reciprocals, values)`` of ``s`` over
     ``[lo:hi]``: tuple slices up to SMALL_FIT_MAX points, views of
@@ -299,6 +324,44 @@ def range_columns(s: GrowthSeries, lo: int, hi: int) -> tuple:
     if hi - lo <= SMALL_FIT_MAX:
         return s.years[lo:hi], s.reciprocals[lo:hi], s.values[lo:hi]
     return tuple([column[lo:hi] for column in s.arrays])
+
+
+def _sign_counts(residuals) -> tuple[int, int, int]:
+    """(positive, negative, sign changes) of the nonzero residuals, in order."""
+    signs = [r > 0.0 for r in residuals if r != 0.0]
+    n_pos = sum(signs)
+    return n_pos, len(signs) - n_pos, sum(map(ne, signs, signs[1:]))
+
+
+def _scan_small(years, recip, values, a, b):
+    """Stagnation scans in pure Python about the line a + b*t: (positive and
+    negative residuals, sign changes, GDP increases)."""
+    n_pos, n_neg, changes = _sign_counts([r - (a + b * y) for y, r in zip(years, recip)])
+    return n_pos, n_neg, changes, sum(map(lt, values, values[1:]))
+
+
+def _scan_numpy(years, recip, values, a, b):
+    """The scans of ``_scan_small`` on float64 arrays (the views
+    ``range_columns`` returns), vectorised; float overflow raises."""
+    import numpy as np
+
+    with np.errstate(over="raise", divide="raise", invalid="raise"):
+        e = recip - (a + b * years)
+        pos = e[e != 0.0] > 0.0
+        n_pos = int(np.count_nonzero(pos))
+        changes = int(np.count_nonzero(pos[1:] != pos[:-1]))
+        increases = int(np.count_nonzero(values[1:] > values[:-1]))
+    return n_pos, len(pos) - n_pos, changes, increases
+
+
+def range_scans(s: GrowthSeries, lo: int, hi: int, a: float, b: float) -> tuple:
+    """``(positive, negative, sign changes, GDP increases)`` of ``s.years[lo:hi]``:
+    the signs of the residuals of the kept reciprocals about the line a + b*t,
+    and the rises of the values from one year to the next. Like the fits, it
+    reads the range's ``range_columns`` in pure Python up to SMALL_FIT_MAX
+    points (``_scan_small``) and in numpy above (``_scan_numpy``)."""
+    scan = _scan_small if hi - lo <= SMALL_FIT_MAX else _scan_numpy
+    return scan(*range_columns(s, lo, hi), a, b)
 
 
 def _range_line(s: GrowthSeries, lo: int, hi: int) -> tuple:
@@ -346,7 +409,7 @@ class HyperbolicFit(NamedTuple):
 
 class FitDiagnostics(NamedTuple):
     """Per-year residual table for an accepted fit: the ``residual_rows``
-    of every observed year. The diversion and takeoff scans (``_scan_back``)
+    of every observed year. The diversion and takeoff scans (``scan_back``)
     compute the same normalized residual, so theirs are these rows' bits."""
 
     rows: tuple[tuple[float, float, float, float], ...]
@@ -420,8 +483,8 @@ def residual_rows(f: HyperbolicFit, s: GrowthSeries):
             yield y, raw, raw / scale, -raw * v
 
 
-def _scan_back(f: HyperbolicFit, s: GrowthSeries, lo: int, hi: int, kappa: float,
-               whole: bool) -> tuple:
+def scan_back(f: HyperbolicFit, s: GrowthSeries, lo: int, hi: int, kappa: float,
+              whole: bool) -> tuple:
     """``(last, above, below, least)`` of the years ``s.years[lo:hi]``, read
     from the last index down, with the normalized residuals of ``residual_rows``.
 

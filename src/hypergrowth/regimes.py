@@ -22,7 +22,6 @@ Years past the fitted line's zero crossing are not evaluable.
 from __future__ import annotations
 
 import math
-import operator
 from bisect import bisect_right
 from typing import NamedTuple
 
@@ -38,14 +37,7 @@ from .errors import (
     NoPointsInWindowError,
     SegmentTooSparseError,
 )
-from .fitting import (
-    SMALL_FIT_MAX,
-    HyperbolicFit,
-    _scan_back,
-    fit_range,
-    range_columns,
-    singularity,
-)
+from .fitting import HyperbolicFit, fit_range, range_scans, scan_back, singularity
 from .series import GrowthSeries, Window, index_range, new_record
 
 Z_CRITICAL = 1.96
@@ -111,7 +103,7 @@ def detect_diversion(
         raise NoPointsAfterWindowError(
             f"series {s.label!r}: no observed years after {f.fit_window.t1:g}"
         )
-    last, above, below, _ = _scan_back(f, s, lo, len(years), kappa, whole=False)
+    last, above, below, _ = scan_back(f, s, lo, len(years), kappa, whole=False)
     until = f.fit_window.t1 if last is None else last
     # diversion_year, direction, bypass_years, threshold_kappa, evaluable_until
     if above is not None:
@@ -140,7 +132,7 @@ def takeoff_scan(
         raise NoPointsInWindowError(
             f"series {s.label!r}: no observed years in [{w.t0:g}, {w.t1:g}]"
         )
-    last, _, onset, least = _scan_back(f, s, lo, hi, kappa, whole=True)
+    last, _, onset, least = scan_back(f, s, lo, hi, kappa, whole=True)
     if last is None:
         raise NoPointsInWindowError(
             f"series {s.label!r}: fitted line not positive anywhere in "
@@ -148,13 +140,6 @@ def takeoff_scan(
         )
     # window, found, onset_year, max_negative_normalized_residual
     return new_record(TakeoffReport, (w, onset is not None, onset, least))
-
-
-def _sign_counts(residuals) -> tuple[int, int, int]:
-    """(positive, negative, sign changes) of the nonzero residuals, in order."""
-    signs = [r > 0.0 for r in residuals if r != 0.0]
-    n_pos = sum(signs)
-    return n_pos, len(signs) - n_pos, sum(map(operator.ne, signs, signs[1:]))
 
 
 def _runs_z(n_pos: int, n_neg: int, changes: int) -> float:
@@ -167,27 +152,6 @@ def _runs_z(n_pos: int, n_neg: int, changes: int) -> float:
     if var <= 0.0:
         return 0.0
     return (changes + 1 - mu) / math.sqrt(var)
-
-
-def _scan_small(years, recip, values, a, b):
-    """Stagnation scans in pure Python about the line a + b*t: (positive and
-    negative residuals, sign changes, GDP increases)."""
-    n_pos, n_neg, changes = _sign_counts([r - (a + b * y) for y, r in zip(years, recip)])
-    return n_pos, n_neg, changes, sum(map(operator.lt, values, values[1:]))
-
-
-def _scan_numpy(years, recip, values, a, b):
-    """The scans of ``_scan_small`` on float64 arrays (the views
-    ``range_columns`` returns), vectorised; float overflow raises."""
-    import numpy as np
-
-    with np.errstate(over="raise", divide="raise", invalid="raise"):
-        e = recip - (a + b * years)
-        pos = e[e != 0.0] > 0.0
-        n_pos = int(np.count_nonzero(pos))
-        changes = int(np.count_nonzero(pos[1:] != pos[:-1]))
-        increases = int(np.count_nonzero(values[1:] > values[:-1]))
-    return n_pos, len(pos) - n_pos, changes, increases
 
 
 def stagnation_test(
@@ -210,22 +174,20 @@ def stagnation_test(
     The line comes from ``fit_range``, and the constant model is its
     ``mean`` and ``rmse_constant``, so the line's rmse never exceeds it.
     The runs test takes the residuals about the model picked once: the
-    line when it decreases, else the mean. The scans read the window's
-    ``range_columns``: in pure Python up to SMALL_FIT_MAX points, in numpy
-    above. A model with rmse 0 (the collinear snap) has no residual signs.
+    line when it decreases, else the mean. ``fitting.range_scans`` counts
+    the residual signs and the GDP increases, with the fits' own choice of
+    kernel. A model with rmse 0 (the collinear snap) has no residual signs.
     """
     lo, hi = index_range(s, w.t0, w.t1, need=4)
-    n = hi - lo
     line = fit_range(s, lo, hi)
     if line.slope < 0.0:
         a, b, rmse_hyperbolic = line.intercept, line.slope, line.rmse
     else:  # r - (mean + 0.0 * y) is exactly r - mean
         a, b, rmse_hyperbolic = line.mean, 0.0, line.rmse_constant
-    scan = _scan_small if n <= SMALL_FIT_MAX else _scan_numpy
-    n_pos, n_neg, changes, increases = scan(*range_columns(s, lo, hi), a, b)
+    n_pos, n_neg, changes, increases = range_scans(s, lo, hi, a, b)
     if rmse_hyperbolic == 0.0:  # an exact model: residuals are float noise
         n_pos = n_neg = changes = 0
-    monotone_fraction = increases / (n - 1)
+    monotone_fraction = increases / (hi - lo - 1)
 
     if rmse_hyperbolic < line.rmse_constant and monotone_fraction >= MONOTONE_THRESHOLD:
         verdict = "hyperbolic-consistent"

@@ -42,20 +42,21 @@ class AnalysisReport(NamedTuple):
 
     def to_kv(self) -> str:
         """Flat key=value rendering of the same tree; rejects nan like to_json."""
-        lines: list[str] = []
-
-        def walk(prefix: str, node) -> None:
-            if isinstance(node, dict):
-                for key, value in node.items():
-                    walk(f"{prefix}.{key}" if prefix else str(key), value)
-            elif isinstance(node, (list, tuple)):
-                for i, value in enumerate(node):
-                    walk(f"{prefix}[{i}]", value)
-            else:
-                lines.append(f"{prefix}={_STRICT_JSON.encode(node)}")
-
-        walk("", self.data)
+        lines = [f"{key}={_STRICT_JSON.encode(value)}" for key, value in _leaves("", self.data)]
         return "\n".join(lines) + "\n"
+
+
+def _leaves(prefix: str, node):
+    """``(key, value)`` of each leaf of a plain tree in order, keyed as ``to_kv``
+    writes it: ``a.b`` for a dict entry, ``a[0]`` for a list item."""
+    if isinstance(node, dict):
+        for key, value in node.items():
+            yield from _leaves(f"{prefix}.{key}" if prefix else str(key), value)
+    elif isinstance(node, (list, tuple)):
+        for i, value in enumerate(node):
+            yield from _leaves(f"{prefix}[{i}]", value)
+    else:
+        yield prefix, node
 
 
 def file_digest(raw: bytes) -> str:
@@ -116,26 +117,36 @@ def analyze_series(
         "diversion": _section(detect_diversion, fit, s, kappa=kappa),
         "takeoff": _section(takeoff_scan, fit, s, w=takeoff_window, kappa=kappa),
         "stagnation": _section(stagnation_test, s, w=stagnation_window),
-        "segments": _section(segment_consistency, s, boundaries=boundaries, w=fit_window),
+        "segments": _section(_segments, s, boundaries=boundaries, w=fit_window),
     }
-    segments = report["segments"]
-    if "z_scores" in segments:
-        segments["z_scores"] = [
-            # an exact break between collinear segments has z = inf
-            {"left": i, "right": j, "z": z if math.isfinite(z) else repr(z)}
-            for i, j, z in segments["z_scores"]
-        ]
     return AnalysisReport(data=report)
+
+
+def _segments(s: GrowthSeries, boundaries: tuple[float, ...], w: Window) -> dict:
+    """The segment test's record, with each z score as a dict."""
+    record = _plain(segment_consistency(s, boundaries, w))
+    record["z_scores"] = [
+        # an exact break between collinear segments has z = inf
+        {"left": i, "right": j, "z": z if math.isfinite(z) else repr(z)}
+        for i, j, z in record["z_scores"]
+    ]
+    return record
 
 
 def _section(test, *args, **kwargs) -> dict:
     """One regime test's record as plain data, or its skip reason when it cannot
     run, also when its window's years are too close together for a line fit.
-    Values too extreme for float arithmetic still abort the report."""
+    A record that holds a nan or an infinity is skipped too, naming the field,
+    so the rest of the report is still written. A test that raises an
+    ArithmeticError still aborts the report."""
     try:
-        return _plain(test(*args, **kwargs))
+        record = _plain(test(*args, **kwargs))
     except HypergrowthError as exc:
         return {"skipped": str(exc)}
+    for key, value in _leaves("", record):
+        if isinstance(value, float) and not math.isfinite(value):
+            return {"skipped": f"{key} is {value!r}: values too extreme for float arithmetic"}
+    return record
 
 
 def _plain(value):

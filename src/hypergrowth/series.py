@@ -94,9 +94,10 @@ class GrowthSeries(Frozen):
     (1/value) are derived views, computed on first use and kept, as is
     one view for each size class of fit: ``prefix_moments`` (exact
     running sums) for a series of at most ``fitting.SMALL_FIT_MAX``
-    points, and ``arrays`` (read-only float64 columns) for the numpy
-    kernels of longer ranges. Eq, hash, repr and pickling are over
-    ``(years, values, label)``, so a pickled copy keeps no derived view.
+    points, and ``arrays`` (read-only float64 columns, from
+    ``fitting.float_columns``) for the numpy kernels of longer ranges.
+    Eq, hash, repr and pickling are over ``(years, values, label)``, so a
+    pickled copy keeps no derived view.
 
     The class takes no constructor arguments: ``from_columns`` and
     ``new_series`` validate and sort, and ``window`` and ``reciprocal``
@@ -129,19 +130,11 @@ class GrowthSeries(Frozen):
 
     @cached_property
     def arrays(self) -> tuple:
-        """Read-only float64 columns ``(years, reciprocals, values)``, for the
-        numpy kernels of ranges of more than ``fitting.SMALL_FIT_MAX`` points;
-        numpy is imported on first use.
-        """
-        import numpy as np
+        """``fitting.float_columns`` of the years and values, for the numpy
+        kernels of ranges of more than ``fitting.SMALL_FIT_MAX`` points."""
+        from .fitting import float_columns  # fitting imports this module
 
-        n = len(self.years)
-        years = np.fromiter(self.years, float, n)
-        values = np.fromiter(self.values, float, n)
-        columns = (years, 1.0 / values, values)
-        for column in columns:
-            column.flags.writeable = False
-        return columns
+        return float_columns(self.years, self.values)
 
     def __len__(self) -> int:
         return len(self.years)

@@ -1,4 +1,6 @@
+import ast
 import math
+import pathlib
 import random
 from fractions import Fraction
 from itertools import accumulate
@@ -629,3 +631,26 @@ class TestKeptArrays:
             s = aggregate(europe_dataset, preset)
             analyze_series(s)
             assert "arrays" not in vars(s)
+
+
+def test_fitting_is_the_one_numpy_module_and_regimes_reads_its_public_names():
+    # fitting makes every exact-or-numpy choice: no other module imports numpy,
+    # and regimes needs neither the cut, nor the range reader, nor a private name
+    package = pathlib.Path(fitting_module.__file__).parent
+    numpy_importers, from_fitting = [], []
+    for path in sorted(package.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                modules = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                modules = [node.module or ""]
+                if path.name == "regimes.py" and modules[0].split(".")[-1] == "fitting":
+                    from_fitting += [alias.name for alias in node.names]
+            else:
+                continue
+            if any(m == "numpy" or m.startswith("numpy.") for m in modules):
+                numpy_importers.append(path.name)
+    assert set(numpy_importers) == {"fitting.py"}
+    assert "fit_range" in from_fitting  # the walk sees regimes' imports
+    assert [name for name in from_fitting
+            if name.startswith("_") or name in ("SMALL_FIT_MAX", "range_columns")] == []

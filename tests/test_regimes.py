@@ -1,4 +1,5 @@
 import contextlib
+import json
 import math
 import random
 from itertools import accumulate
@@ -20,6 +21,9 @@ from hypergrowth.fitting import (
     ABSOLUTE_RESIDUAL_TOLERANCE,
     SMALL_FIT_MAX,
     HyperbolicFit,
+    _scan_numpy,
+    _scan_small,
+    _sign_counts,
     _sums_numpy,
     fit_hyperbolic,
     fit_line,
@@ -32,9 +36,6 @@ from hypergrowth.regimes import (
     DiversionReport,
     TakeoffReport,
     _runs_z,
-    _scan_numpy,
-    _scan_small,
-    _sign_counts,
     detect_diversion,
     segment_consistency,
     stagnation_test,
@@ -587,13 +588,24 @@ def test_infinite_normalized_residuals_match_the_row_based_reference(runner, tmp
     assert outcome(takeoff_scan, f, s, DEFAULT_TAKEOFF_WINDOW, 3.0) == outcome(
         reference_takeoff, f, s, DEFAULT_TAKEOFF_WINDOW, 3.0)
     assert outcome(detect_diversion, f, s, 3.0) == outcome(reference_diversion, f, s, 3.0)
-    # analyze on the same points: the takeoff's infinity ends in one error: line
-    # and no report
-    path = tmp_path / "ovf.csv"
+    # analyze on the same points: the takeoff's infinity skips its section, naming
+    # the field, and the rest of the report is written
+    path, out = tmp_path / "ovf.csv", tmp_path / "ovf.json"
     path.write_text("year,value\n" + "".join(f"{t},{v!r}\n" for t, v in points))
-    result = runner(["analyze", str(path), "--long", "--window", "1500:1700"])
-    assert (result.exit_code, result.output) == (
-        2, "error: series 'ovf': values too extreme for float arithmetic\n")
+    result = runner(["analyze", str(path), "--long", "--window", "1500:1700", "-o", str(out)])
+    assert result.exit_code == 0
+    report = json.loads(out.read_text())
+    assert report["takeoff"] == {"skipped": "max_negative_normalized_residual is inf: "
+                                            "values too extreme for float arithmetic"}
+    fit = report["fit"]
+    assert (fit["a"], fit["k"], fit["se_a"], fit["se_k"], fit["n_points"], fit["rmse_reciprocal"],
+            fit["r2_reciprocal"], fit["singularity_year"]) == (
+        f.a, f.k, f.se_a, f.se_k, f.n_points, f.rmse_reciprocal, f.r2_reciprocal, singularity(f))
+    assert report["diversion"] == div._asdict()
+    seg = segment_consistency(s, w=Window(1500, 1700))
+    assert report["segments"] == {
+        "boundaries": list(seg.boundaries), "segments": [x._asdict() for x in seg.segments],
+        "z_scores": [], "verdict": seg.verdict}
 
 
 @pytest.mark.parametrize("t1", [1300.0, 1800.0])  # fits of at most and of more than 64 points

@@ -3,8 +3,8 @@ import math
 import pytest
 
 from hypergrowth.errors import AtSingularityError, ModelSpecError
-from hypergrowth.fitting import fit_hyperbolic, fit_line
-from hypergrowth.regimes import _runs_z, _sign_counts, stagnation_test
+from hypergrowth.fitting import _sign_counts, fit_hyperbolic, fit_line
+from hypergrowth.regimes import _runs_z, stagnation_test
 from hypergrowth.series import Window
 from hypergrowth.synthetic import ModelSpec, generate
 
