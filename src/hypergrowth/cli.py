@@ -19,6 +19,7 @@ stack traces never reach the user.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import functools
 import math
 import os
@@ -38,7 +39,6 @@ from . import (
 from .errors import (
     DataError,
     HypergrowthError,
-    NonFiniteValueError,
     PresetDefinitionError,
     UnknownPresetError,
     WindowError,
@@ -65,11 +65,6 @@ def _write(path, text: str) -> None:
         pathlib.Path(path).write_text(text, encoding="utf-8")
     except OSError as exc:
         raise DataError(f"cannot write {path}: {exc.strerror or exc}") from None
-
-
-def _out_of_range(label: str) -> DataError:
-    """The data error naming the series for arithmetic its numbers cannot take."""
-    return NonFiniteValueError(f"series {label!r}: values too extreme for float arithmetic")
 
 
 def _parse_window(spec: str, flag: str) -> Window:
@@ -170,23 +165,18 @@ def analyze(
     series, raw = _load_series(
         input_path, preset, members, long_format, label, preset_config
     )
-    try:
-        report = analyze_series(
-            series,
-            fit_window=fit_window,
-            kappa=kappa,
-            boundaries=boundary_years,
-            probe_years=probes,
-            takeoff_window=takeoff_w,
-            stagnation_window=stagnation_w,
-            input_path=str(input_path),
-            input_sha256=file_digest(raw),
-        )
-        rendered = report.to_json() if fmt == "json" else report.to_kv()
-    except (ArithmeticError, ValueError) as exc:  # the renderers refuse nan and infinity
-        if isinstance(exc, HypergrowthError):  # WindowOrderError is a ValueError too
-            raise
-        raise _out_of_range(series.label) from None
+    report = analyze_series(
+        series,
+        fit_window=fit_window,
+        kappa=kappa,
+        boundaries=boundary_years,
+        probe_years=probes,
+        takeoff_window=takeoff_w,
+        stagnation_window=stagnation_w,
+        input_path=str(input_path),
+        input_sha256=file_digest(raw),
+    )
+    rendered = report.to_json() if fmt == "json" else report.to_kv()
 
     if output:
         _write(output, rendered)
@@ -200,25 +190,13 @@ def plotdata(
     preset_config, out_prefix,
 ) -> None:
     """Emit plot-ready tables for the semilog GDP and reciprocal displays."""
-    from .fitting import fit_hyperbolic
-    from .report import gdp_plot_table, reciprocal_plot_table
+    from .report import plot_tables
 
     fit_window = _parse_window(window_spec, "--window")
     series, _ = _load_series(
         input_path, preset, members, long_format, label, preset_config
     )
-    try:
-        fit = fit_hyperbolic(series, fit_window)
-        tables = (
-            ("gdp", gdp_plot_table(fit, series)),
-            ("reciprocal", reciprocal_plot_table(fit, series)),
-        )
-    except ArithmeticError:
-        raise _out_of_range(series.label) from None
-    if not all(math.isfinite(v) for _, table in tables for _, _, v in table):
-        raise _out_of_range(series.label)
-
-    for suffix, table in tables:
+    for suffix, table in plot_tables(series, fit_window):
         path = pathlib.Path(f"{out_prefix}_{suffix}.csv")
         lines = ["series,year,value"]
         lines += [
@@ -237,16 +215,16 @@ def simulate(kind, years, sigma, seed, output, **params) -> None:
             start, stop, step = (float(x) for x in years.split(":"))
         except ValueError:
             raise DataError(f"--years range must be START:STOP:STEP, got {years!r}") from None
-        if not (
-            0.0 < step < math.inf
-            and -math.inf < start < stop
-            and (stop - start) / step < MAX_SAMPLE_YEARS
-        ):
+        # exact steps: no year past STOP, none repeated
+        from decimal import Decimal, InvalidOperation
+        count = 0  # the number of years built; 0 refuses the range
+        if 0.0 < step < math.inf and -math.inf < start < stop < math.inf:
+            start, stop, step = map(Decimal, years.split(":"))
+            with contextlib.suppress(InvalidOperation):  # a quotient of 28 digits or more
+                count = int((stop - start) // step) + 1
+        if not 0 < count <= MAX_SAMPLE_YEARS:  # so fewer than MAX_SAMPLE_YEARS steps
             raise DataError("--years range needs finite STOP > START, STEP > 0 "
                             f"and fewer than {MAX_SAMPLE_YEARS} steps")
-        from decimal import Decimal  # exact steps: no year past STOP, none repeated
-        start, stop, step = map(Decimal, years.split(":"))
-        count = int((stop - start) // step) + 1
         sample_years = tuple(float(start + i * step) for i in range(count))
     else:
         sample_years = _parse_year_list(years, "--years")

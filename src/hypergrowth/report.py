@@ -5,6 +5,15 @@ and no timestamps, so two runs on the same input are byte-identical and
 reports can be diffed as goldens. The regime sections are the regime
 records, keyed by field name in field order. The human summary is a
 fixed-width table for standard output.
+
+This module alone decides what a number too big for floats does. A part
+of the report that can be skipped (each regime section and each
+probe-year deviation) is skipped with a reason when its computation
+raises a HypergrowthError or an ArithmeticError, or holds a nan or an
+infinity. The fit, and the plot tables drawn from it, cannot be skipped:
+float trouble there raises NonFiniteValueError naming the series. So a
+finished report always renders, and the library's own functions keep
+raising or returning what they do.
 """
 
 from __future__ import annotations
@@ -23,12 +32,13 @@ from . import (
     DEFAULT_TAKEOFF_WINDOW,
     __version__,
 )
-from .errors import HypergrowthError
+from .errors import HypergrowthError, NonFiniteValueError
 from .fitting import HyperbolicFit, fit_hyperbolic, percent_deviation, singularity
 from .regimes import detect_diversion, segment_consistency, stagnation_test, takeoff_scan
 from .series import GrowthSeries, Window
 
 _STRICT_JSON = json.JSONEncoder(allow_nan=False)
+_TOO_EXTREME = "values too extreme for float arithmetic"
 
 
 class AnalysisReport(NamedTuple):
@@ -86,12 +96,29 @@ def analyze_series(
 ) -> AnalysisReport:
     """Fit the series and run every regime test.
 
-    The fit must succeed; individual regime tests whose preconditions
-    fail (for example no observed years after the window, or years too
-    close together for a line fit) are recorded as skipped sections
-    rather than aborting the report.
+    The fit must succeed; float trouble in it raises NonFiniteValueError.
+    A regime test or a deviation whose preconditions fail (for example no
+    observed years after the window, or years too close together for a
+    line fit), or whose numbers leave the float range, is recorded as
+    skipped rather than aborting the report.
     """
-    fit = fit_hyperbolic(s, fit_window)
+    try:
+        fit = fit_hyperbolic(s, fit_window)
+    except ArithmeticError:
+        raise _too_extreme(s) from None
+    fit_record = {
+        "a": fit.a,
+        "k": fit.k,
+        "se_a": fit.se_a,
+        "se_k": fit.se_k,
+        "window": [fit_window.t0, fit_window.t1],
+        "n_points": fit.n_points,
+        "rmse_reciprocal": fit.rmse_reciprocal,
+        "r2_reciprocal": fit.r2_reciprocal,
+        "singularity_year": singularity(fit),
+    }
+    if _nonfinite(fit_record):
+        raise _too_extreme(s)
 
     report = {
         "tool": {"name": "hypergrowth", "version": __version__},
@@ -102,22 +129,12 @@ def analyze_series(
             "first_year": s.years[0],
             "last_year": s.years[-1],
         },
-        "fit": {
-            "a": fit.a,
-            "k": fit.k,
-            "se_a": fit.se_a,
-            "se_k": fit.se_k,
-            "window": [fit_window.t0, fit_window.t1],
-            "n_points": fit.n_points,
-            "rmse_reciprocal": fit.rmse_reciprocal,
-            "r2_reciprocal": fit.r2_reciprocal,
-            "singularity_year": singularity(fit),
-        },
+        "fit": fit_record,
         "deviations": _deviation_section(fit, s, probe_years),
-        "diversion": _section(detect_diversion, fit, s, kappa=kappa),
-        "takeoff": _section(takeoff_scan, fit, s, w=takeoff_window, kappa=kappa),
-        "stagnation": _section(stagnation_test, s, w=stagnation_window),
-        "segments": _section(_segments, s, boundaries=boundaries, w=fit_window),
+        "diversion": _part(detect_diversion, fit, s, kappa=kappa),
+        "takeoff": _part(takeoff_scan, fit, s, w=takeoff_window, kappa=kappa),
+        "stagnation": _part(stagnation_test, s, w=stagnation_window),
+        "segments": _part(_segments, s, boundaries=boundaries, w=fit_window),
     }
     return AnalysisReport(data=report)
 
@@ -133,20 +150,32 @@ def _segments(s: GrowthSeries, boundaries: tuple[float, ...], w: Window) -> dict
     return record
 
 
-def _section(test, *args, **kwargs) -> dict:
-    """One regime test's record as plain data, or its skip reason when it cannot
-    run, also when its window's years are too close together for a line fit.
-    A record that holds a nan or an infinity is skipped too, naming the field,
-    so the rest of the report is still written. A test that raises an
-    ArithmeticError still aborts the report."""
-    try:
-        record = _plain(test(*args, **kwargs))
-    except HypergrowthError as exc:
-        return {"skipped": str(exc)}
+def _too_extreme(s: GrowthSeries) -> NonFiniteValueError:
+    """The error of a part that cannot be skipped, naming the series."""
+    return NonFiniteValueError(f"series {s.label!r}: {_TOO_EXTREME}")
+
+
+def _nonfinite(record) -> tuple | None:
+    """``(key, value)`` of the first nan or infinity among ``record``'s leaves, or None."""
     for key, value in _leaves("", record):
         if isinstance(value, float) and not math.isfinite(value):
-            return {"skipped": f"{key} is {value!r}: values too extreme for float arithmetic"}
-    return record
+            return key, value
+    return None
+
+
+def _part(compute, *args, **kwargs) -> dict:
+    """``compute``'s record as plain data, or its skip reason: the message of a
+    HypergrowthError (such as years too close together for a line fit), or
+    _TOO_EXTREME for an ArithmeticError or a nan or an infinity, which is named
+    by its field. So the rest of the report is still written."""
+    try:
+        record = _plain(compute(*args, **kwargs))
+    except HypergrowthError as exc:
+        return {"skipped": str(exc)}
+    except ArithmeticError:
+        return {"skipped": _TOO_EXTREME}
+    bad = _nonfinite(record)
+    return {"skipped": f"{bad[0]} is {bad[1]!r}: {_TOO_EXTREME}"} if bad else record
 
 
 def _plain(value):
@@ -161,16 +190,12 @@ def _plain(value):
 
 
 def _deviation_section(fit: HyperbolicFit, s: GrowthSeries, probe_years) -> list[dict]:
-    section = []
-    for year in probe_years:
-        entry: dict = {"year": year}
-        try:
-            entry["percent"] = percent_deviation(fit, s, year)
-        except HypergrowthError as exc:
-            entry["percent"] = None
-            entry["skipped"] = str(exc)
-        section.append(entry)
-    return section
+    """One entry per probe year: its percent, or a null percent and the skip reason."""
+    return [
+        {"year": year, "percent": None,
+         **_part(lambda: {"percent": percent_deviation(fit, s, year)})}
+        for year in probe_years
+    ]
 
 
 PLOT_SAMPLES = 256
@@ -208,6 +233,20 @@ def reciprocal_plot_table(fit: HyperbolicFit, s: GrowthSeries) -> list[tuple[str
         if line >= 0.0:
             rows.append(("fit", t, line))
     return rows
+
+
+def plot_tables(s: GrowthSeries, fit_window: Window) -> tuple:
+    """``(("gdp", rows), ("reciprocal", rows))``: the two plot tables of the fit
+    of ``s`` on ``fit_window``. Like the report's fit they cannot be skipped, so
+    an ArithmeticError or a value that is not finite raises NonFiniteValueError."""
+    try:
+        fit = fit_hyperbolic(s, fit_window)
+        tables = (("gdp", gdp_plot_table(fit, s)), ("reciprocal", reciprocal_plot_table(fit, s)))
+    except ArithmeticError:
+        raise _too_extreme(s) from None
+    if not all(math.isfinite(v) for _, table in tables for _, _, v in table):
+        raise _too_extreme(s)
+    return tables
 
 
 def human_summary(report: AnalysisReport) -> str:

@@ -1,3 +1,4 @@
+import ast
 import json
 import math
 import os
@@ -579,6 +580,15 @@ def write_long(tmp_path, rows):
 
 GOOD_ROWS = [(1, 11.0), (1000, 12.0), (1500, 44.0), (1600, 55.0), (1700, 80.0),
              (1820, 160.0), (1870, 300.0), (1900, 600.0), (1913, 700.0)]
+# an exact line on 1500-1800 after four tiny values: the default stagnation window
+# takes those in, and the squares of their reciprocals overflow its line fit
+STAGNATION_OVERFLOW_ROWS = [
+    (1, "1e-300"), (2, "2e-300"), (3, "3e-300"), (4, "4e-300"), (1500, "1"),
+    (1600, "1.1111111111111112"), (1700, "1.25"), (1800, "1.4")]
+# an exact hyperbola on 1500-1900, and a year 1000 whose percent deviation,
+# about 1e312, overflows to inf
+DEVIATION_OVERFLOW_ROWS = [(1000, "1e300")] + [
+    (t, repr(1 / (2e10 - 1e7 * t))) for t in range(1500, 1901, 50)]
 
 
 class TestContract:
@@ -594,9 +604,47 @@ class TestContract:
         result = run(runner, "analyze", str(europe_csv_path), "--kappa", kappa)
         assert_one_error_line(result, 4)
 
-    def test_value_overflowing_stagnation_is_2(self, runner, tmp_path):
-        path = write_long(tmp_path, [(1, "1e-200")] + GOOD_ROWS[1:])
-        assert_one_error_line(run(runner, "analyze", path, "--long"), 2)
+    def test_value_overflowing_stagnation_skips_its_section(self, runner, tmp_path):
+        path, out = write_long(tmp_path, [(1, "1e-200")] + GOOD_ROWS[1:]), tmp_path / "r.json"
+        result = run(runner, "analyze", path, "--long", "-o", str(out))
+        assert result.exit_code == 0, result.output
+        report = json.loads(out.read_text())
+        assert report["stagnation"] == {"skipped": "values too extreme for float arithmetic"}
+
+    def test_stagnation_test_raising_arithmetic_error_skips_its_section(self, runner,
+                                                                       tmp_path):
+        from hypergrowth.ingest import parse_long_csv
+        from hypergrowth.regimes import stagnation_test
+
+        path, out = write_long(tmp_path, STAGNATION_OVERFLOW_ROWS), tmp_path / "r.json"
+        result = run(runner, "analyze", path, "--long", "--window", "1500:1800",
+                     "-o", str(out))
+        assert result.exit_code == 0, result.output
+        report = json.loads(out.read_text())
+        assert report["stagnation"] == {"skipped": "values too extreme for float arithmetic"}
+        assert report["fit"]["n_points"] == 4
+        # the library function itself still raises
+        s = parse_long_csv(pathlib.Path(path).read_text(), label="long")
+        with pytest.raises(ArithmeticError):
+            stagnation_test(s, hypergrowth.DEFAULT_STAGNATION_WINDOW)
+
+    def test_infinite_deviation_skips_its_entry(self, runner, tmp_path):
+        from hypergrowth.fitting import fit_hyperbolic, percent_deviation
+        from hypergrowth.ingest import parse_long_csv
+
+        path, out = write_long(tmp_path, DEVIATION_OVERFLOW_ROWS), tmp_path / "r.json"
+        result = run(runner, "analyze", path, "--long", "-o", str(out))
+        assert result.exit_code == 0, result.output
+        assert "deviation @ 1000   n/a" in result.output
+        report = json.loads(out.read_text())
+        assert report["deviations"][1] == {
+            "year": 1000.0, "percent": None,
+            "skipped": "percent is inf: values too extreme for float arithmetic"}
+        # the library function itself still returns the infinity
+        s = parse_long_csv(pathlib.Path(path).read_text(), label="long")
+        fit = fit_hyperbolic(s, hypergrowth.DEFAULT_FIT_WINDOW)
+        assert percent_deviation(fit, s, 1000.0) == math.inf
+        assert report["fit"]["a"] == fit.a and report["fit"]["k"] == fit.k
 
     def test_unwritable_outputs_are_2(self, runner, europe_csv_path, tmp_path):
         missing = tmp_path / "no" / "such"
@@ -822,9 +870,10 @@ class TestContract:
         assert result.output == f"error: {report['stagnation']['skipped']}\n"
 
     @pytest.mark.parametrize("spec", ["0:1e12:1", "-1e308:1e308:1", "0:inf:1", "0:1:nan",
-                                      "1:x:1", "1:2"])
+                                      "1:x:1", "1:2", "0:110000.0:1.1"])
     def test_range_years_refused_before_building(self, runner, spec):
-        # the first two would take hours to build; the cap answers at once
+        # the first two would take hours to build; the cap answers at once. The
+        # last has a float quotient just below the cap, but builds 100,001 years
         result = run(runner, "simulate", "--kind", "stagnation", "--mean", "2",
                      "--amplitude", "0.5", "--period", "100", "--years", spec)
         assert_one_error_line(result, 2)
@@ -1018,6 +1067,17 @@ def test_defaults_have_one_home():
             assert getattr(module, name) is getattr(hypergrowth, name)
 
 
+def test_cli_leaves_float_trouble_to_report():
+    # report alone turns an ArithmeticError or a nan into a skip or a failed fit
+    tree = ast.parse(pathlib.Path(cli.__file__).read_text(encoding="utf-8"))
+    names = {node.id if isinstance(node, ast.Name) else node.attr
+             for node in ast.walk(tree) if isinstance(node, (ast.Name, ast.Attribute))}
+    assert "ArithmeticError" not in names
+    built = [node.func for node in ast.walk(tree) if isinstance(node, ast.Call)]
+    assert not [f for f in built
+                if getattr(f, "id", getattr(f, "attr", None)) == "NonFiniteValueError"]
+
+
 def _reject_constant(token):
     raise ValueError(f"report holds {token}")
 
@@ -1031,13 +1091,21 @@ KAPPAS = st.one_of(
 )
 
 
+SCALES = st.one_of(st.just(1.0), st.sampled_from([1e-300, 1e-200, 1e200, 1e300]),
+                   st.builds(lambda e: 10.0 ** e, st.integers(-300, 300)))
+
+
 @st.composite
 def long_rows(draw):
-    """Noisy hyperbola rows (blow-up near 1924) with up to two cells replaced by TOKENS."""
+    """Noisy hyperbola rows (blow-up near 1924), those before a drawn year scaled by
+    a power of ten up to 1e±300, with up to two cells replaced by TOKENS."""
     year = st.one_of(st.integers(1500, 1920), st.integers(1, 1499))
     years = draw(st.lists(year, unique=True, max_size=20))
+    scale, cut = draw(SCALES), draw(year)
     rows = [
-        [str(t), repr(draw(st.floats(0.9, 1.1)) / (W12_A - W12_K * t))] for t in years
+        [str(t), repr(draw(st.floats(0.9, 1.1)) * (scale if t < cut else 1.0)
+                      / (W12_A - W12_K * t))]
+        for t in years
     ]
     for _ in range(draw(st.integers(0, 2)) if rows else 0):
         row = draw(st.sampled_from(rows))
@@ -1071,16 +1139,38 @@ REFUSED_LONG_FLAGS = st.sampled_from([
 ])
 
 
+def fits_finitely(text):
+    """Whether ``fit_hyperbolic`` on the parsed series succeeds with finite fields
+    and a finite a/k. The fit is the one part of ``analyze`` that float trouble
+    may fail, so then ``analyze`` must exit 0."""
+    from hypergrowth.fitting import fit_hyperbolic, singularity
+    from hypergrowth.ingest import parse_long_csv
+
+    try:
+        fit = fit_hyperbolic(parse_long_csv(text, label="long"), hypergrowth.DEFAULT_FIT_WINDOW)
+    except (errors.HypergrowthError, ArithmeticError):
+        return False
+    numbers = [fit.a, fit.k, fit.rmse_reciprocal, fit.r2_reciprocal, singularity(fit),
+               *(se for se in (fit.se_a, fit.se_k) if se is not None)]
+    return all(map(math.isfinite, numbers))
+
+
 @settings(max_examples=150, deadline=None)
 @given(rows=long_rows(), kappa=KAPPAS, flags=REFUSED_LONG_FLAGS)
+# a stagnation test that raises, and a probe-year deviation that overflows to inf
+@example(rows=STAGNATION_OVERFLOW_ROWS, kappa=3.0, flags=[])
+@example(rows=DEVIATION_OVERFLOW_ROWS, kappa=3.0, flags=[])
 def test_cli_contract_holds_for_any_long_input(tmp_path_factory, runner, rows, kappa,
                                                flags):
     tmp_path = tmp_path_factory.mktemp("contract")
     cfg = tmp_path / "presets.cfg"
     cfg.write_text("W12=A\n")
     flags = [str(cfg) if f == "CFG" else f for f in flags]
-    assert_contract_holds(runner, tmp_path, [write_long(tmp_path, rows), "--long", *flags],
-                          kappa, refused=bool(flags))
+    path = write_long(tmp_path, rows)
+    results = assert_contract_holds(runner, tmp_path, [path, "--long", *flags], kappa,
+                                    refused=bool(flags))
+    if not flags and 0.0 < kappa < math.inf and fits_finitely(pathlib.Path(path).read_text()):
+        assert results[0].exit_code == 0, results[0].output
 
 
 @st.composite
