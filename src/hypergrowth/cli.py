@@ -5,7 +5,9 @@ emits a machine report plus a human summary, ``plotdata`` emits two
 plot-ready tables (semilog GDP and reciprocal displays), ``simulate``
 generates synthetic series for round-trip checks. Each command imports
 the modules it runs when it runs; the parser's defaults come from the
-package, so building it loads no analysis module.
+package, so building it loads no analysis module. The parser turns each
+flag's text into its value (a window, a year list, the sample years), so
+the commands take typed values and parse no flag text.
 
 Exit codes: 0 ok, 2 input parsing or command-line usage, 3 fitting,
 4 window/preset selection, 5 internal. The CLI's own checks (usage,
@@ -96,6 +98,27 @@ def _parse_year_list(spec: str, flag: str) -> tuple[float, ...]:
     return years
 
 
+def _parse_sample_years(spec: str) -> tuple[float, ...]:
+    """``simulate --years``: a comma list, or START:STOP:STEP, each year START + i*STEP
+    in exact decimal arithmetic, so no year passes STOP and none repeats."""
+    if ":" not in spec:
+        return _parse_year_list(spec, "--years")
+    try:
+        start, stop, step = (float(x) for x in spec.split(":"))
+    except ValueError:
+        raise DataError(f"--years range must be START:STOP:STEP, got {spec!r}") from None
+    from decimal import Decimal, InvalidOperation
+    count = 0  # the number of years built; 0 refuses the range
+    if 0.0 < step < math.inf and -math.inf < start < stop < math.inf:
+        start, stop, step = map(Decimal, spec.split(":"))
+        with contextlib.suppress(InvalidOperation):  # a quotient of 28 digits or more
+            count = int((stop - start) // step) + 1
+    if not 0 < count <= MAX_SAMPLE_YEARS:  # so fewer than MAX_SAMPLE_YEARS steps
+        raise DataError("--years range needs finite STOP > START, STEP > 0 "
+                        f"and fewer than {MAX_SAMPLE_YEARS} steps")
+    return tuple(float(start + i * step) for i in range(count))
+
+
 def _read(path: str) -> tuple[bytes, str]:
     """Raw bytes and UTF-8 text (a leading BOM dropped) of a user file."""
     try:
@@ -147,35 +170,19 @@ def _load_series(
 
 
 def analyze(
-    input_path, preset, members, long_format, label, window_spec, kappa,
-    boundaries, probe_years, takeoff_window, stagnation_window,
-    preset_config, fmt, output,
+    input_path, preset, members, long_format, label, kappa, preset_config, fmt, output,
+    **options,
 ) -> None:
     """Fit INPUT_CSV and run diversion, takeoff, stagnation and segment tests."""
     from .report import analyze_series, file_digest, human_summary
 
     if not 0.0 < kappa < math.inf:
         raise WindowError(f"--kappa must be a finite number > 0, got {kappa!r}")
-    fit_window = _parse_window(window_spec, "--window")
-    takeoff_w = _parse_window(takeoff_window, "--takeoff-window")
-    stagnation_w = _parse_window(stagnation_window, "--stagnation-window")
-    boundary_years = _parse_year_list(boundaries, "--boundaries")
-    probes = _parse_year_list(probe_years, "--probe-years")
-
     series, raw = _load_series(
         input_path, preset, members, long_format, label, preset_config
     )
-    report = analyze_series(
-        series,
-        fit_window=fit_window,
-        kappa=kappa,
-        boundaries=boundary_years,
-        probe_years=probes,
-        takeoff_window=takeoff_w,
-        stagnation_window=stagnation_w,
-        input_path=str(input_path),
-        input_sha256=file_digest(raw),
-    )
+    report = analyze_series(series, kappa=kappa, input_path=str(input_path),
+                            input_sha256=file_digest(raw), **options)
     rendered = report.to_json() if fmt == "json" else report.to_kv()
 
     if output:
@@ -186,13 +193,12 @@ def analyze(
 
 
 def plotdata(
-    input_path, preset, members, long_format, label, window_spec,
+    input_path, preset, members, long_format, label, fit_window,
     preset_config, out_prefix,
 ) -> None:
     """Emit plot-ready tables for the semilog GDP and reciprocal displays."""
     from .report import plot_tables
 
-    fit_window = _parse_window(window_spec, "--window")
     series, _ = _load_series(
         input_path, preset, members, long_format, label, preset_config
     )
@@ -210,29 +216,8 @@ def simulate(kind, years, sigma, seed, output, **params) -> None:
     """Generate a synthetic year,value series (values in billions)."""
     from .synthetic import ModelSpec, generate  # only this command needs the generators
 
-    if ":" in years:
-        try:
-            start, stop, step = (float(x) for x in years.split(":"))
-        except ValueError:
-            raise DataError(f"--years range must be START:STOP:STEP, got {years!r}") from None
-        # exact steps: no year past STOP, none repeated
-        from decimal import Decimal, InvalidOperation
-        count = 0  # the number of years built; 0 refuses the range
-        if 0.0 < step < math.inf and -math.inf < start < stop < math.inf:
-            start, stop, step = map(Decimal, years.split(":"))
-            with contextlib.suppress(InvalidOperation):  # a quotient of 28 digits or more
-                count = int((stop - start) // step) + 1
-        if not 0 < count <= MAX_SAMPLE_YEARS:  # so fewer than MAX_SAMPLE_YEARS steps
-            raise DataError("--years range needs finite STOP > START, STEP > 0 "
-                            f"and fewer than {MAX_SAMPLE_YEARS} steps")
-        sample_years = tuple(float(start + i * step) for i in range(count))
-    else:
-        sample_years = _parse_year_list(years, "--years")
-
     params = {name: value for name, value in params.items() if value is not None}
-    spec = ModelSpec(
-        kind=kind, params=params, sample_years=sample_years, sigma=sigma, seed=seed,
-    )
+    spec = ModelSpec(kind=kind, params=params, sample_years=years, sigma=sigma, seed=seed)
     series = generate(spec)
 
     lines = ["year,value"]
@@ -277,7 +262,10 @@ def _parser() -> argparse.ArgumentParser:
     source.add_argument("--long", dest="long_format", action="store_true",
                         help="Input is a year,value file with values in billions.")
     source.add_argument("--label", help="Series label for --long input.")
-    source.add_argument("--window", dest="window_spec", metavar="T0:T1",
+    # a flag's type raises WindowError or DataError, which argparse passes on to main
+    # unchanged; argparse runs a string default through it too, so --help shows text
+    source.add_argument("--window", dest="fit_window", metavar="T0:T1",
+                        type=functools.partial(_parse_window, flag="--window"),
                         default=_spell_window(DEFAULT_FIT_WINDOW),
                         help="Fit window (default: %(default)s).")
     source.add_argument("--preset-config", help="key=value file overriding preset row labels.")
@@ -286,13 +274,17 @@ def _parser() -> argparse.ArgumentParser:
     cmd.add_argument("--kappa", type=float, default=DEFAULT_KAPPA,
                      help="Exceedance threshold in rmse units (default: %(default)s).")
     cmd.add_argument("--boundaries", default=_spell_years(DEFAULT_SEGMENT_BOUNDARIES),
+                     type=functools.partial(_parse_year_list, flag="--boundaries"),
                      help="Segment boundaries, comma-separated years (default: %(default)s).")
     cmd.add_argument("--probe-years", default=_spell_years(DEFAULT_PROBE_YEARS),
+                     type=functools.partial(_parse_year_list, flag="--probe-years"),
                      help="Years at which to report percent deviation (default: %(default)s).")
     cmd.add_argument("--takeoff-window", metavar="T0:T1",
+                     type=functools.partial(_parse_window, flag="--takeoff-window"),
                      default=_spell_window(DEFAULT_TAKEOFF_WINDOW),
                      help="Takeoff scan window (default: %(default)s).")
     cmd.add_argument("--stagnation-window", metavar="T0:T1",
+                     type=functools.partial(_parse_window, flag="--stagnation-window"),
                      default=_spell_window(DEFAULT_STAGNATION_WINDOW),
                      help="Stagnation test window (default: %(default)s).")
     cmd.add_argument("--format", dest="fmt", choices=("json", "kv"), default="json",
@@ -313,7 +305,7 @@ def _parser() -> argparse.ArgumentParser:
         ("--period", "stagnation oscillation period, years"),
     ):
         cmd.add_argument(flag, type=float, metavar="FLOAT", help=text)
-    cmd.add_argument("--years", required=True,
+    cmd.add_argument("--years", required=True, type=_parse_sample_years,
                      help="Sample years: comma list (1,1000,1500) or range START:STOP:STEP.")
     cmd.add_argument("--sigma", type=float, default=0.0,
                      help="Multiplicative lognormal noise scale (default: %(default)s).")
@@ -327,7 +319,8 @@ def main(argv: list[str] | None = None, standalone_mode: bool = True) -> None:
     # standalone_mode is ignored: callers written for the earlier entry point pass it
     try:
         args = vars(_parser().parse_args(argv))
-        # usage errors, refused before any other check: a flag is never dropped silently
+        # flag pairs the parser cannot refuse, checked before any file is read: a flag
+        # is never dropped silently
         if args.get("long_format"):
             flags = [f"--{name.replace('_', '-')}"
                      for name in ("preset", "members", "preset_config") if args[name] is not None]

@@ -408,9 +408,10 @@ class HyperbolicFit(NamedTuple):
 
 
 class FitDiagnostics(NamedTuple):
-    """Per-year residual table for an accepted fit: the ``residual_rows``
-    of every observed year. The diversion and takeoff scans (``scan_back``)
-    compute the same normalized residual, so theirs are these rows' bits."""
+    """Per-year residual table for an accepted fit, one row per observed year
+    where the line is positive (see ``goodness``). The diversion and takeoff
+    scans (``scan_back``) compute the same normalized residual, so theirs are
+    these rows' bits."""
 
     rows: tuple[tuple[float, float, float, float], ...]
 
@@ -465,9 +466,9 @@ def percent_deviation(f: HyperbolicFit, s: GrowthSeries, t: float) -> float:
     return 100.0 * (observed - model) / model
 
 
-def residual_rows(f: HyperbolicFit, s: GrowthSeries):
-    """(year, raw, normalized, relative GDP deviation) at each year of ``s``
-    where the fitted line is positive, in year order.
+def goodness(f: HyperbolicFit, s: GrowthSeries) -> FitDiagnostics:
+    """Residual diagnostics: (year, raw, normalized, relative GDP deviation)
+    at each year of ``s`` where the fitted line is positive, in year order.
 
     The raw residual is observed minus fitted in reciprocal space, from the
     kept reciprocals. The normalized one divides it by the in-window rmse,
@@ -476,17 +477,19 @@ def residual_rows(f: HyperbolicFit, s: GrowthSeries):
     """
     a, k = f.a, f.k
     scale = f.rmse_reciprocal or ABSOLUTE_RESIDUAL_TOLERANCE
+    rows = []
     for y, r, v in zip(s.years, s.reciprocals, s.values):
         line = a - k * y
         if line > 0.0:
             raw = r - line
-            yield y, raw, raw / scale, -raw * v
+            rows.append((y, raw, raw / scale, -raw * v))
+    return FitDiagnostics(tuple(rows))
 
 
 def scan_back(f: HyperbolicFit, s: GrowthSeries, lo: int, hi: int, kappa: float,
               whole: bool) -> tuple:
     """``(last, above, below, least)`` of the years ``s.years[lo:hi]``, read
-    from the last index down, with the normalized residuals of ``residual_rows``.
+    from the last index down, with the normalized residuals of ``goodness``.
 
     ``last`` is the last year where the line is positive, the last evaluable
     one. ``above`` and ``below`` are the earliest years of the runs of
@@ -521,8 +524,3 @@ def scan_back(f: HyperbolicFit, s: GrowthSeries, lo: int, hi: int, kappa: float,
             if not (up or down or whole):
                 break
     return last, above, below, least
-
-
-def goodness(f: HyperbolicFit, s: GrowthSeries) -> FitDiagnostics:
-    """Residual diagnostics at every observed year with a positive line."""
-    return FitDiagnostics(tuple(residual_rows(f, s)))

@@ -1,4 +1,5 @@
 import ast
+import inspect
 import json
 import math
 import os
@@ -367,8 +368,11 @@ class TestExitCodes:
         assert "only 1 complete year(s)" in result.output
 
     def test_bad_window_flag_is_4(self, runner, europe_csv_path):
-        result = run(runner, "analyze", str(europe_csv_path), "--window", "oops")
-        assert result.exit_code == 4
+        # an earlier bad value of a repeated flag is refused, not overridden
+        for flags in (["--window", "oops"], ["--window", "bad", "--window", "1500:1900"]):
+            result = run(runner, "analyze", str(europe_csv_path), *flags)
+            assert_one_error_line(result, 4)
+            assert result.output.endswith(f"got {flags[1]!r}\n")
 
     def test_diagnostics_are_one_line(self, runner, tmp_path):
         bad = tmp_path / "bad.csv"
@@ -828,6 +832,28 @@ class TestContract:
         assert not list(tmp_path.glob("p_*.csv"))
         assert run(runner, "analyze", path, "--long", "--window", "1500:1900").exit_code == 0
 
+    def test_fit_with_an_infinite_standard_error_is_2(self, runner, tmp_path):
+        # a, k and rmse are finite, but se_a overflows: the fit cannot be skipped,
+        # while the plot tables draw no standard error
+        from hypergrowth.fitting import fit_hyperbolic
+        from hypergrowth.ingest import parse_long_csv
+
+        path = write_long(tmp_path, [("1e15", "2.5e-151"), ("1000000000000001", "1e-150"),
+                                     ("1000000000000002", "3.3333333333333334e-151"),
+                                     ("1000000000000003", "1e-148")])
+        window = ["--window", "1e15:1.000000000000003e15"]
+        result = run(runner, "analyze", path, "--long", *window)
+        assert_one_error_line(result, 2)
+        assert result.output == (
+            "error: series 'long': values too extreme for float arithmetic\n")
+        result = run(runner, "plotdata", path, "--long", *window,
+                     "--out-prefix", str(tmp_path / "p"))
+        assert result.exit_code == 0, result.output
+        s = parse_long_csv(pathlib.Path(path).read_text(), label="long")
+        fit = fit_hyperbolic(s, hypergrowth.Window(1e15, 1.000000000000003e15))
+        assert fit.se_a == math.inf
+        assert all(map(math.isfinite, (fit.a, fit.k, fit.se_k, fit.rmse_reciprocal)))
+
     def test_subnormal_value_with_an_infinite_reciprocal_is_2(self, runner, tmp_path):
         path = write_long(tmp_path, [(1500, "5e-324"), (1600, 1), (1700, 2), (1800, 3)])
         for args in (["analyze", path, "--long"],
@@ -1065,6 +1091,33 @@ def test_defaults_have_one_home():
     for module in (regimes, report):
         for name in imported[module.__name__]:
             assert getattr(module, name) is getattr(hypergrowth, name)
+
+
+def test_parser_gives_each_flag_its_value():
+    args = vars(_parser().parse_args(["analyze", "x.csv"]))
+    # each default is spelled with :g for --help and parsed back by the flag's type
+    assert {name: args[name] for name in ("fit_window", "kappa", "boundaries", "probe_years",
+                                          "takeoff_window", "stagnation_window")} == {
+        "fit_window": hypergrowth.DEFAULT_FIT_WINDOW,
+        "kappa": hypergrowth.DEFAULT_KAPPA,
+        "boundaries": hypergrowth.DEFAULT_SEGMENT_BOUNDARIES,
+        "probe_years": hypergrowth.DEFAULT_PROBE_YEARS,
+        "takeoff_window": hypergrowth.DEFAULT_TAKEOFF_WINDOW,
+        "stagnation_window": hypergrowth.DEFAULT_STAGNATION_WINDOW,
+    }
+    # analyze hands on by name every flag it does not name itself, and those are
+    # exactly analyze_series's analysis parameters other than kappa
+    options = set(args) - {"run"} - set(inspect.signature(cli.analyze).parameters)
+    assert options == set(inspect.signature(report.analyze_series).parameters) - {
+        "s", "kappa", "input_path", "input_sha256"}
+    assert vars(_parser().parse_args(["plotdata", "x.csv"]))["fit_window"] == (
+        hypergrowth.DEFAULT_FIT_WINDOW)
+    # the commands take typed values: none of them parses flag text itself
+    for command in (cli.analyze, cli.plotdata, cli.simulate):
+        tree = ast.parse(inspect.getsource(command))
+        called = {node.func.id for node in ast.walk(tree)
+                  if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)}
+        assert not [name for name in called if name.startswith("_parse_")], command.__name__
 
 
 def test_cli_leaves_float_trouble_to_report():
