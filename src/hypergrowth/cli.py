@@ -216,7 +216,6 @@ def simulate(kind, years, sigma, seed, output, **params) -> None:
     """Generate a synthetic year,value series (values in billions)."""
     from .synthetic import ModelSpec, generate  # only this command needs the generators
 
-    params = {name: value for name, value in params.items() if value is not None}
     spec = ModelSpec(kind=kind, params=params, sample_years=years, sigma=sigma, seed=seed)
     series = generate(spec)
 
@@ -304,7 +303,8 @@ def _parser() -> argparse.ArgumentParser:
         ("--amplitude", "stagnation oscillation amplitude"),
         ("--period", "stagnation oscillation period, years"),
     ):
-        cmd.add_argument(flag, type=float, metavar="FLOAT", help=text)
+        # an absent flag leaves no key, so simulate receives only the flags given
+        cmd.add_argument(flag, type=float, metavar="FLOAT", default=argparse.SUPPRESS, help=text)
     cmd.add_argument("--years", required=True, type=_parse_sample_years,
                      help="Sample years: comma list (1,1000,1500) or range START:STOP:STEP.")
     cmd.add_argument("--sigma", type=float, default=0.0,

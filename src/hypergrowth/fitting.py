@@ -117,19 +117,29 @@ def _scaled(column) -> tuple[int, list[int]]:
     return b, [p << (b + 1 - q.bit_length()) for p, q in ratios]
 
 
+# An exact fit has n <= 2**_N_BITS points, so its moments' quotients are at
+# least 2**-_N_BITS; _ldexp_exact's two exponent limits follow from it
+_N_BITS = (SMALL_FIT_MAX - 1).bit_length()
+_MAX_SCALE_BITS = (1022 - _N_BITS) // 2
+_MAX_RESIDUAL_BITS = 1022 - 2 * _N_BITS
+
+
 def _ldexp_exact(bx, by, qxx, qyy) -> bool:
     """Whether ``_sums_exact`` may divide by n and scale by ``ldexp`` for
     every range of at most SMALL_FIT_MAX points whose sums of squared
     integers are at most qxx and qyy (a table's totals, or a fit's own sums).
 
     So it must be that no quotient reaches 2**1023 (each is at most
-    max(qxx, qyy)) and no nonzero moment falls below 2**-1022: a quotient
-    is at least 2**-6, the residual sum of squares' 1/(n * cxx) >
-    2**-(12 + qxx.bit_length()), and the scales go down to 2**-2bx and
-    2**-2by.
+    max(qxx, qyy)) and no nonzero moment falls below 2**-1022. With
+    m = ``_N_BITS``: a quotient is at least 2**-m, the residual sum of
+    squares' 1/(n * cxx) > 2**-(2m + qxx.bit_length()), and the scales go
+    down to 2**-2bx and 2**-2by. So bx and by are at most (1022 - m) // 2
+    (``_MAX_SCALE_BITS``), and 2by + qxx.bit_length() at most 1022 - 2m
+    (``_MAX_RESIDUAL_BITS``).
     """
     lx = qxx.bit_length()
-    return max(lx, qyy.bit_length()) <= 1023 and max(bx, by) <= 508 and 2 * by + lx <= 1010
+    return (max(lx, qyy.bit_length()) <= 1023 and max(bx, by) <= _MAX_SCALE_BITS
+            and 2 * by + lx <= _MAX_RESIDUAL_BITS)
 
 
 def prefix_moments(years, values) -> tuple:
@@ -210,10 +220,11 @@ def _sums_exact(table, years, lo, hi) -> tuple:
     return _line_from_moments(n, slope, ybar - slope * xbar, ybar, sxx, ssr, sst, xbar)
 
 
-def _sums_numpy(years, values, center) -> tuple:
-    """The finished line of a large fit, with its moments summed in numpy.
-    Centred years that square to 0 raise ``_no_spread``; float overflow,
-    an infinity or a nan raises an ArithmeticError.
+def _sums_numpy(years, values) -> tuple:
+    """The finished line of a large fit, with its moments summed in numpy
+    about the points' own means, so it depends only on its points. Centred
+    years that square to 0 raise ``_no_spread``; float overflow, an
+    infinity or a nan raises an ArithmeticError.
 
     ndarrays (such as views of ``GrowthSeries.arrays``) are read as they
     are; any other sequence is converted once. The residual sum of squares
@@ -228,10 +239,9 @@ def _sums_numpy(years, values, center) -> tuple:
             np.asarray(c, dtype=float) if isinstance(c, np.ndarray) else np.fromiter(c, float, n)
             for c in (years, values)
         )
-        xc = x - center
-        xbar = float(xc.mean())
+        xbar = float(x.mean())
         ybar = float(y.mean())
-        dx = xc - xbar
+        dx = x - xbar
         dy = y - ybar
         sxx = float(np.sum(dx**2))
         sst = float(np.sum(dy**2))
@@ -241,9 +251,7 @@ def _sums_numpy(years, values, center) -> tuple:
             _no_spread(years)
         slope = float(np.sum(dx * dy)) / sxx
         ssr = min(float(np.sum((dy - slope * dx) ** 2)), sst)
-        # the intercept in centred coordinates, de-centred
-        intercept = (ybar - slope * xbar) - slope * center
-        return _line_from_moments(n, slope, intercept, ybar, sxx, ssr, sst, float(x.mean()))
+        return _line_from_moments(n, slope, ybar - slope * xbar, ybar, sxx, ssr, sst, xbar)
 
 
 def _line_from_moments(n, slope, intercept, ybar, sxx, ssr, sst, xbar) -> tuple:
@@ -288,15 +296,16 @@ def fit_line(years, values, center: float = 0.0) -> LineFit:
     Args:
         years: regressor values (calendar years).
         values: response values (reciprocal GDP).
-        center: subtracted from the years before numpy sums them about
-            their mean, so the default 0 suits any years; exact sums need
-            no centre.
+        center: ignored. Exact sums need no centre and numpy sums the
+            years about their own mean, so a second centre could only move
+            the last digits of a large fit with the caller's choice; the
+            argument stays for callers that pass it.
     """
     n = len(years)
     if n < 2:
         raise FitTooFewPointsError(f"line fit needs at least 2 points, got {n}")
     if n > SMALL_FIT_MAX:
-        return new_record(LineFit, _sums_numpy(years, values, center))
+        return new_record(LineFit, _sums_numpy(years, values))
     return new_record(LineFit, _sums_exact(prefix_moments(years, values), years, 0, n))
 
 

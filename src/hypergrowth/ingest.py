@@ -59,12 +59,15 @@ class RegionPreset(Frozen):
 
     mode "sum-members" takes one or more rows, "direct-row" exactly one;
     ``aggregate`` sums both alike, so mode only checks the label count.
+    The labels are kept as a tuple of their own, so the same labels make
+    one equal, hashable preset, and no later edit of the caller's list
+    reaches it.
     """
 
     __slots__ = _fields = ("name", "member_labels", "mode")
 
     def __init__(self, name: str, member_labels: tuple[str, ...], mode: str) -> None:
-        self._assign(name, member_labels, mode)
+        self._assign(name, tuple(member_labels), mode)
         if self.mode not in ("sum-members", "direct-row"):
             raise PresetDefinitionError(f"unknown preset mode {self.mode!r}")
         if self.mode == "direct-row" and len(self.member_labels) != 1:

@@ -34,7 +34,6 @@ from . import (
 )
 from .errors import HypergrowthError, NonFiniteValueError
 from .fitting import HyperbolicFit, fit_hyperbolic, percent_deviation, singularity
-from .regimes import detect_diversion, segment_consistency, stagnation_test, takeoff_scan
 from .series import GrowthSeries, Window
 
 _STRICT_JSON = json.JSONEncoder(allow_nan=False)
@@ -102,6 +101,8 @@ def analyze_series(
     line fit), or whose numbers leave the float range, is recorded as
     skipped rather than aborting the report.
     """
+    from .regimes import detect_diversion, stagnation_test, takeoff_scan  # plotdata runs none
+
     try:
         fit = fit_hyperbolic(s, fit_window)
     except ArithmeticError:
@@ -141,6 +142,8 @@ def analyze_series(
 
 def _segments(s: GrowthSeries, boundaries: tuple[float, ...], w: Window) -> dict:
     """The segment test's record, with each z score as a dict."""
+    from .regimes import segment_consistency
+
     record = _plain(segment_consistency(s, boundaries, w))
     record["z_scores"] = [
         # an exact break between collinear segments has z = inf

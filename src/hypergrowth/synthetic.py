@@ -29,13 +29,17 @@ class ModelSpec(Frozen):
     ``lognormvariate`` per year from ``random.Random(seed)``, whose
     ``random()`` sequence Python keeps for an integer seed across versions;
     numpy loads only for fits and scans of more than 64 points.
+
+    The spec keeps its own copies (a dict of the params, a tuple of the
+    years), so no later edit of the caller's objects reaches a checked
+    value. It is unhashable, because its params is a dict.
     """
 
     __slots__ = _fields = ("kind", "params", "sample_years", "sigma", "seed")
 
     def __init__(self, kind: str, params: dict[str, float], sample_years: tuple[float, ...],
                  sigma: float = 0.0, seed: int = 0) -> None:
-        self._assign(kind, params, sample_years, sigma, seed)
+        self._assign(kind, dict(params), tuple(sample_years), sigma, seed)
         if self.kind not in KIND_PARAMS:
             raise ModelSpecError(f"unknown model kind {self.kind!r}")
         for name in self.params:

@@ -544,11 +544,13 @@ class TestSimulate:
             assert proc.stdout == a.output.encode()
 
     def test_invalid_parameter_named(self, runner):
-        # a value the kind refuses, and flags of another kind
+        # a value the kind refuses, and flags of another kind: the first one given is named
         for flags, message in [
             (["--a", "-1.0", "--k", "0.001", "--years", "0,100"],
              "hyperbolic model: parameter a=-1.0 must be positive"),
             (["--a", "0.1", "--k", "1e-5", "--cap", "5", "--r", "3", "--years", "1,2,3"],
+             "hyperbolic model: takes no parameter 'cap'"),
+            (["--a", "0.1", "--k", "1e-5", "--r", "3", "--cap", "5", "--years", "1,2,3"],
              "hyperbolic model: takes no parameter 'r'"),
         ]:
             result = run(runner, "simulate", "--kind", "hyperbolic", *flags)
@@ -1019,17 +1021,18 @@ print(json.dumps(seen))
 
 PACKAGE = ["hypergrowth", "hypergrowth.errors", "hypergrowth.series"]
 CLI = sorted([*PACKAGE, "hypergrowth.cli"])
-ANALYSIS = sorted([*CLI, "csv", "json", "hypergrowth.fitting", "hypergrowth.ingest",
-                   "hypergrowth.regimes", "hypergrowth.report"])
+PLOTDATA = sorted([*CLI, "csv", "json", "hypergrowth.fitting", "hypergrowth.ingest",
+                   "hypergrowth.report"])
+ANALYSIS = sorted([*PLOTDATA, "hypergrowth.regimes"])
 
 
 def test_commands_load_only_what_they_use(europe_csv_path, tmp_path):
     """Every fit of the bundled table has few points, and the standard library
     draws simulate's noise, so numpy stays unloaded; the CLI uses argparse and no
-    dataclasses. Each command loads its modules on first use: ingest, fitting,
-    regimes and report for plotdata and analyze, whose input digest loads no
-    hashlib (nor its OpenSSL module), and only the synthetic generators for
-    simulate. The package itself loads only what its constants need."""
+    dataclasses. Each command loads its modules on first use: ingest, fitting
+    and report for plotdata, those and regimes for analyze, whose input digest
+    loads no hashlib (nor its OpenSSL module), and only the synthetic generators
+    for simulate. The package itself loads only what its constants need."""
     csv = str(europe_csv_path)
     simulate = ["simulate", "--kind", "hyperbolic", "--a", str(W12_A), "--k", str(W12_K),
                 "--years", "1,1000,1500,1600,1700,1820,1870,1900", "--sigma", "0.05",
@@ -1042,7 +1045,7 @@ def test_commands_load_only_what_they_use(europe_csv_path, tmp_path):
         simulate,
     ]
     assert run_probe(IMPORT_PROBE, ["hypergrowth.cli", commands]) == [
-        CLI, ANALYSIS, ANALYSIS, ANALYSIS, ANALYSIS, sorted([*ANALYSIS, "hypergrowth.synthetic"])]
+        CLI, PLOTDATA, ANALYSIS, ANALYSIS, ANALYSIS, sorted([*ANALYSIS, "hypergrowth.synthetic"])]
     assert run_probe(IMPORT_PROBE, ["hypergrowth.cli", [simulate]]) == [
         CLI, sorted([*CLI, "hypergrowth.synthetic"])]
     assert run_probe(IMPORT_PROBE, ["hypergrowth", []]) == [PACKAGE]
@@ -1112,6 +1115,11 @@ def test_parser_gives_each_flag_its_value():
         "s", "kappa", "input_path", "input_sha256"}
     assert vars(_parser().parse_args(["plotdata", "x.csv"]))["fit_window"] == (
         hypergrowth.DEFAULT_FIT_WINDOW)
+    # simulate receives only the model flags given
+    args = vars(_parser().parse_args(["simulate", "--kind", "hyperbolic", "--a", "0.1",
+                                      "--k", "1e-5", "--years", "1,2"]))
+    assert {"a": 0.1, "k": 1e-5}.items() <= args.items()
+    assert not {"s0", "r", "cap", "mean", "amplitude", "period"} & set(args)
     # the commands take typed values: none of them parses flag text itself
     for command in (cli.analyze, cli.plotdata, cli.simulate):
         tree = ast.parse(inspect.getsource(command))

@@ -76,7 +76,7 @@ class TestFitLine:
         for size in sizes:
             x = np.sort(rng.uniform(0, 2000, size=size))
             y = rng.normal(size=x.size)
-            line = fit_line(x, y, center=float(x.mean()))
+            line = fit_line(x, y)
             slope_ref, intercept_ref = np.polyfit(x, y, 1)
             assert line.slope == pytest.approx(slope_ref, rel=1e-9, abs=1e-12)
             assert line.intercept == pytest.approx(intercept_ref, rel=1e-9, abs=1e-12)
@@ -146,6 +146,16 @@ class TestFitLine:
         line = fit_line(years, values)
         assert (line.slope, line.intercept, line.rmse) == pytest.approx(
             exact_ols(years, values), rel=1e-12)
+
+    @pytest.mark.parametrize("n", [SMALL_FIT_MAX + 1, 200, 4_082, 20_000])
+    def test_a_large_fit_ignores_the_centre(self, n):
+        # numpy sums the years about their own mean: the caller's centre moves no bit
+        rng = random.Random(n)
+        years = sorted(rng.sample(range(1, 1751 * 20), n))
+        years = [t / 20 for t in years]
+        values = [(0.1147 - 5.961e-5 * t) * math.exp(rng.gauss(0.0, 0.05)) for t in years]
+        lines = {repr(fit_line(years, values, center)) for center in (0.0, 1000.0, 1700.0)}
+        assert len(lines) == 1
 
     @pytest.mark.parametrize("years", [[5.0, 5.0], [5.0] * (SMALL_FIT_MAX + 1)])
     def test_equal_years_are_too_few(self, years):
@@ -543,6 +553,18 @@ def test_extreme_series_fit_as_one_division_by_the_scaled_divisor(values, a):
 ])
 def test_tables_divide_by_n_only_where_every_ldexp_is_exact(values, scaled):
     assert new_series(zip(EDGE_YEARS, values), "edge").prefix_moments[2] is scaled
+
+
+def test_ldexp_limits_follow_from_the_cut():
+    # at most 64 = 2**6 points, so a quotient is at least 2**-6: the scales may reach
+    # 2**-(2 * 508), and the residual 2**-1010, before a moment leaves the normal range
+    assert SMALL_FIT_MAX == 64 and fitting_module._N_BITS == 6
+    assert (fitting_module._MAX_SCALE_BITS, fitting_module._MAX_RESIDUAL_BITS) == (508, 1010)
+    exact = fitting_module._ldexp_exact
+    assert exact(508, 0, 1, 1) and not exact(509, 0, 1, 1)
+    # 2 * by + qxx.bit_length() <= 1010
+    assert exact(0, 505, 0, 1) and not exact(0, 506, 0, 1)
+    assert exact(0, 500, 2**9, 1) and not exact(0, 500, 2**10, 1)
 
 
 def noisy_w12_points():

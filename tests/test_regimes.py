@@ -300,7 +300,7 @@ def test_numpy_kernel_reads_any_sequence_alike(s):
         ([int(t) for t in years], recip),  # scan_inputs draws whole years
         s.arrays[:2],
     ]
-    results = [_sums_numpy(x, y, 0.0) for x, y in inputs]
+    results = [_sums_numpy(x, y) for x, y in inputs]
     assert all(r == results[0] for r in results)
 
 

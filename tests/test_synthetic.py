@@ -195,7 +195,7 @@ class TestExponentialControl:
         )
         s = generate(spec)
         recip = [1.0 / v for v in s.values]
-        line = fit_line(list(s.years), recip, center=500.0)
+        line = fit_line(list(s.years), recip)
         resid = [r - (line.intercept + line.slope * y) for y, r in zip(s.years, recip)]
         signs = [r > 0 for r in resid if r != 0.0]
         runs = 1 + sum(1 for x, y in zip(signs, signs[1:]) if x != y)

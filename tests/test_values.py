@@ -77,6 +77,33 @@ def test_classes_pickle_by_their_fields():
         assert type(copy) is type(value) and repr(copy) == repr(value)
 
 
+def test_preset_from_a_list_is_the_preset_from_a_tuple():
+    from_list = RegionPreset("R", ["X", "Y"], "sum-members")
+    from_tuple = RegionPreset("R", ("X", "Y"), "sum-members")
+    assert from_list == from_tuple and hash(from_list) == hash(from_tuple)
+    assert repr(from_list) == repr(from_tuple)
+    assert pickle.dumps(from_list) == pickle.dumps(from_tuple)
+    assert pickle.loads(pickle.dumps(from_list)) == from_tuple
+
+
+def test_no_later_edit_of_the_callers_objects_reaches_a_value():
+    labels, params, years = ["X", "Y"], {"a": 1.0, "k": 0.001}, [0.0, 100.0]
+    preset = RegionPreset("R", labels, "sum-members")
+    spec = ModelSpec("hyperbolic", params, years)
+    labels.append("X")
+    params["a"] = -5.0
+    years[:] = [0.0]
+    assert preset.member_labels == ("X", "Y")
+    assert spec.params == {"a": 1.0, "k": 0.001}
+    assert spec.sample_years == (0.0, 100.0)
+
+
+def test_model_spec_is_unhashable():
+    # its params is a dict, so a spec has no hash, as a dict has none
+    with pytest.raises(TypeError):
+        hash(ModelSpec("hyperbolic", {"a": 1.0, "k": 0.001}, (0, 100)))
+
+
 BOUNDS = st.lists(st.sampled_from([-500.0, 0.0, 1.0, 1500.0, 1900.0]),
                   min_size=2, max_size=2, unique=True).map(sorted).map(tuple)
 
