@@ -137,20 +137,18 @@ def _load_series(
     members: str | None,
     long_format: bool,
     label: str | None,
-    preset_config: str | None,
 ) -> tuple[GrowthSeries, bytes]:
-    """Read the input file and build the selected series. Returns (series, raw bytes)."""
-    from .ingest import (
-        aggregate, parse_long_csv, parse_preset_overrides, parse_wide_csv, preset_catalog,
-    )
+    """Read the input file and build the selected series, named ``label`` when one is
+    given. Returns (series, raw bytes)."""
+    from .ingest import RegionPreset, aggregate, parse_long_csv, parse_wide_csv, preset_catalog
 
     raw, text = _read(input_path)
     if long_format:
         return parse_long_csv(text, label=label or pathlib.Path(input_path).stem), raw
 
     dataset = parse_wide_csv(text)
-    overrides = parse_preset_overrides(_read(preset_config)[1]) if preset_config else {}
     name = "W12" if preset is None else preset
+    overrides = None
     if members is not None:
         name = "custom"
         labels = tuple(m.strip() for m in members.split(",") if m.strip())
@@ -160,27 +158,25 @@ def _load_series(
             if member in labels[:i]:
                 raise PresetDefinitionError(
                     f"--members: member {member!r} is listed more than once")
-        overrides[name] = labels
+        overrides = {name: labels}
     catalog = {p.name: p for p in preset_catalog(overrides)}
     if name not in catalog:
         raise UnknownPresetError(
             f"unknown preset {name!r}; available: " + ", ".join(catalog)
         )
-    return aggregate(dataset, catalog[name]), raw
+    chosen = catalog[name]
+    return aggregate(dataset, RegionPreset(label or name, chosen.member_labels, chosen.mode)), raw
 
 
 def analyze(
-    input_path, preset, members, long_format, label, kappa, preset_config, fmt, output,
-    **options,
+    input_path, preset, members, long_format, label, kappa, fmt, output, **options
 ) -> None:
     """Fit INPUT_CSV and run diversion, takeoff, stagnation and segment tests."""
     from .report import analyze_series, file_digest, human_summary
 
     if not 0.0 < kappa < math.inf:
         raise WindowError(f"--kappa must be a finite number > 0, got {kappa!r}")
-    series, raw = _load_series(
-        input_path, preset, members, long_format, label, preset_config
-    )
+    series, raw = _load_series(input_path, preset, members, long_format, label)
     report = analyze_series(series, kappa=kappa, input_path=str(input_path),
                             input_sha256=file_digest(raw), **options)
     rendered = report.to_json() if fmt == "json" else report.to_kv()
@@ -193,15 +189,12 @@ def analyze(
 
 
 def plotdata(
-    input_path, preset, members, long_format, label, fit_window,
-    preset_config, out_prefix,
+    input_path, preset, members, long_format, label, fit_window, out_prefix
 ) -> None:
     """Emit plot-ready tables for the semilog GDP and reciprocal displays."""
     from .report import plot_tables
 
-    series, _ = _load_series(
-        input_path, preset, members, long_format, label, preset_config
-    )
+    series, _ = _load_series(input_path, preset, members, long_format, label)
     for suffix, table in plot_tables(series, fit_window):
         path = pathlib.Path(f"{out_prefix}_{suffix}.csv")
         lines = ["series,year,value"]
@@ -260,14 +253,14 @@ def _parser() -> argparse.ArgumentParser:
     rows.add_argument("--members", help="Comma-separated row labels to sum.")
     source.add_argument("--long", dest="long_format", action="store_true",
                         help="Input is a year,value file with values in billions.")
-    source.add_argument("--label", help="Series label for --long input.")
+    source.add_argument("--label", help="Series label (default: the preset name, custom "
+                        "for --members, or the --long file's stem).")
     # a flag's type raises WindowError or DataError, which argparse passes on to main
     # unchanged; argparse runs a string default through it too, so --help shows text
     source.add_argument("--window", dest="fit_window", metavar="T0:T1",
                         type=functools.partial(_parse_window, flag="--window"),
                         default=_spell_window(DEFAULT_FIT_WINDOW),
                         help="Fit window (default: %(default)s).")
-    source.add_argument("--preset-config", help="key=value file overriding preset row labels.")
 
     cmd = command(analyze, source)
     cmd.add_argument("--kappa", type=float, default=DEFAULT_KAPPA,
@@ -322,14 +315,11 @@ def main(argv: list[str] | None = None, standalone_mode: bool = True) -> None:
         # flag pairs the parser cannot refuse, checked before any file is read: a flag
         # is never dropped silently
         if args.get("long_format"):
-            flags = [f"--{name.replace('_', '-')}"
-                     for name in ("preset", "members", "preset_config") if args[name] is not None]
-            if flags:
-                raise DataError(
-                    f"--long reads a year,value file; it takes no {' or '.join(flags)}")
-        elif args.get("label") is not None:
-            raise DataError("--label names the series of a --long file; it needs --long")
-        for flag, what in (("preset", "a preset name"), ("label", "a series name")):
+            for name in ("preset", "members"):
+                if args[name] is not None:
+                    raise DataError(f"--long reads a year,value file; it takes no --{name}")
+        for flag, what in (("preset", "a preset name"), ("label", "a series name"),
+                           ("output", "a path")):
             if args.get(flag) == "":
                 raise DataError(f"--{flag} needs {what}, got ''")
         args.pop("run")(**args)

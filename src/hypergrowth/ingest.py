@@ -211,12 +211,13 @@ def aggregate(d: Dataset, p: RegionPreset) -> GrowthSeries:
 
 
 def preset_catalog(overrides: dict[str, tuple[str, ...]] | None = None) -> list[RegionPreset]:
-    """Built-in regional presets, optionally with overridden row labels.
+    """Built-in regional presets, plus any given in ``overrides``.
 
     W12 sums the twelve leading Western European economies; W30 and EE
     read the file's own Western/Eastern Europe total rows. An override
-    maps a preset name to replacement labels; a single label switches
-    the preset to direct-row mode, several labels to sum-members.
+    maps a preset name to its row labels (the CLI's ``--members`` adds
+    ``custom``); a single label makes a direct-row preset, several labels
+    a sum-members one.
     """
     defaults = {
         "W12": W12_MEMBERS,
@@ -233,35 +234,6 @@ def preset_catalog(overrides: dict[str, tuple[str, ...]] | None = None) -> list[
         )
         for name, labels in defaults.items()
     ]
-
-
-def parse_preset_overrides(text: str) -> dict[str, tuple[str, ...]]:
-    """Parse a plain key=value preset override file.
-
-    Each non-blank, non-comment line is ``NAME=label[,label...]``; a
-    NAME given on two lines is a ParseError. Lines end only at LF or CRLF,
-    not at the other separators ``str.splitlines`` breaks at (such as U+2028),
-    so an error names the line as the file numbers it.
-    """
-    overrides: dict[str, tuple[str, ...]] = {}
-    first_line: dict[str, int] = {}
-    for lineno, line in enumerate(text.replace("\r\n", "\n").split("\n"), start=1):
-        stripped = line.strip()
-        if not stripped or stripped.startswith("#"):
-            continue
-        if "=" not in stripped:
-            raise ParseError(f"preset override line {lineno}: expected NAME=labels")
-        name, _, labels = stripped.partition("=")
-        members = tuple(m.strip() for m in labels.split(",") if m.strip())
-        name = name.strip()
-        if not name or not members:
-            raise ParseError(f"preset override line {lineno}: empty name or labels")
-        if name in first_line:
-            raise ParseError(f"preset override line {lineno}: {name!r} is already "
-                             f"set on line {first_line[name]}")
-        first_line[name] = lineno
-        overrides[name] = members
-    return overrides
 
 
 def parse_long_csv(text: str, label: str) -> GrowthSeries:

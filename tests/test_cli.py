@@ -15,6 +15,7 @@ from hypothesis import strategies as st
 import hypergrowth
 from hypergrowth import cli, errors, report
 from hypergrowth.cli import _parser, main
+from hypergrowth.ingest import W12_MEMBERS
 
 W12_A, W12_K = 1.147e-1, 5.961e-5
 
@@ -50,30 +51,28 @@ class TestAnalyze:
         assert result.exit_code == 0, result.output
         assert json.loads(out.read_text())["series"]["label"] == "custom"
 
-    def test_preset_config_override(self, runner, europe_csv_path, tmp_path):
-        cfg = tmp_path / "presets.cfg"
-        cfg.write_text("W30=Total Eastern Europe\n")
+    def test_label_names_a_members_series(self, runner, europe_csv_path, tmp_path):
         out = tmp_path / "report.json"
-        result = run(runner, "analyze", str(europe_csv_path), "--preset", "W30",
-                     "--preset-config", str(cfg), "-o", str(out))
+        result = run(runner, "analyze", str(europe_csv_path),
+                     "--members", "Total Eastern Europe", "--label", "W30", "-o", str(out))
         assert result.exit_code == 0, result.output
         report = json.loads(out.read_text())
-        # the override points W30 at the Eastern Europe row
+        # the label names the series; the rows are still the Eastern Europe total's
+        assert report["series"]["label"] == "W30"
+        assert report["series"]["n_points"] == 35  # the W30 preset has 37
         assert 1911 <= report["fit"]["singularity_year"] <= 1919
 
-    def test_preset_config_with_bom_applies_its_override(self, runner, europe_csv_path,
-                                                          tmp_path):
-        reports = []
-        for name, bom in (("plain.cfg", b""), ("bom.cfg", b"\xef\xbb\xbf")):
-            cfg = tmp_path / name
-            cfg.write_bytes(bom + b"W30=Total Eastern Europe\n")
+    def test_label_renames_a_preset_series(self, runner, europe_csv_path, tmp_path):
+        reports = {}
+        for name, flags in (("W30", []), ("Foo", ["--label", "Foo"])):
             out = tmp_path / f"{name}.json"
-            result = run(runner, "analyze", str(europe_csv_path), "--preset", "W30",
-                         "--preset-config", str(cfg), "-o", str(out))
+            result = run(runner, "analyze", str(europe_csv_path), "--preset", "W30", *flags,
+                         "-o", str(out))
             assert result.exit_code == 0, result.output
-            reports.append(out.read_bytes())
-        assert reports[1] == reports[0]
-        assert json.loads(reports[1])["series"]["n_points"] == 35  # the default W30 has 37
+            reports[name] = json.loads(out.read_text())
+        assert reports["Foo"]["series"].pop("label") == "Foo"
+        assert reports["W30"]["series"].pop("label") == "W30"
+        assert reports["Foo"] == reports["W30"]
 
     def test_kv_format(self, runner, europe_csv_path, tmp_path):
         out = tmp_path / "report.kv"
@@ -182,6 +181,9 @@ class TestGolden:
         ("analyze_W30.json", ["--preset", "W30"]),
         ("analyze_EE.json", ["--preset", "EE"]),
         ("analyze_EE_kappa2.5.json", ["--preset", "EE", "--kappa", "2.5"]),
+        # a preset's rows under its name, through --members and --label, give its report
+        ("analyze_W12.json", ["--members", ",".join(W12_MEMBERS), "--label", "W12"]),
+        ("analyze_W30.json", ["--members", "Total 30 Western Europe", "--label", "W30"]),
     ])
     def test_analyze_matches_golden(self, runner, monkeypatch, tmp_path, golden, flags):
         # the report records the input path as given, so run from the repository root
@@ -209,10 +211,11 @@ class TestGolden:
     ])
     def test_plot_tables_match_golden(self, runner, tmp_path, prefix, args):
         # the tables hold no path, and their values come from float arithmetic
-        # alone, so they compare byte for byte; CRLF line ends and a trailing
-        # blank line in the input leave them unchanged
+        # alone, so they compare byte for byte; CRLF line ends, a trailing blank
+        # line and a leading byte-order mark in the input leave them unchanged
         text = (GOLDEN_DIR.parent / args[0]).read_bytes()
-        for i, variant in enumerate([text, text.replace(b"\n", b"\r\n"), text + b"\n"]):
+        for i, variant in enumerate([text, text.replace(b"\n", b"\r\n"), text + b"\n",
+                                     b"\xef\xbb\xbf" + text]):
             out = tmp_path / str(i)
             out.mkdir()
             (out / args[0]).write_bytes(variant)
@@ -257,23 +260,17 @@ class TestExitCodes:
         assert result.exit_code == 4
         assert "NOPE" in result.output
 
-    def test_unknown_preset_lists_overrides_too(self, runner, europe_csv_path, tmp_path):
-        cfg = tmp_path / "presets.cfg"
-        cfg.write_text("X9=France,Italy\n")
-        result = run(runner, "analyze", str(europe_csv_path), "--preset", "NOPE",
-                     "--preset-config", str(cfg))
+    def test_unknown_preset_lists_the_built_in_presets(self, runner, europe_csv_path):
+        result = run(runner, "analyze", str(europe_csv_path), "--preset", "NOPE")
         assert_one_error_line(result, 4)
-        assert result.output.endswith("available: W12, W30, EE, X9\n")
+        assert result.output.endswith("available: W12, W30, EE\n")
 
     @pytest.mark.parametrize("flags", [
         ["--preset", "W12"],
         ["--members", "France"],
-        ["--preset-config", "MISSING"],
-        ["--preset", "NOPE", "--preset-config", "MISSING"],
     ])
     def test_long_with_wide_table_flags_is_2(self, runner, tmp_path, flags):
         path = write_long(tmp_path, GOOD_ROWS)
-        flags = [str(tmp_path / "no.cfg") if f == "MISSING" else f for f in flags]
         for command in (["analyze"], ["plotdata", "--out-prefix", str(tmp_path / "p")]):
             result = run(runner, *command, path, "--long", *flags)
             assert_one_error_line(result, 2)
@@ -286,49 +283,43 @@ class TestExitCodes:
             assert_one_error_line(result, 2)
             assert "--members" in result.output and "--preset" in result.output
 
-    def test_repeated_preset_config_name_is_2(self, runner, europe_csv_path, tmp_path):
-        cfg = tmp_path / "presets.cfg"
-        cfg.write_text("EE=France\nEE=Italy\n")
-        result = run(runner, "analyze", str(europe_csv_path), "--preset", "EE",
-                     "--preset-config", str(cfg))
-        assert_one_error_line(result, 2)
-        assert "'EE'" in result.output and "line 1" in result.output
-
     def test_members_without_labels_are_4(self, runner, europe_csv_path):
         for members in (" , ", ""):  # an empty --members once meant W12
             result = run(runner, "analyze", str(europe_csv_path), "--members", members)
             assert_one_error_line(result, 4)
             assert "--members lists no usable labels" in result.output
 
-    def test_repeated_member_is_4(self, runner, europe_csv_path, tmp_path):
-        cfg = tmp_path / "presets.cfg"
-        cfg.write_text("W12=Austria,Belgium,Austria\n")
-        for flags in (["--members", "Austria,Belgium,Austria"], ["--preset-config", str(cfg)]):
-            result = run(runner, "analyze", str(europe_csv_path), *flags)
-            assert_one_error_line(result, 4)
-            assert "member 'Austria' is listed more than once" in result.output
-            # the message names what the user typed, never the internal preset 'custom'
-            named = "--members" if flags[0] == "--members" else "preset 'W12'"
-            assert named in result.output and "custom" not in result.output
+    def test_repeated_member_is_4(self, runner, europe_csv_path):
+        result = run(runner, "analyze", str(europe_csv_path),
+                     "--members", "Austria,Belgium,Austria")
+        assert_one_error_line(result, 4)
+        # the message names what the user typed, never the internal preset 'custom'
+        assert result.output == "error: --members: member 'Austria' is listed more than once\n"
 
     @pytest.mark.parametrize("flags, message", [
         (["--preset", ""], "--preset needs a preset name"),
-        (["--label", "Foo"], "--label names the series of a --long file"),
-        (["--preset", "W30", "--label", "Foo"], "--label names the series of a --long file"),
+        (["-o", ""], "--output needs a path, got ''"),
     ])
     def test_flags_without_effect_are_2(self, runner, europe_csv_path, tmp_path, flags, message):
-        for command in (["analyze"], ["plotdata", "--out-prefix", str(tmp_path / "p")]):
-            result = run(runner, *command, str(europe_csv_path), *flags)
+        analyze = ["analyze", str(europe_csv_path)]
+        other = {  # the other command that takes the flag
+            "--preset": ["plotdata", str(europe_csv_path), "--out-prefix", str(tmp_path / "p")],
+            "-o": ["simulate", "--kind", "hyperbolic", "--a", "0.1", "--k", "1e-5",
+                   "--years", "1,2"],
+        }[flags[0]]
+        for command in (analyze, other):
+            result = run(runner, *command, *flags)
             assert_one_error_line(result, 2)
             assert message in result.output
 
-    def test_empty_label_is_2(self, runner, tmp_path):
+    def test_empty_label_is_2(self, runner, europe_csv_path, tmp_path):
         # an empty --label was once replaced by the file name without a word
         long_path = write_long(tmp_path, GOOD_ROWS)
-        for command in (["analyze"], ["plotdata", "--out-prefix", str(tmp_path / "p")]):
-            result = run(runner, *command, long_path, "--long", "--label", "")
-            assert_one_error_line(result, 2)
-            assert "--label needs a series name, got ''" in result.output
+        for source in ([long_path, "--long"], [str(europe_csv_path)]):
+            for command in (["analyze"], ["plotdata", "--out-prefix", str(tmp_path / "p")]):
+                result = run(runner, *command, *source, "--label", "")
+                assert_one_error_line(result, 2)
+                assert "--label needs a series name, got ''" in result.output
 
     def test_oversized_field_is_2(self, runner, tmp_path):
         big = "1" * 200_000
@@ -347,13 +338,6 @@ class TestExitCodes:
         result = run(runner, "analyze", str(wide), "--members", "A")
         assert_one_error_line(result, 2)
         assert "row 'A' has 4 value cells, the header has 3 years" in result.output
-
-    def test_non_utf8_preset_config_is_2(self, runner, europe_csv_path, tmp_path):
-        cfg = tmp_path / "bad.cfg"
-        cfg.write_bytes(b"W12=\xe9\n")
-        result = run(runner, "analyze", str(europe_csv_path), "--preset-config", str(cfg))
-        assert_one_error_line(result, 2)
-        assert result.output == f"error: {cfg} is not UTF-8 text\n"
 
     def test_unknown_member_is_4(self, runner, europe_csv_path):
         result = run(runner, "analyze", str(europe_csv_path), "--members", "Atlantis")
@@ -1194,8 +1178,7 @@ def assert_contract_holds(runner, tmp_path, source, kappa, refused=False):
 
 # --long reads no wide table, so each of these is refused with it; so is an empty label
 REFUSED_LONG_FLAGS = st.sampled_from([
-    [], ["--preset", "W12"], ["--members", "A,B"], ["--preset-config", "CFG"],
-    ["--preset", "NOPE", "--preset-config", "CFG"], ["--preset", ""], ["--members", ""],
+    [], ["--preset", "W12"], ["--members", "A,B"], ["--preset", ""], ["--members", ""],
     ["--label", ""],
 ])
 
@@ -1224,9 +1207,6 @@ def fits_finitely(text):
 def test_cli_contract_holds_for_any_long_input(tmp_path_factory, runner, rows, kappa,
                                                flags):
     tmp_path = tmp_path_factory.mktemp("contract")
-    cfg = tmp_path / "presets.cfg"
-    cfg.write_text("W12=A\n")
-    flags = [str(cfg) if f == "CFG" else f for f in flags]
     path = write_long(tmp_path, rows)
     results = assert_contract_holds(runner, tmp_path, [path, "--long", *flags], kappa,
                                     refused=bool(flags))
@@ -1266,9 +1246,11 @@ def test_cli_contract_holds_for_any_wide_input(tmp_path_factory, runner, table, 
     path = tmp_path / "wide.csv"
     path.write_text(table)
     # --members and --preset each name the rows to use, so together they are refused;
-    # --label names only a --long series, so it is refused without --long
+    # --label names the series, so it goes with either
     results = assert_contract_holds(runner, tmp_path, [str(path), "--members", members, *flags],
-                                    kappa, refused=bool(flags))
+                                    kappa, refused=flags not in ([], ["--label", "L"]))
+    if flags and results[0].exit_code == 0:
+        assert json.loads((tmp_path / "report.json").read_text())["series"]["label"] == "L"
     for result in results:
         if "listed more than once" in result.output:  # "A,A": named as the flag the user typed
             assert "error: --members: member 'A'" in result.output, result.output

@@ -20,7 +20,6 @@ from hypergrowth.ingest import (
     RegionPreset,
     aggregate,
     parse_long_csv,
-    parse_preset_overrides,
     parse_wide_csv,
     preset_catalog,
 )
@@ -208,39 +207,14 @@ class TestPresetCatalog:
         assert catalog["W30"].member_labels == ("Total Western Europe",)
         assert catalog["X2"].mode == "sum-members"
 
-    def test_override_file_parsing(self):
-        text = "# comment\nW30=Total Western Europe\nX2=A, B\n"
-        overrides = parse_preset_overrides(text)
-        assert overrides == {"W30": ("Total Western Europe",), "X2": ("A", "B")}
-        with pytest.raises(ParseError):
-            parse_preset_overrides("not a mapping\n")
-        for line in ("=France", "W12=", "W12= , "):
-            with pytest.raises(ParseError, match=r"^preset override line 1: empty name or labels"):
-                parse_preset_overrides(line + "\n")
-
-    def test_repeated_override_names_both_lines(self):
-        with pytest.raises(ParseError, match=r"line 4: 'EE' is already set on line 1"):
-            parse_preset_overrides("EE=France\n# comment\nW30=A\n EE = Italy\n")
-
-    @pytest.mark.parametrize("text", [
-        "W12=Austria\u2028EE=Total Eastern Europe\nW12=France\n",
-        "W12=Austria\x0cEE=Total Eastern Europe\r\nW12=France\r\n",
-    ])
-    def test_override_lines_are_numbered_as_in_the_file(self, text):
-        # only a newline ends a line: U+2028 and a form feed stay inside it
-        with pytest.raises(ParseError,
-                           match=r"^preset override line 2: 'W12' is already set on line 1$"):
-            parse_preset_overrides(text)
-
     @pytest.mark.parametrize("labels", [("X", "Y", "X"), ("X", "X")])
     def test_repeated_member_is_refused(self, labels):
         # a repeated member would be summed twice
         with pytest.raises(PresetDefinitionError,
                            match=r"^preset 'R': member 'X' is listed more than once$"):
             RegionPreset("R", labels, "sum-members")
-        overrides = parse_preset_overrides("R=" + ",".join(labels) + "\n")
         with pytest.raises(PresetDefinitionError, match="'X' is listed more than once"):
-            preset_catalog(overrides)
+            preset_catalog({"R": labels})
 
     @pytest.mark.parametrize("labels, mode", [
         (("X",), "sum-all"),
