@@ -6,8 +6,9 @@ plot-ready tables (semilog GDP and reciprocal displays), ``simulate``
 generates synthetic series for round-trip checks. Each command imports
 the modules it runs when it runs; the parser's defaults come from the
 package, so building it loads no analysis module. The parser turns each
-flag's text into its value (a window, a year list, the sample years), so
-the commands take typed values and parse no flag text.
+flag's text into its value (a window, a year list, the sample years, the
+member labels) and refuses a pair of source flags, so the commands take
+typed values and parse no flag text.
 
 Exit codes: 0 ok, 2 input parsing or command-line usage, 3 fitting,
 4 window/preset selection, 5 internal. The CLI's own checks (usage,
@@ -98,6 +99,11 @@ def _parse_year_list(spec: str, flag: str) -> tuple[float, ...]:
     return years
 
 
+def _parse_members(spec: str) -> tuple[str, ...]:
+    # no usable label is refused by _load_series, after the table is read
+    return tuple(m.strip() for m in spec.split(",") if m.strip())
+
+
 def _parse_sample_years(spec: str) -> tuple[float, ...]:
     """``simulate --years``: a comma list, or START:STOP:STEP, each year START + i*STEP
     in exact decimal arithmetic, so no year passes STOP and none repeats."""
@@ -134,7 +140,7 @@ def _read(path: str) -> tuple[bytes, str]:
 def _load_series(
     input_path: str,
     preset: str | None,
-    members: str | None,
+    members: tuple[str, ...] | None,
     long_format: bool,
     label: str | None,
 ) -> tuple[GrowthSeries, bytes]:
@@ -151,14 +157,13 @@ def _load_series(
     overrides = None
     if members is not None:
         name = "custom"
-        labels = tuple(m.strip() for m in members.split(",") if m.strip())
-        if not labels:
+        if not members:
             raise UnknownPresetError("--members lists no usable labels")
-        for i, member in enumerate(labels):  # named here, not as the internal preset
-            if member in labels[:i]:
+        for i, member in enumerate(members):  # named here, not as the internal preset
+            if member in members[:i]:
                 raise PresetDefinitionError(
                     f"--members: member {member!r} is listed more than once")
-        overrides = {name: labels}
+        overrides = {name: members}
     catalog = {p.name: p for p in preset_catalog(overrides)}
     if name not in catalog:
         raise UnknownPresetError(
@@ -248,11 +253,12 @@ def _parser() -> argparse.ArgumentParser:
 
     source = argparse.ArgumentParser(add_help=False)  # input flags of analyze and plotdata
     source.add_argument("input_path", metavar="INPUT_CSV")
-    rows = source.add_mutually_exclusive_group()
+    rows = source.add_mutually_exclusive_group()  # each names where the series comes from
     rows.add_argument("--preset", help="Built-in region preset (default W12).")
-    rows.add_argument("--members", help="Comma-separated row labels to sum.")
-    source.add_argument("--long", dest="long_format", action="store_true",
-                        help="Input is a year,value file with values in billions.")
+    rows.add_argument("--members", type=_parse_members,
+                      help="Comma-separated row labels to sum.")
+    rows.add_argument("--long", dest="long_format", action="store_true",
+                      help="Input is a year,value file with values in billions.")
     source.add_argument("--label", help="Series label (default: the preset name, custom "
                         "for --members, or the --long file's stem).")
     # a flag's type raises WindowError or DataError, which argparse passes on to main
@@ -312,12 +318,7 @@ def main(argv: list[str] | None = None, standalone_mode: bool = True) -> None:
     # standalone_mode is ignored: callers written for the earlier entry point pass it
     try:
         args = vars(_parser().parse_args(argv))
-        # flag pairs the parser cannot refuse, checked before any file is read: a flag
-        # is never dropped silently
-        if args.get("long_format"):
-            for name in ("preset", "members"):
-                if args[name] is not None:
-                    raise DataError(f"--long reads a year,value file; it takes no --{name}")
+        # an empty value, refused before any file is read: a flag is never dropped silently
         for flag, what in (("preset", "a preset name"), ("label", "a series name"),
                            ("output", "a path")):
             if args.get(flag) == "":

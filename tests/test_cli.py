@@ -45,11 +45,25 @@ class TestAnalyze:
         assert 1911 <= report["fit"]["singularity_year"] <= 1919
 
     def test_members_flag(self, runner, europe_csv_path, tmp_path):
-        out = tmp_path / "report.json"
-        result = run(runner, "analyze", str(europe_csv_path),
-                     "--members", "France,United Kingdom", "-o", str(out))
-        assert result.exit_code == 0, result.output
-        assert json.loads(out.read_text())["series"]["label"] == "custom"
+        reports = []
+        # the parser strips each label and drops empty items
+        for i, members in enumerate(["France,United Kingdom", " France , ,United Kingdom "]):
+            out = tmp_path / f"report{i}.json"
+            result = run(runner, "analyze", str(europe_csv_path), "--members", members,
+                         "-o", str(out))
+            assert result.exit_code == 0, result.output
+            reports.append(out.read_bytes())
+        assert json.loads(reports[0])["series"]["label"] == "custom"
+        assert reports[1] == reports[0]
+
+    @pytest.mark.parametrize("spec, labels", [
+        (" France , ,United Kingdom ", ("France", "United Kingdom")),
+        ("", ()),
+        (" , ", ()),
+    ])
+    def test_members_flag_becomes_its_labels(self, spec, labels):
+        # never raises: _load_series refuses an empty tuple, after the table is read
+        assert cli._parse_members(spec) == labels
 
     def test_label_names_a_members_series(self, runner, europe_csv_path, tmp_path):
         out = tmp_path / "report.json"
@@ -268,13 +282,18 @@ class TestExitCodes:
     @pytest.mark.parametrize("flags", [
         ["--preset", "W12"],
         ["--members", "France"],
+        ["--preset", ""],
+        ["--members", ""],
     ])
     def test_long_with_wide_table_flags_is_2(self, runner, tmp_path, flags):
+        # --long, --preset and --members each name the source, so the parser refuses a
+        # pair in either order
         path = write_long(tmp_path, GOOD_ROWS)
         for command in (["analyze"], ["plotdata", "--out-prefix", str(tmp_path / "p")]):
-            result = run(runner, *command, path, "--long", *flags)
-            assert_one_error_line(result, 2)
-            assert "--long" in result.output and flags[0] in result.output
+            for source in (["--long", *flags], [*flags, "--long"]):
+                result = run(runner, *command, path, *source)
+                assert_one_error_line(result, 2)
+                assert "--long" in result.output and flags[0] in result.output
 
     def test_members_with_preset_is_2(self, runner, europe_csv_path):
         for flags in (["--members", "France", "--preset", "EE"],
@@ -741,6 +760,10 @@ class TestContract:
         usage = result.output.split("\n\n")[0]
         assert usage.startswith("usage: hypergrowth analyze [-h] ")
         assert "INPUT_CSV" in usage and "[--kappa KAPPA]" in usage
+        source = "[--preset PRESET | --members MEMBERS | --long]"  # one group, one source
+        assert source in usage
+        result = run(runner, "plotdata", "--help")
+        assert result.exit_code == 0 and source in result.output.split("\n\n")[0]
         result = run(runner, "--help")
         assert result.exit_code == 0
         assert "analyze" in result.output and "simulate" in result.output
