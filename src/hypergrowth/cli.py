@@ -15,14 +15,17 @@ Exit codes: 0 ok, 2 input parsing or command-line usage, 3 fitting,
 files, window and year flags) raise the library's error families too,
 and ``main`` alone turns any of them into its ``error:`` line and exits
 with the family's ``exit_code`` (see ``hypergrowth.errors``). Every
-failure prints a one-line diagnostic naming the offending input element;
-stack traces never reach the user.
+output, ``--help`` included, goes through ``_write``, so a failed write to
+a file or to standard output (a reader gone, a full disk, a closed
+descriptor) is a ``DataError``. Every failure prints a one-line diagnostic
+naming the offending input element; stack traces never reach the user.
 """
 
 from __future__ import annotations
 
 import argparse
 import contextlib
+import errno
 import functools
 import math
 import os
@@ -64,10 +67,22 @@ def _fail(code: int, message: str) -> None:
 
 
 def _write(path, text: str) -> None:
+    """Write ``text`` to the file ``path``, or to standard output when ``path`` is None.
+    Every output goes through here, so any failed write raises DataError."""
     try:
-        pathlib.Path(path).write_text(text, encoding="utf-8")
+        if path is not None:
+            pathlib.Path(path).write_text(text, encoding="utf-8")
+        elif sys.stdout is None:  # fd 1 was closed at start-up
+            raise DataError(f"cannot write standard output: {os.strerror(errno.EBADF)}")
+        else:
+            print(text, end="", flush=True)  # a buffered write fails here, not at exit
     except OSError as exc:
-        raise DataError(f"cannot write {path}: {exc.strerror or exc}") from None
+        if path is not None:
+            raise DataError(f"cannot write {path}: {exc.strerror or exc}") from None
+        # point stdout at devnull, so the flush at exit is silent
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        reason = "broken pipe" if isinstance(exc, BrokenPipeError) else exc.strerror or exc
+        raise DataError(f"cannot write standard output: {reason}") from None
 
 
 def _parse_window(spec: str, flag: str) -> Window:
@@ -188,9 +203,7 @@ def analyze(
 
     if output:
         _write(output, rendered)
-    sys.stdout.write(human_summary(report))
-    if not output:
-        sys.stdout.write(rendered)
+    _write(None, human_summary(report) + ("" if output else rendered))
 
 
 def plotdata(
@@ -207,7 +220,7 @@ def plotdata(
             f"{tag},{float(year)!r},{float(value)!r}" for tag, year, value in table
         ]
         _write(path, "\n".join(lines) + "\n")
-        print(f"wrote {path}")
+        _write(None, f"wrote {path}\n")
 
 
 def simulate(kind, years, sigma, seed, output, **params) -> None:
@@ -219,11 +232,7 @@ def simulate(kind, years, sigma, seed, output, **params) -> None:
 
     lines = ["year,value"]
     lines += [f"{y!r},{v!r}" for y, v in zip(series.years, series.values)]
-    text = "\n".join(lines) + "\n"
-    if output == "-":
-        sys.stdout.write(text)
-    else:
-        _write(output, text)
+    _write(None if output == "-" else output, "\n".join(lines) + "\n")
 
 
 class _Parser(argparse.ArgumentParser):
@@ -237,6 +246,9 @@ class _Parser(argparse.ArgumentParser):
 
     def error(self, message: str) -> None:
         raise DataError(" ".join(message.split()))  # an argument may hold a newline
+
+    def print_help(self, file=None) -> None:  # --help: a failed write is an error too
+        _write(None, self.format_help())
 
 
 @functools.cache  # parsing leaves the parser unchanged, so one serves every call
@@ -324,13 +336,7 @@ def main(argv: list[str] | None = None, standalone_mode: bool = True) -> None:
             if args.get(flag) == "":
                 raise DataError(f"--{flag} needs {what}, got ''")
         args.pop("run")(**args)
-        sys.stdout.flush()  # buffered output meets a closed pipe here, not at exit
     except HypergrowthError as exc:
-        _fail(exc.exit_code, str(exc))
-    except BrokenPipeError:
-        # the reader has gone: point stdout at devnull, so the flush at exit is silent
-        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
-        exc = DataError("cannot write standard output: broken pipe")
         _fail(exc.exit_code, str(exc))
 
 

@@ -932,23 +932,55 @@ def run_probe(script, payload):
     return json.loads(proc.stdout)
 
 
-@pytest.mark.parametrize("unbuffered", ["", "1"])
-@pytest.mark.parametrize("args", [
+# each command that writes to standard output; plotdata writes its files first
+STDOUT_COMMANDS = [
     ["analyze", "IN"],
     ["simulate", "--kind", "stagnation", "--mean", "2", "--amplitude", "0.5",
      "--period", "100", "--years", "0:2000:0.1"],
-])
-def test_closed_stdout_is_2(europe_csv_path, args, unbuffered):
+    ["plotdata", "IN", "--out-prefix", "PREFIX"],
+    ["analyze", "--help"],
+]
+
+
+def stdout_command(args, europe_csv_path, tmp_path):
+    """The fresh-interpreter command line of ``args``, with IN and PREFIX filled in."""
+    paths = {"IN": str(europe_csv_path), "PREFIX": str(tmp_path / "p")}
+    return [sys.executable, "-m", "hypergrowth.cli", *(paths.get(a, a) for a in args)]
+
+
+@pytest.mark.parametrize("unbuffered", ["", "1"])
+@pytest.mark.parametrize("args", STDOUT_COMMANDS)
+def test_closed_stdout_is_2(europe_csv_path, tmp_path, args, unbuffered):
     """A reader that goes away before any output (``| head``) gets exit 2 and one
     error: line, whether the write or the flush at exit meets the closed pipe."""
-    args = [str(europe_csv_path) if a == "IN" else a for a in args]
-    proc = subprocess.Popen([sys.executable, "-m", "hypergrowth.cli", *args],
+    proc = subprocess.Popen(stdout_command(args, europe_csv_path, tmp_path),
                             env=fresh_env(PYTHONUNBUFFERED=unbuffered),
                             stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True)
     proc.stdout.close()
     err = proc.stderr.read()
     assert proc.wait(timeout=60) == 2, err
     assert err == "error: cannot write standard output: broken pipe\n"
+
+
+@pytest.mark.parametrize("unbuffered", ["", "1"])
+@pytest.mark.parametrize("redirect, reason", [
+    ("> /dev/full", "No space left on device"),
+    (">&-", "Bad file descriptor"),
+], ids=["full-disk", "closed-fd"])
+@pytest.mark.parametrize("args", STDOUT_COMMANDS)
+def test_failed_stdout_write_is_2(europe_csv_path, tmp_path, args, redirect, reason,
+                                  unbuffered):
+    """Any failed write to standard output, not only a gone reader, exits 2 with one
+    error: line: a full disk (``> /dev/full``) and fd 1 closed at start-up (``>&-``,
+    which leaves sys.stdout None), whether the write or the flush at exit fails."""
+    if "/dev/full" in redirect and not os.path.exists("/dev/full"):
+        pytest.skip("no /dev/full on this system")
+    command = ["sh", "-c", f'exec "$@" {redirect}', "sh",
+               *stdout_command(args, europe_csv_path, tmp_path)]
+    proc = subprocess.run(command, env=fresh_env(PYTHONUNBUFFERED=unbuffered),
+                          stderr=subprocess.PIPE, text=True, timeout=60)
+    assert proc.returncode == 2, proc.stderr
+    assert proc.stderr == f"error: cannot write standard output: {reason}\n"
 
 
 @pytest.mark.parametrize("unbuffered", ["", "1"])
