@@ -7,8 +7,9 @@ generates synthetic series for round-trip checks. Each command imports
 the modules it runs when it runs; the parser's defaults come from the
 package, so building it loads no analysis module. The parser turns each
 flag's text into its value (a window, a year list, the sample years, the
-member labels) and refuses a pair of source flags, so the commands take
-typed values and parse no flag text.
+member labels, an output path, or None for ``-``, standard output) and
+refuses a pair of source flags, so the commands take typed values and
+parse no flag text.
 
 Exit codes: 0 ok, 2 input parsing or command-line usage, 3 fitting,
 4 window/preset selection, 5 internal. The CLI's own checks (usage,
@@ -114,6 +115,11 @@ def _parse_year_list(spec: str, flag: str) -> tuple[float, ...]:
     return years
 
 
+def _parse_output(spec: str) -> str | None:
+    # "-" is standard output, which _write takes as None; "" is refused in main
+    return None if spec == "-" else spec
+
+
 def _parse_members(spec: str) -> tuple[str, ...]:
     # no usable label is refused by _load_series, after the table is read
     return tuple(m.strip() for m in spec.split(",") if m.strip())
@@ -168,24 +174,23 @@ def _load_series(
         return parse_long_csv(text, label=label or pathlib.Path(input_path).stem), raw
 
     dataset = parse_wide_csv(text)
-    name = "W12" if preset is None else preset
-    overrides = None
-    if members is not None:
-        name = "custom"
+    if members is None:
+        name = "W12" if preset is None else preset
+        catalog = {p.name: p for p in preset_catalog()}
+        if name not in catalog:
+            raise UnknownPresetError(
+                f"unknown preset {name!r}; available: " + ", ".join(catalog)
+            )
+        members, mode = catalog[name].member_labels, catalog[name].mode
+    else:
+        name, mode = "custom", "sum-members"  # sums one row or several alike
         if not members:
             raise UnknownPresetError("--members lists no usable labels")
-        for i, member in enumerate(members):  # named here, not as the internal preset
+        for i, member in enumerate(members):  # named as the flag, not as the preset
             if member in members[:i]:
                 raise PresetDefinitionError(
                     f"--members: member {member!r} is listed more than once")
-        overrides = {name: members}
-    catalog = {p.name: p for p in preset_catalog(overrides)}
-    if name not in catalog:
-        raise UnknownPresetError(
-            f"unknown preset {name!r}; available: " + ", ".join(catalog)
-        )
-    chosen = catalog[name]
-    return aggregate(dataset, RegionPreset(label or name, chosen.member_labels, chosen.mode)), raw
+    return aggregate(dataset, RegionPreset(label or name, members, mode)), raw
 
 
 def analyze(
@@ -232,7 +237,7 @@ def simulate(kind, years, sigma, seed, output, **params) -> None:
 
     lines = ["year,value"]
     lines += [f"{y!r},{v!r}" for y, v in zip(series.years, series.values)]
-    _write(None if output == "-" else output, "\n".join(lines) + "\n")
+    _write(output, "\n".join(lines) + "\n")
 
 
 class _Parser(argparse.ArgumentParser):
@@ -299,7 +304,8 @@ def _parser() -> argparse.ArgumentParser:
                      help="Stagnation test window (default: %(default)s).")
     cmd.add_argument("--format", dest="fmt", choices=("json", "kv"), default="json",
                      help="Machine report format (default: %(default)s).")
-    cmd.add_argument("-o", "--output", help="Write the machine report to this path.")
+    cmd.add_argument("-o", "--output", type=_parse_output,
+                     help="Write the machine report to this path, '-' for stdout.")
 
     cmd = command(plotdata, source)
     cmd.add_argument("--out-prefix", default="plot", help="Writes <prefix>_gdp.csv and "
@@ -321,7 +327,8 @@ def _parser() -> argparse.ArgumentParser:
     cmd.add_argument("--sigma", type=float, default=0.0,
                      help="Multiplicative lognormal noise scale (default: %(default)s).")
     cmd.add_argument("--seed", type=int, default=0, help="Noise seed (default: %(default)s).")
-    cmd.add_argument("-o", "--output", default="-", help="Output CSV path, '-' for stdout.")
+    cmd.add_argument("-o", "--output", type=_parse_output, default="-",
+                     help="Output CSV path, '-' for stdout.")
     return parser
 
 

@@ -210,29 +210,15 @@ def aggregate(d: Dataset, p: RegionPreset) -> GrowthSeries:
     return from_columns(years, values, label=p.name)
 
 
-def preset_catalog(overrides: dict[str, tuple[str, ...]] | None = None) -> list[RegionPreset]:
-    """Built-in regional presets, plus any given in ``overrides``.
-
-    W12 sums the twelve leading Western European economies; W30 and EE
-    read the file's own Western/Eastern Europe total rows. An override
-    maps a preset name to its row labels (the CLI's ``--members`` adds
-    ``custom``); a single label makes a direct-row preset, several labels
-    a sum-members one.
+def preset_catalog() -> list[RegionPreset]:
+    """The built-in regional presets: W12 sums the twelve leading Western
+    European economies; W30 and EE read the file's own Western and Eastern
+    Europe total rows.
     """
-    defaults = {
-        "W12": W12_MEMBERS,
-        "W30": (W30_TOTAL_ROW,),
-        "EE": (EE_TOTAL_ROW,),
-    }
-    if overrides:
-        defaults.update(overrides)
     return [
-        RegionPreset(
-            name=name,
-            member_labels=labels,
-            mode="direct-row" if len(labels) == 1 else "sum-members",
-        )
-        for name, labels in defaults.items()
+        RegionPreset("W12", W12_MEMBERS, "sum-members"),
+        RegionPreset("W30", (W30_TOTAL_ROW,), "direct-row"),
+        RegionPreset("EE", (EE_TOTAL_ROW,), "direct-row"),
     ]
 
 

@@ -18,7 +18,6 @@ raising or returning what they do.
 
 from __future__ import annotations
 
-import json
 import math
 from itertools import repeat
 from typing import NamedTuple
@@ -36,7 +35,6 @@ from .errors import HypergrowthError, NonFiniteValueError
 from .fitting import HyperbolicFit, fit_hyperbolic, percent_deviation, singularity
 from .series import GrowthSeries, Window
 
-_STRICT_JSON = json.JSONEncoder(allow_nan=False)
 _TOO_EXTREME = "values too extreme for float arithmetic"
 
 
@@ -47,11 +45,16 @@ class AnalysisReport(NamedTuple):
 
     def to_json(self) -> str:
         """Indented JSON; raises ValueError for a nan or infinite number."""
+        import json  # loaded only to render a report: plotdata renders none
+
         return json.dumps(self.data, indent=2, allow_nan=False) + "\n"
 
     def to_kv(self) -> str:
         """Flat key=value rendering of the same tree; rejects nan like to_json."""
-        lines = [f"{key}={_STRICT_JSON.encode(value)}" for key, value in _leaves("", self.data)]
+        from json import JSONEncoder
+
+        encode = JSONEncoder(allow_nan=False).encode
+        lines = [f"{key}={encode(value)}" for key, value in _leaves("", self.data)]
         return "\n".join(lines) + "\n"
 
 
@@ -255,9 +258,11 @@ def plot_tables(s: GrowthSeries, fit_window: Window) -> tuple:
 def human_summary(report: AnalysisReport) -> str:
     """Fixed-width summary table of the main analysis quantities."""
     d = report.data
-    fit = d["fit"]
+    fit, label = d["fit"], d["series"]["label"]
     rows: list[tuple[str, str]] = [
-        ("series", f"{d['series']['label']}  ({d['series']['n_points']} points)"),
+        # a label that would break the row or reach the terminal raw, as its repr
+        ("series", f"{label if label.isprintable() else repr(label)}  "
+                   f"({d['series']['n_points']} points)"),
         ("fit window", f"{fit['window'][0]:g} .. {fit['window'][1]:g}"),
         ("a (1/billion)", f"{fit['a']:.6e}"),
         ("k (1/billion/yr)", f"{fit['k']:.6e}"),

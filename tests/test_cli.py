@@ -983,6 +983,24 @@ def test_failed_stdout_write_is_2(europe_csv_path, tmp_path, args, redirect, rea
     assert proc.stderr == f"error: cannot write standard output: {reason}\n"
 
 
+@pytest.mark.parametrize("args", [
+    ["analyze", "IN"],
+    ["analyze", "IN", "--preset", "EE", "--format", "kv"],
+    ["simulate", "--kind", "hyperbolic", "--a", str(W12_A), "--k", str(W12_K),
+     "--years", "1,1000,1500,1900", "--sigma", "0.05", "--seed", "2"],
+])
+def test_dash_output_is_standard_output(runner, europe_csv_path, tmp_path, monkeypatch,
+                                        args):
+    """``-o -`` prints exactly what a run without ``-o`` prints, in every command that
+    takes it, and writes no file named ``-``."""
+    monkeypatch.chdir(tmp_path)
+    args = [str(europe_csv_path) if a == "IN" else a for a in args]
+    plain, dashed = run(runner, *args), run(runner, *args, "-o", "-")
+    assert plain.exit_code == dashed.exit_code == 0, dashed.output
+    assert dashed.output == plain.output
+    assert list(tmp_path.iterdir()) == []
+
+
 @pytest.mark.parametrize("unbuffered", ["", "1"])
 @pytest.mark.parametrize("closed", ["pipe", "fd", "at-start"])
 @pytest.mark.parametrize("args, code", [
@@ -1060,18 +1078,19 @@ print(json.dumps(seen))
 
 PACKAGE = ["hypergrowth", "hypergrowth.errors", "hypergrowth.series"]
 CLI = sorted([*PACKAGE, "hypergrowth.cli"])
-PLOTDATA = sorted([*CLI, "csv", "json", "hypergrowth.fitting", "hypergrowth.ingest",
+PLOTDATA = sorted([*CLI, "csv", "hypergrowth.fitting", "hypergrowth.ingest",
                    "hypergrowth.report"])
-ANALYSIS = sorted([*PLOTDATA, "hypergrowth.regimes"])
+ANALYSIS = sorted([*PLOTDATA, "hypergrowth.regimes", "json"])
 
 
 def test_commands_load_only_what_they_use(europe_csv_path, tmp_path):
     """Every fit of the bundled table has few points, and the standard library
     draws simulate's noise, so numpy stays unloaded; the CLI uses argparse and no
     dataclasses. Each command loads its modules on first use: ingest, fitting
-    and report for plotdata, those and regimes for analyze, whose input digest
-    loads no hashlib (nor its OpenSSL module), and only the synthetic generators
-    for simulate. The package itself loads only what its constants need."""
+    and report for plotdata, those, regimes and json (to render the report) for
+    analyze, whose input digest loads no hashlib (nor its OpenSSL module), and
+    only the synthetic generators for simulate. The package itself loads only
+    what its constants need."""
     csv = str(europe_csv_path)
     simulate = ["simulate", "--kind", "hyperbolic", "--a", str(W12_A), "--k", str(W12_K),
                 "--years", "1,1000,1500,1600,1700,1820,1870,1900", "--sigma", "0.05",

@@ -199,22 +199,12 @@ class TestPresetCatalog:
             "United Kingdom",
         )
 
-    def test_overrides(self):
-        catalog = {
-            p.name: p
-            for p in preset_catalog({"W30": ("Total Western Europe",), "X2": ("A", "B")})
-        }
-        assert catalog["W30"].member_labels == ("Total Western Europe",)
-        assert catalog["X2"].mode == "sum-members"
-
     @pytest.mark.parametrize("labels", [("X", "Y", "X"), ("X", "X")])
     def test_repeated_member_is_refused(self, labels):
         # a repeated member would be summed twice
         with pytest.raises(PresetDefinitionError,
                            match=r"^preset 'R': member 'X' is listed more than once$"):
             RegionPreset("R", labels, "sum-members")
-        with pytest.raises(PresetDefinitionError, match="'X' is listed more than once"):
-            preset_catalog({"R": labels})
 
     @pytest.mark.parametrize("labels, mode", [
         (("X",), "sum-all"),

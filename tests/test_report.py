@@ -67,6 +67,18 @@ class TestAnalyzeSeries:
         assert "stagnation" in text
         assert "W12" in text
 
+    @pytest.mark.parametrize("label, shown", [
+        ("a\nb\u2028c", r"'a\nb\u2028c'"),
+        ("Österreich", "Österreich"),
+    ])
+    def test_human_summary_keeps_one_row_per_field_for_any_label(self, w12_report, label,
+                                                                 shown):
+        # a label that is not printable is shown as its repr, as error: lines show it
+        data = {**w12_report.data, "series": {**w12_report.data["series"], "label": label}}
+        rows = human_summary(AnalysisReport(data)).splitlines()
+        w12_rows = human_summary(w12_report).splitlines()
+        assert rows == [w12_rows[0].replace("W12", shown, 1), *w12_rows[1:]]
+
 
 class TestPlotTables:
     def test_reciprocal_fit_samples_exactly_collinear(self, regional_series):
